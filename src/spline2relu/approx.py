@@ -103,12 +103,17 @@ class Pattern:
 
 @dataclass
 class ExperimentRecord:
-    """One row of a rate experiment: grid error of a size-m network build."""
+    """One row of a rate experiment: grid error of a size-m network build.
+
+    A row whose build or measurement raised carries a NaN error, params = 0
+    and `reason` = "<ExceptionClass>: <message>"; the CSV leaves it out.
+    """
 
     m: int
     params: int
     sup_error: float
     wall_ms: float
+    reason: str = ""
 
 
 CSV_HEADER = "m,params,sup_error,wall_ms"
@@ -310,8 +315,9 @@ def measure_sigma(f, net, grid_n):
 
 def rate_experiment(f, builder, ms, grid_n=4097, workers=1):
     """One ExperimentRecord per m: build a network with builder(m) and measure
-    its grid error against f.  Builder failures yield a NaN-error row instead
-    of aborting the sweep; rows always come back in ascending m."""
+    its grid error against f.  Builder or measurement failures yield a
+    NaN-error row with the exception in `reason` instead of aborting the
+    sweep; rows always come back in ascending m."""
     ms = [int(m) for m in ms]
     if not ms:
         raise DomainError("need at least one size")
@@ -320,15 +326,17 @@ def rate_experiment(f, builder, ms, grid_n=4097, workers=1):
 
     def one(m):
         start = time.perf_counter()
+        reason = ""
         try:
             net = builder(m)
             error = measure_sigma(f, net, grid_n)
             params = net.params
-        except Exception:
+        except Exception as exc:
             error = float("nan")
             params = 0
+            reason = f"{type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - start) * 1000.0
-        return ExperimentRecord(m, params, error, wall_ms)
+        return ExperimentRecord(m, params, error, wall_ms, reason)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -173,6 +173,9 @@ def _run_rates(cfg):
     f, builder = _rates_setup(cfg)
     records = approx.rate_experiment(f, builder, cfg.ms, grid_n=cfg.grid_n,
                                      workers=_workers())
+    for r in records:
+        if r.reason:
+            print(f"rates: m={r.m} failed: {r.reason}", file=sys.stderr)
     text = approx.records_to_csv(records)
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import cpwl
+from .cpwl import CROSSING_SNAP, SLOPE_TOL
 from .errors import ParseError, ResourceError, StructureError
-
-DEFAULT_NODE_BUDGET = 1 << 21
 
 
 def param_count(width: int, depth: int) -> int:
@@ -88,18 +87,21 @@ class ReluNetwork:
     def params(self) -> int:
         return param_count(self.width, self.depth)
 
-    def _relu_mask(self) -> np.ndarray:
-        return np.ones(self.width, dtype=bool)
+    def _lower_bound(self) -> np.ndarray:
+        """Per-channel clamp: 0 on ReLU channels, -inf on ReLU-free rails."""
+        return np.zeros(self.width)
 
     def forward(self, x):
         """Evaluate at scalar or 1-d array x."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        mask = self._relu_mask()
-        state = self.layers[0].weights @ xa[None, :] + self.layers[0].bias[:, None]
-        state[mask] = np.maximum(state[mask], 0.0)
+        lb = self._lower_bound()[:, None]
+        state = self.layers[0].weights @ xa[None, :]
+        state += self.layers[0].bias[:, None]
+        np.maximum(state, lb, out=state)
         for lay in self.layers[1:-1]:
-            state = lay.weights @ state + lay.bias[:, None]
-            state[mask] = np.maximum(state[mask], 0.0)
+            state = lay.weights @ state
+            state += lay.bias[:, None]
+            np.maximum(state, lb, out=state)
         out = (self.layers[-1].weights @ state + self.layers[-1].bias[:, None])[0]
         return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
@@ -134,55 +136,180 @@ class SpecialNetwork(ReluNetwork):
         if last.weights[0, -1] != 1.0:
             raise StructureError("output layer must read the collation channel")
 
-    def _relu_mask(self) -> np.ndarray:
-        mask = np.ones(self.width, dtype=bool)
-        mask[0] = False
-        mask[-1] = False
-        return mask
+    def _lower_bound(self) -> np.ndarray:
+        lb = np.zeros(self.width)
+        lb[0] = lb[-1] = -np.inf
+        return lb
 
 
-def _affine_channels(states, weights, bias):
-    out = []
-    for i in range(weights.shape[0]):
-        nz = np.nonzero(weights[i])[0]
-        out.append(cpwl.combine([states[j] for j in nz], weights[i, nz], bias[i]))
-    return out
+class _SharedGrid:
+    """The live channels of a network as one rows x G array on one sorted grid.
+
+    A plain network keeps all W channels.  A special network keeps only its
+    W-2 computational channels: the source rail is exactly x (the grid itself)
+    and the collation rail, which no computational node reads, is left to the
+    caller through `readout`.  Every row is linear between adjacent grid nodes.
+    `held` counts nodes the caller keeps outside the grid, for the budget.
+    """
+
+    def __init__(self, net: ReluNetwork, node_budget: int):
+        first = net.layers[0]
+        self.special = net.special
+        self.rows = slice(1, net.width - 1) if net.special else slice(None)
+        self.node_budget = node_budget
+        self.held = 0
+        self.grid = np.array([0.0, 1.0])
+        self.vals = first.weights[self.rows] * self.grid + first.bias[self.rows, None]
+        self.relu()
+
+    def readout(self, weights: np.ndarray, bias: float) -> np.ndarray:
+        """Values on the grid of the affine row weights . state + bias, without
+        the collation rail's own term."""
+        out = weights[self.rows] @ self.vals
+        if self.special:
+            out += weights[0] * self.grid
+        out += bias
+        return out
+
+    def affine(self, lay: AffineLayer) -> None:
+        """Pre-activation of the live rows: one matmul on the grid."""
+        w = lay.weights
+        vals = w[self.rows, self.rows] @ self.vals
+        if self.special:
+            vals += np.multiply.outer(w[self.rows, 0], self.grid)
+        vals += lay.bias[self.rows, None]
+        self.vals = vals
+
+    def relu(self) -> None:
+        """Insert every row's zero crossings into the grid, then clamp at 0.
+
+        A crossing within CROSSING_SNAP of a grid node reuses that node.  Every
+        row is evaluated at the new nodes by its own linear segment, so a
+        crossing row holds its clamped value at the rounded crossing, not a
+        forced 0.
+        """
+        g, v = self.grid, self.vals
+        a, b = v[:, :-1], v[:, 1:]
+        row, seg = np.nonzero(a * b < 0.0)
+        new = g[:0]
+        if seg.size:
+            x0, x1 = g[seg], g[seg + 1]
+            va, vb = a[row, seg], b[row, seg]
+            cross = x0 - va * (x1 - x0) / (vb - va)
+            far = (np.abs(cross - x0) > CROSSING_SNAP) & (np.abs(cross - x1) > CROSSING_SNAP)
+            new = np.sort(cross[far])
+            if new.size > 1:
+                first = np.empty(new.size, dtype=bool)
+                first[0] = True
+                np.not_equal(new[1:], new[:-1], out=first[1:])
+                new = new[first]
+        size = g.size + new.size
+        if size + self.held > self.node_budget:
+            raise ResourceError(f"extraction grew past {self.node_budget} nodes")
+        if new.size:
+            right = np.searchsorted(g, new)
+            left = right - 1
+            gl, vl = g[left], v[:, left]
+            mid = (v[:, right] - vl) / (g[right] - gl) * (new - gl) + vl
+            at = right + np.arange(new.size)
+            old = np.ones(size, dtype=bool)
+            old[at] = False
+            self.grid = np.empty(size)
+            self.grid[old] = g
+            self.grid[at] = new
+            v = np.empty((v.shape[0], size))
+            v[:, old] = self.vals
+            v[:, at] = mid
+        self.vals = np.maximum(v, 0.0, out=v)
+
+    def prune(self) -> bool:
+        """Drop nodes where no row kinks by more than SLOPE_TOL (relative);
+        True when some node was dropped."""
+        g, v = self.grid, self.vals
+        dropped = False
+        while g.size > 2:
+            slopes = v[:, 1:] - v[:, :-1]
+            slopes /= g[1:] - g[:-1]
+            gap = slopes[:, 1:] - slopes[:, :-1]
+            np.abs(gap, out=gap)
+            np.abs(slopes, out=slopes)
+            tol = np.maximum(slopes[:, 1:], slopes[:, :-1])
+            np.maximum(tol, 1.0, out=tol)
+            tol *= SLOPE_TOL
+            kink = (gap > tol).any(axis=0)
+            if kink.all():
+                break
+            keep = np.concatenate(([True], kink, [True]))
+            g, v = g[keep], v[:, keep]
+            dropped = True
+        self.grid, self.vals = g, v
+        return dropped
 
 
-def extract_cpwl(net: ReluNetwork, node_budget: int = DEFAULT_NODE_BUDGET) -> cpwl.CPwL:
+def _sum_parts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum (grid, values) CPwL parts pairwise, O(N log parts)."""
+    while len(parts) > 1:
+        merged = []
+        for (ga, va), (gb, vb) in zip(parts[::2], parts[1::2]):
+            grid = np.union1d(ga, gb)
+            merged.append((grid, np.interp(grid, ga, va) + np.interp(grid, gb, vb)))
+        if len(parts) % 2:
+            merged.append(parts[-1])
+        parts = merged
+    return parts[0]
+
+
+def extract_cpwl(net: ReluNetwork, node_budget: int = cpwl.DEFAULT_NODE_BUDGET) -> cpwl.CPwL:
     """Exact symbolic function computed by the network on [0, 1].
 
-    Propagates one CPwL per channel: affine layers are nodal combinations,
-    ReLU inserts exact zero-crossing nodes (skipping exempt rails).
+    Each hidden layer is one step on a shared grid (see `_SharedGrid`): a
+    matmul, a ReLU that inserts zero crossings, and a joint prune.  The
+    collation rail of a special network is summed on the grid while the grid
+    only grows; when the prune drops nodes the partial sum is set aside, and
+    all set-aside parts are summed pairwise once at the end.
+
+    `node_budget` bounds the distinct nodes held at any time: the shared grid
+    plus the set-aside collation nodes.  Past it, ResourceError is raised.
     """
-    mask = net._relu_mask()
-
-    def clamp(states):
-        total = sum(s.breakpoints.size for s in states)
-        if total > node_budget:
-            raise ResourceError(f"extraction grew past {node_budget} nodes")
-        return [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
-
-    first = net.layers[0]
-    states = [cpwl.line(first.weights[i, 0], first.bias[i]) for i in range(net.width)]
-    states = clamp(states)
+    step = _SharedGrid(net, node_budget)
+    parts = []
+    rail_grid, rail = step.grid, np.zeros(step.grid.size)
     for lay in net.layers[1:-1]:
-        states = clamp(_affine_channels(states, lay.weights, lay.bias))
+        if step.special:
+            if rail_grid is not step.grid:
+                rail_grid, rail = step.grid, np.interp(step.grid, rail_grid, rail)
+            rail += step.readout(lay.weights[-1], lay.bias[-1])
+        step.affine(lay)
+        step.relu()
+        if step.prune() and step.special:
+            parts.append((rail_grid, rail))
+            step.held += rail.size
+            rail_grid, rail = step.grid, np.zeros(step.grid.size)
     last = net.layers[-1]
-    return _affine_channels(states, last.weights, last.bias)[0]
+    out = step.readout(last.weights[0], last.bias[0])
+    out += np.interp(step.grid, rail_grid, rail)
+    parts.append((step.grid, out))
+    return cpwl.CPwL(*_sum_parts(parts))
 
 
 def collation_courses(net: SpecialNetwork) -> list[cpwl.CPwL]:
     """Pre-ReLU collation-channel functions after each hidden layer 1..L-1."""
-    mask = net._relu_mask()
-    first = net.layers[0]
-    states = [cpwl.line(first.weights[i, 0], first.bias[i]) for i in range(net.width)]
-    states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+    if not isinstance(net, SpecialNetwork):
+        raise StructureError("expected a special network")
+    step = _SharedGrid(net, cpwl.DEFAULT_NODE_BUDGET)
+    course = cpwl.line(0.0, 0.0)
     courses = []
     for lay in net.layers[1:-1]:
-        states = _affine_channels(states, lay.weights, lay.bias)
-        courses.append(states[-1])
-        states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+        inc = step.readout(lay.weights[-1], lay.bias[-1])
+        grid = np.union1d(course.breakpoints, step.grid)
+        vals = np.interp(grid, course.breakpoints, course.values)
+        vals += np.interp(grid, step.grid, inc)
+        course = cpwl.CPwL(grid, vals)
+        courses.append(course)
+        step.held = course.breakpoints.size
+        step.affine(lay)
+        step.relu()
+        step.prune()
     return courses
 
 
@@ -193,8 +320,6 @@ def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
     lifted by the exact constant C_l = max(0, -min of its course at layer l),
     computed by partial extraction, and the total lift is removed at the output.
     """
-    if not isinstance(net, SpecialNetwork):
-        raise StructureError("expected a special network")
     lifts = [max(0.0, -float(c.values.min())) for c in collation_courses(net)]
     layers = [net.layers[0]]
     for lay, c in zip(net.layers[1:-1], lifts):

@@ -4,7 +4,61 @@ import numpy as np
 
 from spline2relu import approx, cpwl
 from spline2relu.compiler import compile_spline
+from spline2relu.errors import ResourceError
 from spline2relu.network import special_to_standard
+
+
+def _reference_mask(net):
+    """ReLU channels: all of a plain network, all but the two rails of a special one."""
+    mask = np.ones(net.width, dtype=bool)
+    if net.special:
+        mask[0] = mask[-1] = False
+    return mask
+
+
+def _reference_affine(states, weights, bias):
+    out = []
+    for i in range(weights.shape[0]):
+        nz = np.nonzero(weights[i])[0]
+        out.append(cpwl.combine([states[j] for j in nz], weights[i, nz], bias[i]))
+    return out
+
+
+def reference_extract(net, node_budget=cpwl.DEFAULT_NODE_BUDGET):
+    """Per-channel extraction kept as a test-only reference.
+
+    Propagates one canonical CPwL per channel: affine layers are nodal
+    combinations, ReLU inserts exact zero-crossing nodes (skipping the rails).
+    """
+    mask = _reference_mask(net)
+
+    def clamp(states):
+        total = sum(s.breakpoints.size for s in states)
+        if total > node_budget:
+            raise ResourceError(f"extraction grew past {node_budget} nodes")
+        return [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+
+    first = net.layers[0]
+    states = [cpwl.line(first.weights[i, 0], first.bias[i]) for i in range(net.width)]
+    states = clamp(states)
+    for lay in net.layers[1:-1]:
+        states = clamp(_reference_affine(states, lay.weights, lay.bias))
+    last = net.layers[-1]
+    return _reference_affine(states, last.weights, last.bias)[0]
+
+
+def reference_courses(net):
+    """Per-channel pre-ReLU collation courses after hidden layers 1..L-1."""
+    mask = _reference_mask(net)
+    first = net.layers[0]
+    states = [cpwl.line(first.weights[i, 0], first.bias[i]) for i in range(net.width)]
+    states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+    courses = []
+    for lay in net.layers[1:-1]:
+        states = _reference_affine(states, lay.weights, lay.bias)
+        courses.append(states[-1])
+        states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+    return courses
 
 
 def random_spline(rng, n, low=-2.0, high=2.0):

@@ -8,7 +8,7 @@ import pytest
 from conftest import pattern_rich_target, sample_lip_ball
 from spline2relu import approx, cpwl
 from spline2relu.compiler import takagi_network
-from spline2relu.errors import ContractError, DomainError, StructureError
+from spline2relu.errors import ContractError, DomainError, ResourceError, StructureError
 from spline2relu.network import extract_cpwl
 
 
@@ -235,6 +235,21 @@ def test_rate_experiment_rows_and_failures():
         approx.rate_experiment(f, builder, [3, 2])
     with pytest.raises(DomainError):
         approx.rate_experiment(f, builder, [])
+
+
+def test_rate_experiment_records_failure_reason():
+    f = approx.TargetFunction(lambda x: np.asarray(x, dtype=float) * 0.0)
+
+    def builder(m):
+        if m == 2:
+            raise ResourceError("extraction grew past 64 nodes")
+        return takagi_network([0.0] * m)
+
+    records = approx.rate_experiment(f, builder, [1, 2, 3], grid_n=33)
+    assert [r.reason for r in records] == [
+        "", "ResourceError: extraction grew past 64 nodes", ""]
+    assert records[1].params == 0 and math.isnan(records[1].sup_error)
+    assert approx.records_to_csv(records).splitlines()[0] == approx.CSV_HEADER
 
 
 def test_rate_experiment_takagi_errors_shrink():

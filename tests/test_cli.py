@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spline
-from spline2relu import cli, cpwl
+from spline2relu import approx, cli, cpwl
+from spline2relu.compiler import takagi_network
 from spline2relu.errors import Spline2ReluError
 
 
@@ -79,6 +80,22 @@ def test_rates_takagi_deterministic_and_svg(tmp_path, capsys, monkeypatch):
     assert all(y <= x for x, y in zip(errs, errs[1:]))
     body = svg.read_text()
     assert body.startswith("<svg") and "<polyline" in body
+
+
+def test_rates_reports_failed_rows_on_stderr(capsys, monkeypatch):
+    target = approx.TargetFunction(lambda x: np.asarray(x, dtype=float) * 0.0)
+
+    def builder(m):
+        if m == 2:
+            raise Spline2ReluError("no network for m=2")
+        return takagi_network([0.0] * m)
+
+    monkeypatch.setattr(cli, "_rates_setup", lambda cfg: (target, builder))
+    assert cli.main(["rates", "--ms", "1:3", "--grid", "33"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "m,params,sup_error,wall_ms"
+    assert out.splitlines()[2].startswith("2,0,nan,")
+    assert err.splitlines() == ["rates: m=2 failed: Spline2ReluError: no network for m=2"]
 
 
 def test_rates_lip_family(tmp_path, capsys):

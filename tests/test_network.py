@@ -80,6 +80,31 @@ def test_forward_scalar_and_array():
     assert np.array_equal(out, [0.0, 0.5, 1.0])
 
 
+def test_forward_matches_masked_loop():
+    """The lower-bound clamp reproduces the masked ReLU loop bit for bit."""
+    rng = np.random.default_rng(115)
+    xs = np.linspace(0.0, 1.0, 1001)
+
+    def masked(net):
+        mask = np.ones(net.width, dtype=bool)
+        if net.special:
+            mask[0] = mask[-1] = False
+        state = net.layers[0].weights @ xs[None, :] + net.layers[0].bias[:, None]
+        state[mask] = np.maximum(state[mask], 0.0)
+        for lay in net.layers[1:-1]:
+            state = lay.weights @ state + lay.bias[:, None]
+            state[mask] = np.maximum(state[mask], 0.0)
+        return (net.layers[-1].weights @ state + net.layers[-1].bias[:, None])[0]
+
+    for width in (4, 7, 13):
+        net, _ = compile_spline(random_spline(rng, 25, -3.0, 3.0), width)
+        assert net.special
+        assert np.array_equal(net.forward(xs), masked(net))
+        std = special_to_standard(net)
+        assert isinstance(std, ReluNetwork) and not std.special
+        assert np.array_equal(std.forward(xs), masked(std))
+
+
 def test_compile_shallow_exact():
     rng = np.random.default_rng(11)
     for n in (0, 1, 5, 20):
