@@ -3,6 +3,7 @@
 from .cpwl import (
     CPwL,
     add,
+    basis_fn,
     combine,
     compose,
     hat,
@@ -23,8 +24,8 @@ from .network import (
     SpecialNetwork,
     extract_cpwl,
     hat_net,
-    identity_net,
     param_count,
+    rail_layer,
     read_network,
     special_to_standard,
     write_network,
@@ -71,9 +72,8 @@ from .approx import (
     sobolev_split,
 )
 from .riesz import (
-    GramTruncation,
-    basis_fn,
     frame_bounds,
+    gram_matrix,
     inner_product,
     lemsum_lhs,
     odd_square_tail,

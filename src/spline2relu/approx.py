@@ -217,12 +217,13 @@ def lip_alpha_approximant(f, alpha, m, width, grid_n=DEFAULT_GRID):
             pattern = _quantize_values(scale * (fv[i] - tv[i]), k, alpha)
             if not pattern.is_zero():
                 groups.setdefault(pattern.levels, []).append(i)
+        terms = []
         for levels, panels in groups.items():
             shape = Pattern(levels).to_cpwl(alpha)
             scaled = cpwl.combine([shape], [2.0 * float(m) ** (-alpha)])
             intervals = [(i / m, (i + 1) / m) for i in panels]
-            term, _ = compile_self_similar(scaled, intervals, width)
-            net = concat_sum(net, term)
+            terms.append(compile_self_similar(scaled, intervals, width)[0])
+        net = concat_sum(net, *terms)
 
     error = measure_sigma(f, net, grid_n)
     wall_ms = (time.perf_counter() - start) * 1000.0

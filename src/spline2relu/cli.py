@@ -5,7 +5,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,29 +15,6 @@ from .errors import Spline2ReluError
 from .network import extract_cpwl, read_network, write_network
 
 DEFAULT_SEED = 42
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus its inputs, outputs, and knobs."""
-
-    command: str
-    inputs: tuple = ()
-    out: str = None
-    svg: str = None
-    width: int = 8
-    grid_n: int = 101
-    seed: int = DEFAULT_SEED
-    family: str = "takagi"
-    alpha: float = 1.0
-    ms: tuple = ()
-    order: int = 10
-    kind: str = None
-    index: int = None
-    terms: tuple = ()
-    K: int = 32
-    gap_k: int = 64
-    trials: int = 100
 
 
 def _workers():
@@ -123,84 +99,85 @@ def _report_line(report):
     return text
 
 
-def _run_compile(cfg):
-    target = cpwl.read_spline(cfg.inputs[0])
-    net, report = compile_spline(target, cfg.width)
-    if cfg.out:
-        write_network(net, cfg.out)
+def _run_compile(args):
+    target = cpwl.read_spline(args.spline)
+    net, report = compile_spline(target, args.width)
+    if args.out:
+        write_network(net, args.out)
     print(_report_line(report))
     return 0
 
 
-def _run_verify(cfg):
-    net = read_network(cfg.inputs[0])
-    target = cpwl.read_spline(cfg.inputs[1])
+def _run_verify(args):
+    net = read_network(args.network)
+    target = cpwl.read_spline(args.spline)
     deviation = cpwl.sup_diff(extract_cpwl(net), target)
     print(f"max deviation = {deviation:.17g}")
     return 0
 
 
-def _run_eval(cfg):
-    net = read_network(cfg.inputs[0])
-    xs = np.linspace(0.0, 1.0, cfg.grid_n)
+def _run_eval(args):
+    net = read_network(args.network)
+    xs = np.linspace(0.0, 1.0, args.grid_n)
     ys = net.forward(xs)
     rows = ["x,value"] + ["%.17g,%.17g" % (x, y) for x, y in zip(xs, ys)]
     text = "\n".join(rows) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _rates_setup(cfg):
-    if cfg.family == "takagi":
-        f = approx.TargetFunction(_dyadic_sawtooth_sum(max(cfg.ms) + 20))
+def _rates_setup(args):
+    if args.family == "takagi":
+        f = approx.TargetFunction(_dyadic_sawtooth_sum(max(_parse_sizes(args.ms)) + 20))
         builder = lambda m: takagi_network([2.0 ** -(i + 1) for i in range(m)])
-    elif cfg.family == "lip":
+    elif args.family == "lip":
         f = approx.TargetFunction(lambda x: np.abs(np.asarray(x, dtype=float) - 0.5),
-                                  lip_alpha=(cfg.alpha, 1.0))
-        builder = lambda m: approx.lip_alpha_approximant(f, cfg.alpha, m, cfg.width)[0]
+                                  lip_alpha=(args.alpha, 1.0))
+        builder = lambda m: approx.lip_alpha_approximant(f, args.alpha, m, args.width)[0]
     else:
-        raise Spline2ReluError(f"unknown rate family {cfg.family!r}")
+        raise Spline2ReluError(f"unknown rate family {args.family!r}")
     return f, builder
 
 
-def _run_rates(cfg):
-    if not cfg.ms:
+def _run_rates(args):
+    ms = _parse_sizes(args.ms)
+    if not ms:
         raise Spline2ReluError("no sizes given; use --ms")
-    f, builder = _rates_setup(cfg)
-    records = approx.rate_experiment(f, builder, cfg.ms, grid_n=cfg.grid_n,
+    f, builder = _rates_setup(args)
+    records = approx.rate_experiment(f, builder, ms, grid_n=args.grid_n,
                                      workers=_workers())
     for r in records:
         if r.reason:
             print(f"rates: m={r.m} failed: {r.reason}", file=sys.stderr)
     text = approx.records_to_csv(records)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if cfg.svg:
+    if args.svg:
         ms = [r.m for r in records]
         errs = [r.sup_error for r in records]
         mlogm = [m * math.log(max(m, 2)) for m in ms]
-        _svg_loglog(cfg.svg, [("error vs m", ms, errs),
+        _svg_loglog(args.svg, [("error vs m", ms, errs),
                               ("error vs m*ln(m)", mlogm, errs)])
     return 0
 
 
-def _run_riesz(cfg):
-    lo, hi = riesz.frame_bounds(cfg.K)
-    rows = [("frame_K", float(cfg.K)), ("lambda_min", lo), ("lambda_max", hi)]
+def _run_riesz(args):
+    lo, hi = riesz.frame_bounds(args.K)
+    rows = [("frame_K", float(args.K)), ("lambda_min", lo), ("lambda_max", hi)]
     for kind in ("cosine", "sine"):
-        rows.append((f"gap_base_{kind}", riesz.operator_gap(kind, cfg.gap_k)))
+        rows.append((f"gap_base_{kind}", riesz.operator_gap(kind, args.gap_k)))
         rows.append((f"gap_adjoint_{kind}",
-                     riesz.operator_gap(kind, cfg.gap_k, adjoint=True)))
-    rng = np.random.default_rng(cfg.seed)
+                     riesz.operator_gap(kind, args.gap_k, adjoint=True)))
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for _ in range(cfg.trials):
+    for _ in range(args.trials):
         u = rng.uniform(0.0, 1.0, int(rng.integers(2, 16)))
         bound = math.pi ** 4 / 192.0 * float(np.sum(u * u))
         if bound > 0:
@@ -208,8 +185,8 @@ def _run_riesz(cfg):
     rows.append(("lemsum_worst_ratio", worst))
     rows.append(("odd_sum_tail", riesz.odd_square_tail(riesz.ODD_SUM_CAP)))
     text = "\n".join("%s,%.17g" % (name, value) for name, value in rows) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
     return 0
@@ -227,34 +204,35 @@ def _dyadic_sawtooth_sum(order):
     return evaluate
 
 
-def _run_takagi(cfg):
-    coeffs = [2.0 ** -(i + 1) for i in range(cfg.order)]
+def _run_takagi(args):
+    coeffs = [2.0 ** -(i + 1) for i in range(args.order)]
     net = takagi_network(coeffs)
-    target = approx.TargetFunction(_dyadic_sawtooth_sum(cfg.order + 20))
-    error = approx.measure_sigma(target, net, cfg.grid_n)
-    if cfg.out:
-        write_network(net, cfg.out)
-    print(f"order={cfg.order} width={net.width} depth={net.depth} "
+    target = approx.TargetFunction(_dyadic_sawtooth_sum(args.order + 20))
+    error = approx.measure_sigma(target, net, args.grid_n)
+    if args.out:
+        write_network(net, args.out)
+    print(f"order={args.order} width={net.width} depth={net.depth} "
           f"params={net.params} sup_error={error:.17g}")
     return 0
 
 
-def _run_fourier(cfg):
-    if cfg.terms:
-        net, report = compile_fourier_sum(cfg.terms, cfg.width)
-        target = fourier_oracle(cfg.terms)
+def _run_fourier(args):
+    terms = _parse_terms(args.terms)
+    if terms:
+        net, report = compile_fourier_sum(terms, args.width)
+        target = fourier_oracle(terms)
         error = cpwl.sup_diff(extract_cpwl(net), target)
         print(_report_line(report) + f" sup_error={error:.17g}")
-    elif cfg.kind and cfg.index:
-        net = fourier_atom(cfg.kind, cfg.index)
-        target = riesz.basis_fn(cfg.kind, cfg.index)
+    elif args.kind and args.index is not None:
+        net = fourier_atom(args.kind, args.index)
+        target = cpwl.basis_fn(args.kind, args.index)
         error = cpwl.sup_diff(extract_cpwl(net), target)
-        print(f"kind={cfg.kind} index={cfg.index} width={net.width} "
+        print(f"kind={args.kind} index={args.index} width={net.width} "
               f"depth={net.depth} params={net.params} sup_error={error:.17g}")
     else:
         raise Spline2ReluError("give either --terms or both --kind and --index")
-    if cfg.out:
-        write_network(net, cfg.out)
+    if args.out:
+        write_network(net, args.out)
     return 0
 
 
@@ -269,15 +247,16 @@ _DISPATCH = {
 }
 
 
-def run(cfg):
-    """Execute one parsed command; returns the process exit status."""
-    if cfg.command not in _DISPATCH:
-        raise Spline2ReluError(f"unknown command {cfg.command!r}")
-    if cfg.grid_n < 2:
+def run(args):
+    """Execute one parsed command (an argparse namespace from the CLI parser);
+    returns the process exit status."""
+    if args.command not in _DISPATCH:
+        raise Spline2ReluError(f"unknown command {args.command!r}")
+    if args.grid_n < 2:
         raise Spline2ReluError("--grid must be at least 2")
-    if cfg.width < 4:
+    if args.width < 4:
         raise Spline2ReluError("--width must be at least 4")
-    return _DISPATCH[cfg.command](cfg)
+    return _DISPATCH[args.command](args)
 
 
 def _build_parser():
@@ -332,37 +311,11 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    cfg = RunConfig(command=args.command, width=args.width, grid_n=args.grid_n,
-                    seed=args.seed, out=args.out, svg=args.svg)
-    if args.command == "compile":
-        cfg.inputs = (args.spline,)
-    elif args.command == "verify":
-        cfg.inputs = (args.network, args.spline)
-    elif args.command == "eval":
-        cfg.inputs = (args.network,)
-    elif args.command == "rates":
-        cfg.family = args.family
-        cfg.alpha = args.alpha
-        cfg.ms = _parse_sizes(args.ms)
-    elif args.command == "riesz":
-        cfg.K = args.K
-        cfg.gap_k = args.gap_k
-        cfg.trials = args.trials
-    elif args.command == "takagi":
-        cfg.order = args.order
-    elif args.command == "fourier":
-        cfg.kind = args.kind
-        cfg.index = args.index
-        cfg.terms = _parse_terms(args.terms)
-    return cfg
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(_config_from_args(args))
+        return run(args)
     except Spline2ReluError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

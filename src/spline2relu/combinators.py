@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .network import AffineLayer, ReluNetwork, SpecialNetwork
+from .network import AffineLayer, ReluNetwork, SpecialNetwork, rail_layer
 
 
 def _common_width(nets) -> int:
@@ -28,37 +28,38 @@ def zero_special(width: int, depth: int) -> SpecialNetwork:
         raise StructureError("depth must be >= 1")
     first = np.zeros((width, 1))
     first[0, 0] = 1.0
-    mid = np.zeros((width, width))
-    mid[0, 0] = 1.0
-    mid[-1, -1] = 1.0
     out = np.zeros((1, width))
     out[0, -1] = 1.0
     layers = [AffineLayer(first, np.zeros(width))]
-    layers.extend(AffineLayer(mid, np.zeros(width)) for _ in range(depth - 1))
+    layers.extend([rail_layer(width)] * (depth - 1))
     layers.append(AffineLayer(out, [0.0]))
     return SpecialNetwork(layers)
 
 
-def concat_sum(first: SpecialNetwork, second: SpecialNetwork) -> SpecialNetwork:
-    """Special network of depth L1 + L2 computing first(x) + second(x).
+def concat_sum(*nets: SpecialNetwork) -> SpecialNetwork:
+    """Special network of depth sum(L_i) computing sum_i nets[i](x).
 
-    The interface layer seeds the second network's computational nodes from the
-    source rail and drops the first network's output into the collation rail.
+    The networks run one after another.  Each seam seeds the next network's
+    computational nodes from the source rail and drops the previous network's
+    output into the collation rail.
     """
-    if not (first.special and second.special):
+    if not nets:
+        raise StructureError("need at least one network")
+    if not all(n.special for n in nets):
         raise StructureError("concat_sum needs special networks")
-    width = _common_width([first, second])
-    out1 = first.layers[-1]
-    in2 = second.layers[0]
-    seam_w = np.zeros((width, width))
-    seam_w[1:-1, 0] = in2.weights[1:-1, 0]
-    seam_w[0, 0] = 1.0
-    seam_w[-1, :] = out1.weights[0]
-    seam_b = in2.bias.copy()
-    seam_b[-1] = out1.bias[0]
-    layers = list(first.layers[:-1])
-    layers.append(AffineLayer(seam_w, seam_b))
-    layers.extend(second.layers[1:])
+    width = _common_width(nets)
+    layers = list(nets[0].layers[:-1])
+    for prev, nxt in zip(nets, nets[1:]):
+        out1, in2 = prev.layers[-1], nxt.layers[0]
+        seam_w = np.zeros((width, width))
+        seam_w[1:-1, 0] = in2.weights[1:-1, 0]
+        seam_w[0, 0] = 1.0
+        seam_w[-1, :] = out1.weights[0]
+        seam_b = in2.bias.copy()
+        seam_b[-1] = out1.bias[0]
+        layers.append(AffineLayer(seam_w, seam_b))
+        layers.extend(nxt.layers[1:-1])
+    layers.append(nets[-1].layers[-1])
     return SpecialNetwork(layers)
 
 
@@ -93,154 +94,92 @@ def _weights_vector(nets, weights) -> np.ndarray:
     return w
 
 
+def _on_rails(lay: AffineLayer, width: int, block: slice) -> tuple[np.ndarray, np.ndarray]:
+    """A rail layer of the given width with `lay` on the `block` channels."""
+    weights = rail_layer(width).weights.copy()
+    weights[block, block] = lay.weights
+    bias = np.zeros(width)
+    bias[block] = lay.bias
+    return weights, bias
+
+
+def _lift(net: ReluNetwork, coeff: float) -> SpecialNetwork:
+    """Width W+2 special network running `net` on channels 1..W; its output
+    row adds coeff * net(x) into the collation rail."""
+    width = net.width + 2
+    comp = slice(1, -1)
+    first = np.zeros((width, 1))
+    first[0, 0] = 1.0
+    first[comp] = net.layers[0].weights
+    fb = np.zeros(width)
+    fb[comp] = net.layers[0].bias
+    layers = [AffineLayer(first, fb)]
+    layers.extend(AffineLayer(*_on_rails(lay, width, comp)) for lay in net.layers[1:-1])
+    out = net.layers[-1]
+    final = np.zeros((1, width))
+    final[0, comp] = coeff * out.weights[0]
+    final[0, -1] = 1.0
+    layers.append(AffineLayer(final, [coeff * out.bias[0]]))
+    return SpecialNetwork(layers)
+
+
 def stack_sum(nets: Sequence[ReluNetwork], weights=None) -> SpecialNetwork:
     """Width W+2 special network of depth sum(L_i) computing sum_i w_i f_i(x).
 
-    The networks run one after another on the computational channels; each
-    finished output is folded into the collation rail at the next seam.
+    The concatenation of the lifted networks: each runs on the computational
+    channels, and its output is folded into the collation rail at the next seam.
     """
     if not nets:
         raise StructureError("need at least one network")
-    w = _common_width(nets)
     coeff = _weights_vector(nets, weights)
-    width = w + 2
-    comp = slice(1, w + 1)
+    return concat_sum(*(_lift(net, c) for net, c in zip(nets, coeff)))
 
-    first = np.zeros((width, 1))
-    first[0, 0] = 1.0
-    first[comp, 0] = nets[0].layers[0].weights[:, 0]
-    fb = np.zeros(width)
-    fb[comp] = nets[0].layers[0].bias
-    layers = [AffineLayer(first, fb)]
 
-    def mid_template():
-        m = np.zeros((width, width))
-        m[0, 0] = 1.0
-        m[-1, -1] = 1.0
-        return m, np.zeros(width)
-
-    for i, net in enumerate(nets):
-        for lay in net.layers[1:-1]:
-            m, b = mid_template()
-            m[comp, comp] = lay.weights
-            b[comp] = lay.bias
-            layers.append(AffineLayer(m, b))
-        out = net.layers[-1]
-        if i + 1 < len(nets):
-            nxt = nets[i + 1].layers[0]
-            m, b = mid_template()
-            m[comp, 0] = nxt.weights[:, 0]
-            m[-1, comp] = coeff[i] * out.weights[0]
-            b[comp] = nxt.bias
-            b[-1] = coeff[i] * out.bias[0]
-            layers.append(AffineLayer(m, b))
-        else:
-            final = np.zeros((1, width))
-            final[0, comp] = coeff[i] * out.weights[0]
-            final[0, -1] = 1.0
-            layers.append(AffineLayer(final, [coeff[i] * out.bias[0]]))
-    return SpecialNetwork(layers)
+def _rectified(net: ReluNetwork) -> ReluNetwork:
+    """Depth L+1 network computing (net(x))_+: the output row becomes a hidden
+    ReLU node on channel 0, which the new output layer reads."""
+    width = net.width
+    out = net.layers[-1]
+    rect_w = np.zeros((width, width))
+    rect_w[0] = out.weights[0]
+    rect_b = np.zeros(width)
+    rect_b[0] = out.bias[0]
+    read = np.zeros((1, width))
+    read[0, 0] = 1.0
+    return ReluNetwork(net.layers[:-1] + (AffineLayer(rect_w, rect_b), AffineLayer(read, [0.0])))
 
 
 def stack_relu_sum(nets: Sequence[ReluNetwork], weights=None) -> SpecialNetwork:
     """Width W+2 special network of depth k + sum(L_i) computing sum_i w_i (f_i(x))_+.
 
-    Each network gets one extra layer whose first computational node holds its
-    pre-activation output, so the rail collects the rectified value.
+    `stack_sum` of the networks, each extended by one rectifying layer.
     """
-    if not nets:
-        raise StructureError("need at least one network")
-    w = _common_width(nets)
-    coeff = _weights_vector(nets, weights)
-    width = w + 2
-    comp = slice(1, w + 1)
-
-    first = np.zeros((width, 1))
-    first[0, 0] = 1.0
-    first[comp, 0] = nets[0].layers[0].weights[:, 0]
-    fb = np.zeros(width)
-    fb[comp] = nets[0].layers[0].bias
-    layers = [AffineLayer(first, fb)]
-
-    def mid_template():
-        m = np.zeros((width, width))
-        m[0, 0] = 1.0
-        m[-1, -1] = 1.0
-        return m, np.zeros(width)
-
-    for i, net in enumerate(nets):
-        for lay in net.layers[1:-1]:
-            m, b = mid_template()
-            m[comp, comp] = lay.weights
-            b[comp] = lay.bias
-            layers.append(AffineLayer(m, b))
-        out = net.layers[-1]
-        m, b = mid_template()
-        m[1, comp] = out.weights[0]
-        b[1] = out.bias[0]
-        layers.append(AffineLayer(m, b))
-        if i + 1 < len(nets):
-            nxt = nets[i + 1].layers[0]
-            m, b = mid_template()
-            m[comp, 0] = nxt.weights[:, 0]
-            m[-1, 1] = coeff[i]
-            b[comp] = nxt.bias
-            layers.append(AffineLayer(m, b))
-        else:
-            final = np.zeros((1, width))
-            final[0, 1] = coeff[i]
-            final[0, -1] = 1.0
-            layers.append(AffineLayer(final, [0.0]))
-    return SpecialNetwork(layers)
+    return stack_sum([_rectified(net) for net in nets], weights)
 
 
 def iterate_sum(net: ReluNetwork, coeffs: Sequence[float]) -> SpecialNetwork:
     """Width W+2 special network of depth m*L computing sum_i coeffs[i] f^(i)(x).
 
-    f^(i) is the i-fold self-composition; copies are chained with fused seams
-    and each iterate is folded into the collation rail as it completes.
+    f^(i) is the i-fold self-composition.  The copies are the hidden layers of
+    the lifted network, chained with fused seams, and each iterate is folded
+    into the collation rail as it completes.
     """
     coeff = np.asarray(coeffs, dtype=float)
     if coeff.ndim != 1 or coeff.size == 0:
         raise StructureError("need at least one coefficient")
-    m = coeff.size
-    w = net.width
-    width = w + 2
-    comp = slice(1, w + 1)
-    t_in = net.layers[0]
-    t_out = net.layers[-1]
-
-    first = np.zeros((width, 1))
-    first[0, 0] = 1.0
-    first[comp, 0] = t_in.weights[:, 0]
-    fb = np.zeros(width)
-    fb[comp] = t_in.bias
-    layers = [AffineLayer(first, fb)]
-
-    def mid_template():
-        mm = np.zeros((width, width))
-        mm[0, 0] = 1.0
-        mm[-1, -1] = 1.0
-        return mm, np.zeros(width)
-
-    for i in range(m):
-        for lay in net.layers[1:-1]:
-            mm, b = mid_template()
-            mm[comp, comp] = lay.weights
-            b[comp] = lay.bias
-            layers.append(AffineLayer(mm, b))
-        if i + 1 < m:
-            mm, b = mid_template()
-            mm[comp, comp] = t_in.weights @ t_out.weights
-            mm[-1, comp] = coeff[i] * t_out.weights[0]
-            b[comp] = t_in.weights[:, 0] * t_out.bias[0] + t_in.bias
-            b[-1] = coeff[i] * t_out.bias[0]
-            layers.append(AffineLayer(mm, b))
-        else:
-            final = np.zeros((1, width))
-            final[0, comp] = coeff[i] * t_out.weights[0]
-            final[0, -1] = 1.0
-            layers.append(AffineLayer(final, [coeff[i] * t_out.bias[0]]))
+    t_in, t_out = net.layers[0], net.layers[-1]
+    fused = AffineLayer(t_in.weights @ t_out.weights,
+                        t_in.weights[:, 0] * t_out.bias[0] + t_in.bias)
+    lifted = _lift(net, coeff[-1])
+    body = list(lifted.layers[1:-1])
+    comp = slice(1, -1)
+    layers = [lifted.layers[0]]
+    for c in coeff[:-1]:
+        seam_w, seam_b = _on_rails(fused, lifted.width, comp)
+        seam_w[-1, comp] = c * t_out.weights[0]
+        seam_b[-1] = c * t_out.bias[0]
+        layers += body + [AffineLayer(seam_w, seam_b)]
+    layers += body + [lifted.layers[-1]]
     return SpecialNetwork(layers)
 
 
@@ -272,16 +211,11 @@ def iterate_apply_sum(tnet: ReluNetwork, gnet: ReluNetwork,
     fb[tb] = t_in.bias
     layers = [AffineLayer(first, fb)]
 
-    def mid_template():
-        mm = np.zeros((width, width))
-        mm[0, 0] = 1.0
-        mm[-1, -1] = 1.0
-        return mm, np.zeros(width)
-
+    rail = rail_layer(width)
     for phase in range(1, m + 2):
         if phase > 1:
             # seam entering this phase: iterate t^(phase-1) is ready
-            mm, b = mid_template()
+            mm, b = rail.weights.copy(), np.zeros(width)
             if phase <= m:
                 mm[tb, tb] = t_in.weights @ t_out.weights
                 b[tb] = t_in.weights[:, 0] * t_out.bias[0] + t_in.bias
@@ -293,7 +227,7 @@ def iterate_apply_sum(tnet: ReluNetwork, gnet: ReluNetwork,
             layers.append(AffineLayer(mm, b))
         inner = tnet.layers[1:-1] if phase <= m else gnet.layers[1:-1]
         for r in range(len(inner)):
-            mm, b = mid_template()
+            mm, b = rail.weights.copy(), np.zeros(width)
             if phase <= m:
                 mm[tb, tb] = tnet.layers[1 + r].weights
                 b[tb] = tnet.layers[1 + r].bias

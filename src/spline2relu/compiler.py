@@ -37,6 +37,7 @@ from .network import (
     SpecialNetwork,
     hat_net,
     param_count,
+    rail_layer,
     special_to_standard,
 )
 
@@ -194,9 +195,7 @@ def _block_special(y: np.ndarray, s: np.ndarray, width: int, q: int) -> SpecialN
     fb = np.zeros(width)
     fb[1:-1] = -xi
 
-    mid = np.zeros((width, width))
-    mid[0, 0] = 1.0
-    mid[-1, -1] = 1.0
+    mid = rail_layer(width).weights.copy()
     mb = np.zeros(width)
     out = np.zeros((1, width))
     out[0, -1] = 1.0
@@ -247,9 +246,7 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
         s[0] = 0.0
         s[-1] = 0.0
         nets.append(_block_special(y, s, width, q))
-    net = nets[0]
-    for nxt in nets[1:]:
-        net = concat_sum(net, nxt)
+    net = concat_sum(*nets)
     last = net.layers[-1]
     w = last.weights.copy()
     w[0, 0] += slope
@@ -284,10 +281,9 @@ def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     first[0, 0] = 1.0
     first[comp, 0] = w0[comp, 0]
     layers = [AffineLayer(first, b0)]
+    rail = rail_layer(width)
     for g in range(1, groups):
-        m = np.zeros((width, width))
-        m[0, 0] = 1.0
-        m[-1, -1] = 1.0
+        m = rail.weights.copy()
         wg, bg = seed(g)
         m[comp, 0] = wg[comp, 0]
         m[-1, comp] = collect(g - 1)
@@ -542,30 +538,12 @@ def fourier_oracle(terms: Sequence[tuple[int, float, float]]) -> cpwl.CPwL:
     fs, cs = [], []
     for j, a, b in terms:
         if a != 0.0:
-            fs.append(_cosine_cpwl(j))
+            fs.append(cpwl.basis_fn("cosine", j))
             cs.append(a)
         if b != 0.0:
-            fs.append(_sine_cpwl(j))
+            fs.append(cpwl.basis_fn("sine", j))
             cs.append(b)
     return cpwl.combine(fs, cs) if fs else cpwl.line(0.0, 0.0)
-
-
-def _cosine_cpwl(k: int) -> cpwl.CPwL:
-    xs = np.arange(2 * k + 1) / (2.0 * k)
-    xs[-1] = 1.0
-    vs = np.where(np.arange(2 * k + 1) % 2 == 0, 1.0, -1.0)
-    return cpwl.CPwL(xs, vs)
-
-
-def _sine_cpwl(k: int) -> cpwl.CPwL:
-    xs = [0.0]
-    vs = [0.0]
-    for ell in range(k):
-        xs.extend([(ell + 0.25) / k, (ell + 0.75) / k])
-        vs.extend([1.0, -1.0])
-    xs.append(1.0)
-    vs.append(0.0)
-    return cpwl.CPwL(xs, vs)
 
 
 def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int

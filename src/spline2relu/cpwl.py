@@ -226,6 +226,39 @@ def hat_iterate_value(k: int, x) -> np.ndarray | float:
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
+def basis_fn(kind: str, k: int) -> CPwL:
+    """Exact CPwL of the k-th sawtooth cosine or sine basis function.
+
+    The cosine alternates 1, -1 at the nodes i/(2k).  The sine is 0 at both
+    ends and alternates 1, -1 at (l + 1/4)/k and (l + 3/4)/k.
+    """
+    if k < 1:
+        raise DomainError("index must be >= 1")
+    if kind == "cosine":
+        return _cosine_cpwl(k)
+    if kind == "sine":
+        return _sine_cpwl(k)
+    raise DomainError("kind must be 'cosine' or 'sine'")
+
+
+def _cosine_cpwl(k: int) -> CPwL:
+    xs = np.arange(2 * k + 1) / (2.0 * k)
+    xs[-1] = 1.0
+    vs = np.where(np.arange(2 * k + 1) % 2 == 0, 1.0, -1.0)
+    return CPwL(xs, vs)
+
+
+def _sine_cpwl(k: int) -> CPwL:
+    xs = [0.0]
+    vs = [0.0]
+    for ell in range(k):
+        xs.extend([(ell + 0.25) / k, (ell + 0.75) / k])
+        vs.extend([1.0, -1.0])
+    xs.append(1.0)
+    vs.append(0.0)
+    return CPwL(xs, vs)
+
+
 def write_spline(f: CPwL, path) -> None:
     """Write the node-count header and one 'x value' line per node."""
     with open(path, "w") as fh:

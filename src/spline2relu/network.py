@@ -115,6 +115,12 @@ class SpecialNetwork(ReluNetwork):
 
     special = True
 
+    _HIDDEN_RULES = (
+        "hidden layers must copy the source channel",
+        "collation channel must only accumulate into itself",
+        "source channel bias must stay 0",
+    )
+
     def _check_structure(self, layers, width):
         if width < 4:
             raise StructureError("special networks need width >= 4")
@@ -123,16 +129,18 @@ class SpecialNetwork(ReluNetwork):
             raise StructureError("input layer must seed the source channel with x only")
         if first.bias[0] != 0.0 or first.bias[-1] != 0.0:
             raise StructureError("source and collation biases must start at 0")
-        e0 = np.zeros(width)
-        e0[0] = 1.0
-        for lay in layers[1:-1]:
-            if not np.array_equal(lay.weights[0], e0):
-                raise StructureError("hidden layers must copy the source channel")
-            col = lay.weights[:, -1]
-            if col[-1] != 1.0 or np.any(col[:-1] != 0.0):
-                raise StructureError("collation channel must only accumulate into itself")
-            if lay.bias[0] != 0.0:
-                raise StructureError("source channel bias must stay 0")
+        hidden = np.array([lay.weights for lay in layers[1:-1]]).reshape(-1, width, width)
+        source_bias = np.array([lay.bias[0] for lay in layers[1:-1]])
+        rail = rail_layer(width).weights
+        broken = np.array([
+            (hidden[:, 0] != rail[0]).any(axis=1),
+            (hidden[:, :, -1] != rail[:, -1]).any(axis=1),
+            source_bias != 0.0,
+        ])
+        if broken.any():
+            # the first broken layer decides, then the rule order above
+            layer = broken.any(axis=0).argmax()
+            raise StructureError(self._HIDDEN_RULES[broken[:, layer].argmax()])
         if last.weights[0, -1] != 1.0:
             raise StructureError("output layer must read the collation channel")
 
@@ -331,23 +339,20 @@ def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
     return ReluNetwork(layers)
 
 
+def rail_layer(width: int) -> AffineLayer:
+    """Hidden layer of a width-W special network that carries only the two
+    rails: the source channel copies x, the collation channel keeps its sum."""
+    weights = np.zeros((width, width))
+    weights[0, 0] = weights[-1, -1] = 1.0
+    return AffineLayer(weights, np.zeros(width))
+
+
 def hat_net() -> ReluNetwork:
     """Width-2, depth-1 network computing the unit hat: 2(x)_+ - 4(x - 1/2)_+."""
     return ReluNetwork([
         AffineLayer([[1.0], [1.0]], [0.0, -0.5]),
         AffineLayer([[2.0, -4.0]], [0.0]),
     ])
-
-
-def identity_net(depth: int = 1) -> ReluNetwork:
-    """Width-2 network computing x on [0, 1] at the requested depth."""
-    if depth < 1:
-        raise StructureError("depth must be >= 1")
-    layers = [AffineLayer([[1.0], [0.0]], [0.0, 0.0])]
-    keep = AffineLayer([[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
-    layers.extend(keep for _ in range(depth - 1))
-    layers.append(AffineLayer([[1.0, 0.0]], [0.0]))
-    return ReluNetwork(layers)
 
 
 def write_network(net: ReluNetwork, path) -> None:

@@ -6,23 +6,11 @@ import math
 
 import numpy as np
 
-from . import cpwl
-from .compiler import _cosine_cpwl, _sine_cpwl
+from .cpwl import basis_fn
 from .errors import ContractError, DomainError
 
 MU_SQUARED = 96.0 / math.pi ** 4
 ODD_SUM_CAP = 500
-
-
-def basis_fn(kind, k):
-    """Exact CPwL of the k-th sawtooth cosine or sine basis function."""
-    if k < 1:
-        raise DomainError("index must be >= 1")
-    if kind == "cosine":
-        return _cosine_cpwl(k)
-    if kind == "sine":
-        return _sine_cpwl(k)
-    raise DomainError("kind must be 'cosine' or 'sine'")
 
 
 def inner_product(f, g):
@@ -40,38 +28,26 @@ def inner_product(f, g):
     return float(np.sum(dx / 6.0 * (f0 * (2.0 * g0 + g1) + f1 * (g0 + 2.0 * g1))))
 
 
-def _system(K):
-    """The 2K basis functions ordered C_1..C_K, S_1..S_K."""
-    return ([basis_fn("cosine", k) for k in range(1, K + 1)]
-            + [basis_fn("sine", k) for k in range(1, K + 1)])
+def gram_matrix(K):
+    """Gram matrix of C_1..C_K, S_1..S_K: exact pairwise inner products.
 
-
-class GramTruncation:
-    """Gram matrix of the sqrt(3)-normalized truncated system.
-
-    Entries are exact inner products of sqrt(3)*C_j and sqrt(3)*S_j for
-    j = 1..K, ordered cosines first; the diagonal is 1 by normalization.
+    Every basis function has squared norm 1/3, so sqrt(3) times the basis is
+    the normalized system and 3 * gram_matrix(K) has a unit diagonal.
     """
-
-    def __init__(self, K):
-        if K < 1:
-            raise DomainError("need K >= 1")
-        self.K = K
-        fns = _system(K)
-        n = 2 * K
-        entries = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = 3.0 * inner_product(fns[i], fns[j])
-                entries[i, j] = v
-                entries[j, i] = v
-        self.entries = entries
+    if K < 1:
+        raise DomainError("need K >= 1")
+    fns = [basis_fn(kind, k) for kind in ("cosine", "sine") for k in range(1, K + 1)]
+    n = 2 * K
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = inner_product(fns[i], fns[j])
+    return gram
 
 
 def frame_bounds(K):
-    """Extreme eigenvalues of the unnormalized truncated Gram matrix."""
-    gram = GramTruncation(K).entries / 3.0
-    eigs = np.linalg.eigvalsh(gram)
+    """Extreme eigenvalues of the truncated Gram matrix."""
+    eigs = np.linalg.eigvalsh(gram_matrix(K))
     return float(eigs[0]), float(eigs[-1])
 
 

@@ -146,6 +146,11 @@ def test_fourier_atom_subcommand(capsys):
     assert fields["depth"] == "4"
 
 
+def test_fourier_index_zero_reaches_the_index_check(capsys):
+    assert cli.main(["fourier", "--kind", "cosine", "--index", "0"]) == 1
+    assert "index must be >= 1" in capsys.readouterr().err
+
+
 def test_fourier_sum_subcommand(tmp_path, capsys):
     npath = tmp_path / "sum.relu"
     assert cli.main(["fourier", "--terms", "1:1:0,3:0:0.5", "--width", "6",
@@ -181,9 +186,10 @@ def test_error_paths(tmp_path, capsys):
 
 
 def test_unknown_family_raises_through_run():
-    cfg = cli.RunConfig(command="rates", family="mystery", ms=(1, 2))
+    args = cli._build_parser().parse_args(["rates", "--ms", "1:2"])
+    args.family = "mystery"
     with pytest.raises(Spline2ReluError):
-        cli.run(cfg)
+        cli.run(args)
 
 
 def test_argparse_rejects_unknown_subcommand():

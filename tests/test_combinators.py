@@ -53,6 +53,21 @@ def test_concat_sum_rejects_mismatches():
         concat_sum(plain_net(cpwl.hat(), 4), plain_net(cpwl.hat(), 4))
 
 
+def test_concat_sum_is_variadic():
+    rng = np.random.default_rng(25)
+    a, b, c = (compile_spline(random_spline(rng, n), 8)[0] for n in (9, 30, 4))
+    once = concat_sum(a, b, c)
+    folded = concat_sum(concat_sum(a, b), c)
+    assert len(once.layers) == len(folded.layers)
+    for x, y in zip(once.layers, folded.layers):
+        assert np.array_equal(x.weights, y.weights) and np.array_equal(x.bias, y.bias)
+    alone = concat_sum(a)
+    assert alone.special and alone.depth == a.depth
+    assert cpwl.sup_diff(extract_cpwl(alone), extract_cpwl(a)) == 0.0
+    with pytest.raises(StructureError):
+        concat_sum()
+
+
 def test_embed_deeper():
     net, _ = compile_spline(cpwl.hat(), 4)
     deeper = embed_deeper(net, net.depth + 3)

@@ -14,7 +14,6 @@ from spline2relu.network import (
     collation_courses,
     extract_cpwl,
     hat_net,
-    identity_net,
     param_count,
     read_network,
     special_to_standard,
@@ -65,11 +64,6 @@ def test_hat_net_and_identity_net():
     assert cpwl.sup_diff(extract_cpwl(hat_net()), cpwl.hat()) == 0.0
     grid = np.linspace(0.0, 1.0, 257)
     assert np.abs(hat_net().forward(grid) - cpwl.hat()(grid)).max() <= 1e-15
-    ident = identity_net(3)
-    assert ident.depth == 3
-    assert cpwl.sup_diff(extract_cpwl(ident), cpwl.line(1.0, 0.0)) == 0.0
-    with pytest.raises(StructureError):
-        identity_net(0)
 
 
 def test_forward_scalar_and_array():
@@ -139,6 +133,41 @@ def test_special_structure_enforced():
     bad[2, -1] = 1.0
     layers[1] = AffineLayer(bad, net.layers[1].bias)
     with pytest.raises(StructureError):
+        SpecialNetwork(layers)
+
+
+def test_special_structure_checked_in_the_last_of_many_layers():
+    rng = np.random.default_rng(17)
+    net, _ = compile_spline(random_spline(rng, 240), 4)
+    assert net.depth >= 100
+    copy_msg = "hidden layers must copy the source channel"
+    collate_msg = "collation channel must only accumulate into itself"
+    bias_msg = "source channel bias must stay 0"
+
+    def broken(k, weight=None, source_bias=0.0):
+        layers = list(net.layers)
+        w, b = layers[k].weights.copy(), layers[k].bias.copy()
+        if weight is not None:
+            row, col, value = weight
+            w[row, col] = value
+        b[0] = source_bias
+        layers[k] = AffineLayer(w, b)
+        return layers
+
+    last = net.depth - 1
+    cases = [
+        (broken(last, (0, 1, 0.5)), copy_msg),           # source row
+        (broken(last, (1, -1, 1.0)), collate_msg),       # collation off-diagonal
+        (broken(last, (-1, -1, 0.5)), collate_msg),      # collation diagonal != 1
+        (broken(last, source_bias=0.25), bias_msg),      # source bias
+    ]
+    for layers, message in cases:
+        with pytest.raises(StructureError, match=message):
+            SpecialNetwork(layers)
+    # with several broken layers the first one decides
+    layers = broken(1, source_bias=0.25)
+    layers[last] = broken(last, (0, 1, 0.5))[last]
+    with pytest.raises(StructureError, match=bias_msg):
         SpecialNetwork(layers)
 
 

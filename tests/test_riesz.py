@@ -54,13 +54,12 @@ def test_inner_product_matches_simpson():
 
 
 def test_gram_truncation_structure():
-    gram = riesz.GramTruncation(4)
-    assert gram.K == 4
-    assert gram.entries.shape == (8, 8)
-    assert np.abs(np.diag(gram.entries) - 1.0).max() <= 1e-12
-    assert np.abs(gram.entries - gram.entries.T).max() == 0.0
+    gram = riesz.gram_matrix(4)
+    assert gram.shape == (8, 8)
+    assert np.abs(3.0 * np.diag(gram) - 1.0).max() <= 1e-12
+    assert np.abs(gram - gram.T).max() == 0.0
     with pytest.raises(DomainError):
-        riesz.GramTruncation(0)
+        riesz.gram_matrix(0)
 
 
 def test_frame_bounds_interlace():
@@ -79,7 +78,7 @@ def test_gram_quadratic_form_matches_function_norm():
     from spline2relu import cpwl
 
     K = 8
-    gram = riesz.GramTruncation(K).entries / 3.0
+    gram = riesz.gram_matrix(K)
     fns = ([riesz.basis_fn("cosine", k) for k in range(1, K + 1)]
            + [riesz.basis_fn("sine", k) for k in range(1, K + 1)])
     rng = np.random.default_rng(51)
