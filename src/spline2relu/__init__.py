@@ -19,7 +19,6 @@ from .cpwl import (
     write_spline,
 )
 from .network import (
-    AffineLayer,
     ReluNetwork,
     SpecialNetwork,
     extract_cpwl,

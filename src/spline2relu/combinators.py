@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .network import AffineLayer, ReluNetwork, SpecialNetwork, rail_layer
+from .network import ReluNetwork, SpecialNetwork, rail_layer
 
 
 def _common_width(nets) -> int:
@@ -22,18 +22,36 @@ def _common_width(nets) -> int:
     return widths.pop()
 
 
+def _plain(nets) -> None:
+    """Plain combinators apply ReLU on every channel, which would break the
+    rails of a special network."""
+    if any(n.special for n in nets):
+        raise StructureError("plain combinators need plain networks; "
+                             "convert with special_to_standard first")
+
+
+def _rails(width: int, count: int) -> np.ndarray:
+    """`count` copies of the rail layer as one (count, W, W) tensor."""
+    return np.tile(rail_layer(width), (count, 1, 1))
+
+
+def _chain(parts, seams: np.ndarray) -> np.ndarray:
+    """Per-layer arrays `parts` joined along the layer axis, with one row of
+    `seams` between each neighbouring pair."""
+    joined = [parts[0]]
+    for seam, part in zip(seams, parts[1:]):
+        joined += [seam[None], part]
+    return np.concatenate(joined)
+
+
 def zero_special(width: int, depth: int) -> SpecialNetwork:
     """Special network of the given size computing the zero function."""
     if depth < 1:
         raise StructureError("depth must be >= 1")
-    first = np.zeros((width, 1))
-    first[0, 0] = 1.0
-    out = np.zeros((1, width))
-    out[0, -1] = 1.0
-    layers = [AffineLayer(first, np.zeros(width))]
-    layers.extend([rail_layer(width)] * (depth - 1))
-    layers.append(AffineLayer(out, [0.0]))
-    return SpecialNetwork(layers)
+    first, out = np.zeros((2, width))
+    first[0] = out[-1] = 1.0
+    return SpecialNetwork(first, np.zeros(width), _rails(width, depth - 1),
+                          np.zeros((depth - 1, width)), out, 0.0)
 
 
 def concat_sum(*nets: SpecialNetwork) -> SpecialNetwork:
@@ -48,19 +66,18 @@ def concat_sum(*nets: SpecialNetwork) -> SpecialNetwork:
     if not all(n.special for n in nets):
         raise StructureError("concat_sum needs special networks")
     width = _common_width(nets)
-    layers = list(nets[0].layers[:-1])
-    for prev, nxt in zip(nets, nets[1:]):
-        out1, in2 = prev.layers[-1], nxt.layers[0]
-        seam_w = np.zeros((width, width))
-        seam_w[1:-1, 0] = in2.weights[1:-1, 0]
-        seam_w[0, 0] = 1.0
-        seam_w[-1, :] = out1.weights[0]
-        seam_b = in2.bias.copy()
-        seam_b[-1] = out1.bias[0]
-        layers.append(AffineLayer(seam_w, seam_b))
-        layers.extend(nxt.layers[1:-1])
-    layers.append(nets[-1].layers[-1])
-    return SpecialNetwork(layers)
+    if len(nets) == 1:
+        return nets[0]
+    prev, nxt = nets[:-1], nets[1:]
+    seams = _rails(width, len(nxt))
+    seams[:, 1:-1, 0] = [n.in_weights[1:-1] for n in nxt]
+    seams[:, -1] = [n.out_weights for n in prev]
+    seam_b = np.array([n.in_bias for n in nxt])
+    seam_b[:, -1] = [n.out_bias for n in prev]
+    return SpecialNetwork(nets[0].in_weights, nets[0].in_bias,
+                          _chain([n.hidden_weights for n in nets], seams),
+                          _chain([n.hidden_bias for n in nets], seam_b),
+                          nets[-1].out_weights, nets[-1].out_bias)
 
 
 def embed_deeper(net: SpecialNetwork, depth: int) -> SpecialNetwork:
@@ -72,17 +89,22 @@ def embed_deeper(net: SpecialNetwork, depth: int) -> SpecialNetwork:
     return concat_sum(net, zero_special(net.width, depth - net.depth))
 
 
+def _fused(inner: ReluNetwork, outer: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and bias of the hidden layer feeding inner's output into outer's
+    input layer."""
+    return (outer.in_weights[:, None] @ inner.out_weights[None, :],
+            outer.in_weights * inner.out_bias + outer.in_bias)
+
+
 def compose_nets(inner: ReluNetwork, outer: ReluNetwork) -> ReluNetwork:
     """Depth L1 + L2 network computing outer(inner(x)) with a fused interface."""
-    width = _common_width([inner, outer])
-    out1 = inner.layers[-1]
-    in2 = outer.layers[0]
-    seam_w = in2.weights @ out1.weights
-    seam_b = in2.weights[:, 0] * out1.bias[0] + in2.bias
-    layers = list(inner.layers[:-1])
-    layers.append(AffineLayer(seam_w, seam_b))
-    layers.extend(outer.layers[1:])
-    return ReluNetwork(layers)
+    _plain([inner, outer])
+    _common_width([inner, outer])
+    seam_w, seam_b = _fused(inner, outer)
+    return ReluNetwork(inner.in_weights, inner.in_bias,
+                       _chain([inner.hidden_weights, outer.hidden_weights], seam_w[None]),
+                       _chain([inner.hidden_bias, outer.hidden_bias], seam_b[None]),
+                       outer.out_weights, outer.out_bias)
 
 
 def _weights_vector(nets, weights) -> np.ndarray:
@@ -94,33 +116,27 @@ def _weights_vector(nets, weights) -> np.ndarray:
     return w
 
 
-def _on_rails(lay: AffineLayer, width: int, block: slice) -> tuple[np.ndarray, np.ndarray]:
-    """A rail layer of the given width with `lay` on the `block` channels."""
-    weights = rail_layer(width).weights.copy()
-    weights[block, block] = lay.weights
-    bias = np.zeros(width)
-    bias[block] = lay.bias
-    return weights, bias
+def _embedded(net: ReluNetwork, hidden: np.ndarray, block: slice):
+    """The arrays of `net` on the `block` channels of a wider network whose
+    hidden weights start as `hidden`; every other entry starts at 0."""
+    width = hidden.shape[-1]
+    first, first_b, out = np.zeros((3, width))
+    first[block], first_b[block], out[block] = net.in_weights, net.in_bias, net.out_weights
+    hidden[:, block, block] = net.hidden_weights
+    hidden_b = np.zeros((len(hidden), width))
+    hidden_b[:, block] = net.hidden_bias
+    return first, first_b, hidden, hidden_b, out
 
 
 def _lift(net: ReluNetwork, coeff: float) -> SpecialNetwork:
     """Width W+2 special network running `net` on channels 1..W; its output
     row adds coeff * net(x) into the collation rail."""
     width = net.width + 2
-    comp = slice(1, -1)
-    first = np.zeros((width, 1))
-    first[0, 0] = 1.0
-    first[comp] = net.layers[0].weights
-    fb = np.zeros(width)
-    fb[comp] = net.layers[0].bias
-    layers = [AffineLayer(first, fb)]
-    layers.extend(AffineLayer(*_on_rails(lay, width, comp)) for lay in net.layers[1:-1])
-    out = net.layers[-1]
-    final = np.zeros((1, width))
-    final[0, comp] = coeff * out.weights[0]
-    final[0, -1] = 1.0
-    layers.append(AffineLayer(final, [coeff * out.bias[0]]))
-    return SpecialNetwork(layers)
+    first, first_b, hidden, hidden_b, out = _embedded(
+        net, _rails(width, net.depth - 1), slice(1, -1))
+    first[0] = out[-1] = 1.0
+    out[1:-1] *= coeff
+    return SpecialNetwork(first, first_b, hidden, hidden_b, out, coeff * net.out_bias)
 
 
 def stack_sum(nets: Sequence[ReluNetwork], weights=None) -> SpecialNetwork:
@@ -131,6 +147,7 @@ def stack_sum(nets: Sequence[ReluNetwork], weights=None) -> SpecialNetwork:
     """
     if not nets:
         raise StructureError("need at least one network")
+    _plain(nets)
     coeff = _weights_vector(nets, weights)
     return concat_sum(*(_lift(net, c) for net, c in zip(nets, coeff)))
 
@@ -139,14 +156,15 @@ def _rectified(net: ReluNetwork) -> ReluNetwork:
     """Depth L+1 network computing (net(x))_+: the output row becomes a hidden
     ReLU node on channel 0, which the new output layer reads."""
     width = net.width
-    out = net.layers[-1]
-    rect_w = np.zeros((width, width))
-    rect_w[0] = out.weights[0]
-    rect_b = np.zeros(width)
-    rect_b[0] = out.bias[0]
-    read = np.zeros((1, width))
-    read[0, 0] = 1.0
-    return ReluNetwork(net.layers[:-1] + (AffineLayer(rect_w, rect_b), AffineLayer(read, [0.0])))
+    rect = np.zeros((1, width, width))
+    rect[0, 0] = net.out_weights
+    rect_b = np.zeros((1, width))
+    rect_b[0, 0] = net.out_bias
+    read = np.zeros(width)
+    read[0] = 1.0
+    return ReluNetwork(net.in_weights, net.in_bias,
+                       np.concatenate([net.hidden_weights, rect]),
+                       np.concatenate([net.hidden_bias, rect_b]), read, 0.0)
 
 
 def stack_relu_sum(nets: Sequence[ReluNetwork], weights=None) -> SpecialNetwork:
@@ -154,6 +172,7 @@ def stack_relu_sum(nets: Sequence[ReluNetwork], weights=None) -> SpecialNetwork:
 
     `stack_sum` of the networks, each extended by one rectifying layer.
     """
+    _plain(nets)
     return stack_sum([_rectified(net) for net in nets], weights)
 
 
@@ -164,23 +183,21 @@ def iterate_sum(net: ReluNetwork, coeffs: Sequence[float]) -> SpecialNetwork:
     the lifted network, chained with fused seams, and each iterate is folded
     into the collation rail as it completes.
     """
+    _plain([net])
     coeff = np.asarray(coeffs, dtype=float)
     if coeff.ndim != 1 or coeff.size == 0:
         raise StructureError("need at least one coefficient")
-    t_in, t_out = net.layers[0], net.layers[-1]
-    fused = AffineLayer(t_in.weights @ t_out.weights,
-                        t_in.weights[:, 0] * t_out.bias[0] + t_in.bias)
     lifted = _lift(net, coeff[-1])
-    body = list(lifted.layers[1:-1])
     comp = slice(1, -1)
-    layers = [lifted.layers[0]]
-    for c in coeff[:-1]:
-        seam_w, seam_b = _on_rails(fused, lifted.width, comp)
-        seam_w[-1, comp] = c * t_out.weights[0]
-        seam_b[-1] = c * t_out.bias[0]
-        layers += body + [AffineLayer(seam_w, seam_b)]
-    layers += body + [lifted.layers[-1]]
-    return SpecialNetwork(layers)
+    seams = _rails(lifted.width, coeff.size - 1)
+    seam_b = np.zeros((coeff.size - 1, lifted.width))
+    seams[:, comp, comp], seam_b[:, comp] = _fused(net, net)
+    seams[:, -1, comp] = coeff[:-1, None] * net.out_weights
+    seam_b[:, -1] = coeff[:-1] * net.out_bias
+    return SpecialNetwork(lifted.in_weights, lifted.in_bias,
+                          _chain([lifted.hidden_weights] * coeff.size, seams),
+                          _chain([lifted.hidden_bias] * coeff.size, seam_b),
+                          lifted.out_weights, lifted.out_bias)
 
 
 def iterate_apply_sum(tnet: ReluNetwork, gnet: ReluNetwork,
@@ -191,104 +208,68 @@ def iterate_apply_sum(tnet: ReluNetwork, gnet: ReluNetwork,
     network advance in parallel phases of L layers, one phase per term plus a
     priming phase, with seams handing each finished iterate to both blocks.
     """
+    _plain([tnet, gnet])
     coeff = np.asarray(coeffs, dtype=float)
     if coeff.ndim != 1 or coeff.size == 0:
         raise StructureError("need at least one coefficient")
     if tnet.depth != gnet.depth:
         raise StructureError("iterate and applied networks must have equal depth")
     m = coeff.size
-    w1, w2 = tnet.width, gnet.width
-    width = w1 + w2 + 2
-    tb = slice(1, w1 + 1)
-    gb = slice(w1 + 1, w1 + w2 + 1)
-    t_in, t_out = tnet.layers[0], tnet.layers[-1]
-    g_in, g_out = gnet.layers[0], gnet.layers[-1]
+    width = tnet.width + gnet.width + 2
+    tb = slice(1, tnet.width + 1)
+    gb = slice(tnet.width + 1, -1)
 
-    first = np.zeros((width, 1))
-    first[0, 0] = 1.0
-    first[tb, 0] = t_in.weights[:, 0]
-    fb = np.zeros(width)
-    fb[tb] = t_in.bias
-    layers = [AffineLayer(first, fb)]
+    # m + 1 phases of L - 1 hidden layers: t runs in the first m, g in the last m
+    inner = tnet.depth - 1
+    phases = _rails(width, (m + 1) * inner).reshape(m + 1, inner, width, width)
+    phases[:m, :, tb, tb] = tnet.hidden_weights
+    phases[1:, :, gb, gb] = gnet.hidden_weights
+    phase_b = np.zeros(phases.shape[:-1])
+    phase_b[:m, :, tb] = tnet.hidden_bias
+    phase_b[1:, :, gb] = gnet.hidden_bias
+    # the seam after phase s hands t^(s+1) to both blocks and collects g(t^s)
+    seams = _rails(width, m)
+    seam_b = np.zeros((m, width))
+    seams[:-1, tb, tb], seam_b[:-1, tb] = _fused(tnet, tnet)
+    seams[:, gb, tb], seam_b[:, gb] = _fused(tnet, gnet)
+    seams[1:, -1, gb] = coeff[:-1, None] * gnet.out_weights
+    seam_b[1:, -1] = coeff[:-1] * gnet.out_bias
 
-    rail = rail_layer(width)
-    for phase in range(1, m + 2):
-        if phase > 1:
-            # seam entering this phase: iterate t^(phase-1) is ready
-            mm, b = rail.weights.copy(), np.zeros(width)
-            if phase <= m:
-                mm[tb, tb] = t_in.weights @ t_out.weights
-                b[tb] = t_in.weights[:, 0] * t_out.bias[0] + t_in.bias
-            mm[gb, tb] = g_in.weights @ t_out.weights
-            b[gb] = g_in.weights[:, 0] * t_out.bias[0] + g_in.bias
-            if phase > 2:
-                mm[-1, gb] = coeff[phase - 3] * g_out.weights[0]
-                b[-1] = coeff[phase - 3] * g_out.bias[0]
-            layers.append(AffineLayer(mm, b))
-        inner = tnet.layers[1:-1] if phase <= m else gnet.layers[1:-1]
-        for r in range(len(inner)):
-            mm, b = rail.weights.copy(), np.zeros(width)
-            if phase <= m:
-                mm[tb, tb] = tnet.layers[1 + r].weights
-                b[tb] = tnet.layers[1 + r].bias
-            if phase > 1:
-                mm[gb, gb] = gnet.layers[1 + r].weights
-                b[gb] = gnet.layers[1 + r].bias
-            layers.append(AffineLayer(mm, b))
-    final = np.zeros((1, width))
-    final[0, gb] = coeff[m - 1] * g_out.weights[0]
-    final[0, -1] = 1.0
-    layers.append(AffineLayer(final, [coeff[m - 1] * g_out.bias[0]]))
-    return SpecialNetwork(layers)
+    first, first_b, out = np.zeros((3, width))
+    first[0] = out[-1] = 1.0
+    first[tb], first_b[tb] = tnet.in_weights, tnet.in_bias
+    out[gb] = coeff[-1] * gnet.out_weights
+    return SpecialNetwork(first, first_b, _chain(phases, seams), _chain(phase_b, seam_b),
+                          out, coeff[-1] * gnet.out_bias)
 
 
 def pad_width(net: ReluNetwork, width: int) -> ReluNetwork:
     """Zero-pad a plain network to a larger width; padded channels stay at 0."""
+    _plain([net])
     w = net.width
     if width < w:
         raise StructureError("cannot shrink a network")
     if width == w:
         return net
-    extra = width - w
-    first = np.vstack([net.layers[0].weights, np.zeros((extra, 1))])
-    fb = np.concatenate([net.layers[0].bias, np.zeros(extra)])
-    layers = [AffineLayer(first, fb)]
-    for lay in net.layers[1:-1]:
-        mm = np.zeros((width, width))
-        mm[:w, :w] = lay.weights
-        layers.append(AffineLayer(mm, np.concatenate([lay.bias, np.zeros(extra)])))
-    out = np.hstack([net.layers[-1].weights, np.zeros((1, extra))])
-    layers.append(AffineLayer(out, net.layers[-1].bias))
-    return ReluNetwork(layers)
+    hidden = np.zeros((net.depth - 1, width, width))
+    return ReluNetwork(*_embedded(net, hidden, slice(0, w)), net.out_bias)
 
 
 def parallel_sum(nets: Sequence[ReluNetwork], weights=None) -> ReluNetwork:
     """Block-diagonal merge of equal-depth plain networks, outputs summed."""
     if not nets:
         raise StructureError("need at least one network")
+    _plain(nets)
     depths = {n.depth for n in nets}
     if len(depths) != 1:
         raise StructureError("all networks must share one depth")
     coeff = _weights_vector(nets, weights)
-    widths = [n.width for n in nets]
-    width = sum(widths)
-    offs = np.concatenate([[0], np.cumsum(widths)])
-
-    first = np.vstack([n.layers[0].weights for n in nets])
-    fb = np.concatenate([n.layers[0].bias for n in nets])
-    layers = [AffineLayer(first, fb)]
-    for r in range(1, depths.pop()):
-        mm = np.zeros((width, width))
-        b = np.zeros(width)
-        for i, n in enumerate(nets):
-            sl = slice(offs[i], offs[i + 1])
-            mm[sl, sl] = n.layers[r].weights
-            b[sl] = n.layers[r].bias
-        layers.append(AffineLayer(mm, b))
-    out = np.zeros((1, width))
-    bias = 0.0
-    for i, n in enumerate(nets):
-        out[0, offs[i]:offs[i + 1]] = coeff[i] * n.layers[-1].weights[0]
-        bias += coeff[i] * n.layers[-1].bias[0]
-    layers.append(AffineLayer(out, [bias]))
-    return ReluNetwork(layers)
+    offs = np.cumsum([0] + [n.width for n in nets])
+    hidden = np.zeros((depths.pop() - 1, offs[-1], offs[-1]))
+    for n, lo, hi in zip(nets, offs, offs[1:]):
+        hidden[:, lo:hi, lo:hi] = n.hidden_weights
+    return ReluNetwork(np.concatenate([n.in_weights for n in nets]),
+                       np.concatenate([n.in_bias for n in nets]), hidden,
+                       np.concatenate([n.hidden_bias for n in nets], axis=1),
+                       np.concatenate([c * n.out_weights for c, n in zip(coeff, nets)]),
+                       sum(c * n.out_bias for c, n in zip(coeff, nets)))

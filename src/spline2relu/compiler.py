@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
 )
 from .network import (
-    AffineLayer,
     ReluNetwork,
     SpecialNetwork,
     hat_net,
@@ -190,15 +189,15 @@ def _block_special(y: np.ndarray, s: np.ndarray, width: int, q: int) -> SpecialN
     classes = partition_indices(coeff, q, width)
     xi = y[q:peaks * q + 1:q]
 
-    first = np.zeros((width, 1))
-    first[:-1, 0] = 1.0
+    first = np.zeros(width)
+    first[:-1] = 1.0
     fb = np.zeros(width)
     fb[1:-1] = -xi
 
-    mid = rail_layer(width).weights.copy()
+    mid = rail_layer(width)
     mb = np.zeros(width)
-    out = np.zeros((1, width))
-    out[0, -1] = 1.0
+    out = np.zeros(width)
+    out[-1] = 1.0
     for row, cls in enumerate(classes, start=1):
         if not cls:
             continue
@@ -207,23 +206,26 @@ def _block_special(y: np.ndarray, s: np.ndarray, width: int, q: int) -> SpecialN
         mid[row, 0] = slopes[0]
         mid[row, 1:-1] = np.diff(slopes)
         mb[row] = vs[0]
-        out[0, row] = sign
-    return SpecialNetwork([
-        AffineLayer(first, fb),
-        AffineLayer(mid, mb),
-        AffineLayer(out, [0.0]),
-    ])
+        out[row] = sign
+    return SpecialNetwork(first, fb, mid[None], mb[None], out, 0.0)
 
 
 def _pad_knots(knots: np.ndarray, total: int) -> np.ndarray:
-    """Extend a sorted interior-knot list to `total` with points in the last gap."""
+    """Extend a sorted interior-knot list to `total` with evenly spaced points in
+    one gap: the last gap, or the widest one when the last is too small.  The
+    new points follow the real knots, so the result may need sorting."""
     missing = total - knots.size
     if missing <= 0:
         return knots
-    lo = knots[-1] if knots.size else 0.0
+    edges = np.concatenate(([0.0], knots, [1.0]))
+    lo = edges[-2]
     step = (1.0 - lo) / (missing + 1)
     if step < 1e-12:
-        raise DomainError("last gap too small to host artificial breakpoints")
+        gap = np.diff(edges).argmax()
+        lo = edges[gap]
+        step = (edges[gap + 1] - lo) / (missing + 1)
+    if step < 1e-12:
+        raise DomainError("no gap wide enough to host artificial breakpoints")
     extra = lo + step * np.arange(1, missing + 1)
     return np.concatenate([knots, extra])
 
@@ -237,7 +239,8 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     size = block_size(width)
     n = residual.n_interior
     blocks = max(1, math.ceil(n / size))
-    full = np.concatenate(([0.0], _pad_knots(residual.breakpoints[1:-1], blocks * size), [1.0]))
+    knots = np.sort(_pad_knots(residual.breakpoints[1:-1], blocks * size))
+    full = np.concatenate(([0.0], knots, [1.0]))
     vals = residual.eval(full)
     nets = []
     for j in range(blocks):
@@ -247,10 +250,10 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
         s[-1] = 0.0
         nets.append(_block_special(y, s, width, q))
     net = concat_sum(*nets)
-    last = net.layers[-1]
-    w = last.weights.copy()
-    w[0, 0] += slope
-    return SpecialNetwork(list(net.layers[:-1]) + [AffineLayer(w, last.bias + offset)])
+    out = net.out_weights.copy()
+    out[0] += slope
+    return SpecialNetwork(net.in_weights, net.in_bias, net.hidden_weights, net.hidden_bias,
+                          out, net.out_bias + offset)
 
 
 def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
@@ -261,39 +264,25 @@ def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     changes = np.diff(slopes)
     per = width - 2
     groups = 2 * max(1, math.ceil(knots.size / (2 * per)))
-    full = _pad_knots(knots, groups * per)
-    coeff = np.zeros(full.size)
-    coeff[:changes.size] = changes
+    full = _pad_knots(knots, groups * per).reshape(groups, per)
+    coeff = np.zeros(full.shape)
+    coeff.flat[:changes.size] = changes
     comp = slice(1, width - 1)
 
-    def seed(g: int) -> tuple[np.ndarray, np.ndarray]:
-        w = np.zeros((width, 1))
-        b = np.zeros(width)
-        w[comp, 0] = 1.0
-        b[comp] = -full[g * per:(g + 1) * per]
-        return w, b
-
-    def collect(g: int) -> np.ndarray:
-        return coeff[g * per:(g + 1) * per]
-
-    w0, b0 = seed(0)
-    first = np.zeros((width, 1))
-    first[0, 0] = 1.0
-    first[comp, 0] = w0[comp, 0]
-    layers = [AffineLayer(first, b0)]
-    rail = rail_layer(width)
-    for g in range(1, groups):
-        m = rail.weights.copy()
-        wg, bg = seed(g)
-        m[comp, 0] = wg[comp, 0]
-        m[-1, comp] = collect(g - 1)
-        layers.append(AffineLayer(m, bg))
-    out = np.zeros((1, width))
-    out[0, 0] = slopes[0]
-    out[0, comp] = collect(groups - 1)
-    out[0, -1] = 1.0
-    layers.append(AffineLayer(out, [float(v[0])]))
-    return SpecialNetwork(layers)
+    # layer g seeds the ramps of knot group g from the source rail while the
+    # collation rail collects group g-1
+    first = np.zeros(width)
+    first[:-1] = 1.0
+    seeds = np.zeros((groups, width))
+    seeds[:, comp] = -full
+    hidden = np.tile(rail_layer(width), (groups - 1, 1, 1))
+    hidden[:, comp, 0] = 1.0
+    hidden[:, -1, comp] = coeff[:-1]
+    out = np.zeros(width)
+    out[0] = slopes[0]
+    out[comp] = coeff[-1]
+    out[-1] = 1.0
+    return SpecialNetwork(first, seeds[0], hidden, seeds[1:], out, float(v[0]))
 
 
 def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, CompileReport]:
@@ -310,15 +299,22 @@ def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, Compi
     return net, _report(net, spline_budget(width, n), n, note)
 
 
+def _depth_one(first, first_bias, out, out_bias) -> ReluNetwork:
+    """Network with one hidden layer and no hidden-to-hidden maps."""
+    width = len(first)
+    return ReluNetwork(first, first_bias, np.zeros((0, width, width)), np.zeros((0, width)),
+                       out, out_bias)
+
+
 def compile_shallow(target: cpwl.CPwL) -> ReluNetwork:
     """One-hidden-layer network with width n+1 computing the target directly."""
     x, v = target.breakpoints, target.values
     slopes = np.diff(v) / np.diff(x)
     w = target.n_interior + 1
-    first = np.ones((w, 1))
+    first = np.ones(w)
     fb = np.concatenate(([0.0], -x[1:-1]))
-    out = np.concatenate(([slopes[0]], np.diff(slopes)))[None, :]
-    return ReluNetwork([AffineLayer(first, fb), AffineLayer(out, [float(v[0])])])
+    out = np.concatenate(([slopes[0]], np.diff(slopes)))
+    return _depth_one(first, fb, out, float(v[0]))
 
 
 def representative_chain(chain: Sequence[cpwl.CPwL]) -> list[cpwl.CPwL]:
@@ -523,14 +519,13 @@ def fourier_atom(kind: str, j: int) -> ReluNetwork:
         raise DomainError("kind must be 'cosine' or 'sine'")
     scale = j / float(2 ** halvings)
     shift = 0.75 / float(2 ** halvings) if kind == "sine" else 0.0
-    flip = AffineLayer([[-4.0, 8.0]], [1.0])  # 1 - 2*hat from hat pre-activations
+    flip = _depth_one([1.0, 1.0], [0.0, -0.5], [-4.0, 8.0], 1.0)  # 1 - 2*hat
     if halvings == 0:
-        return ReluNetwork([AffineLayer([[1.0], [1.0]], [0.0, -0.5]), flip])
-    first = AffineLayer([[scale], [scale]], [shift, shift - 0.5])
-    net = ReluNetwork([first, AffineLayer([[2.0, -4.0]], [0.0])])
+        return flip
+    net = _depth_one([scale, scale], [shift, shift - 0.5], [2.0, -4.0], 0.0)
     for _ in range(halvings - 1):
         net = compose_nets(net, hat_net())
-    return compose_nets(net, ReluNetwork([AffineLayer([[1.0], [1.0]], [0.0, -0.5]), flip]))
+    return compose_nets(net, flip)
 
 
 def fourier_oracle(terms: Sequence[tuple[int, float, float]]) -> cpwl.CPwL:

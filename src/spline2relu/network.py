@@ -10,8 +10,6 @@ results and never feeds a computational node); both are exempt from ReLU.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import cpwl
@@ -24,64 +22,55 @@ def param_count(width: int, depth: int) -> int:
     return width * (width + 1) * depth - (width - 1) ** 2 + 2
 
 
-class AffineLayer:
-    """One affine map y = weights @ x + bias with read-only arrays."""
-
-    __slots__ = ("weights", "bias")
-
-    def __init__(self, weights, bias):
-        w = np.array(weights, dtype=float)
-        b = np.array(bias, dtype=float)
-        if w.ndim != 2 or b.ndim != 1 or b.size != w.shape[0]:
-            raise StructureError("weights must be 2-d with one bias per row")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise StructureError("weights and bias must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineLayer objects are immutable")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weights.shape
+_FIELDS = ("in_weights", "in_bias", "hidden_weights", "hidden_bias", "out_weights", "out_bias")
 
 
 class ReluNetwork:
-    """Validated layer chain; `width` is W, `depth` is the hidden-layer count L."""
+    """A network held as six arrays, validated once, read-only and immutable.
+
+    `in_weights` and `in_bias` (W,) are the input column and its biases,
+    `hidden_weights` (L-1, W, W) and `hidden_bias` (L-1, W) the hidden maps,
+    `out_weights` (W,) the output row and `out_bias` its scalar bias.  `width`
+    is W, `depth` is the hidden-layer count L.
+    """
 
     special = False
 
-    def __init__(self, layers: Sequence[AffineLayer]):
-        layers = tuple(layers)
-        if len(layers) < 2:
-            raise StructureError("need an input layer and an output layer")
-        w = layers[0].shape[0]
-        if layers[0].shape != (w, 1):
+    def __init__(self, in_weights, in_bias, hidden_weights, hidden_bias, out_weights, out_bias):
+        arrays = [np.array(a, dtype=float) for a in
+                  (in_weights, in_bias, hidden_weights, hidden_bias, out_weights, out_bias)]
+        w_in, b_in, hidden, b_hidden, w_out, b_out = arrays
+        width = w_in.size
+        if w_in.shape != (width,):
             raise StructureError("input layer must be W x 1")
-        for lay in layers[1:-1]:
-            if lay.shape != (w, w):
-                raise StructureError("hidden layers must be W x W")
-        if layers[-1].shape != (1, w):
+        if hidden.ndim != 3 or hidden.shape[1:] != (width, width):
+            raise StructureError("hidden layers must be W x W")
+        if w_out.shape != (width,):
             raise StructureError("output layer must be 1 x W")
-        self._check_structure(layers, w)
-        object.__setattr__(self, "layers", layers)
+        if b_in.shape != (width,) or b_hidden.shape != hidden.shape[:2] or b_out.shape != ():
+            raise StructureError("every layer needs one bias per row")
+        if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+            raise StructureError("weights and bias must be finite")
+        for a in arrays:
+            a.setflags(write=False)
+        arrays[-1] = float(b_out)
+        for name, a in zip(_FIELDS, arrays):
+            object.__setattr__(self, name, a)
+        self._check_structure()
 
     def __setattr__(self, name, value):
         raise AttributeError("network objects are immutable")
 
-    def _check_structure(self, layers, width):
+    def _check_structure(self):
         pass
 
     @property
     def width(self) -> int:
-        return self.layers[0].shape[0]
+        return self.in_weights.size
 
     @property
     def depth(self) -> int:
-        return len(self.layers) - 1
+        return self.hidden_weights.shape[0] + 1
 
     @property
     def params(self) -> int:
@@ -95,14 +84,14 @@ class ReluNetwork:
         """Evaluate at scalar or 1-d array x."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         lb = self._lower_bound()[:, None]
-        state = self.layers[0].weights @ xa[None, :]
-        state += self.layers[0].bias[:, None]
+        state = self.in_weights[:, None] @ xa[None, :]
+        state += self.in_bias[:, None]
         np.maximum(state, lb, out=state)
-        for lay in self.layers[1:-1]:
-            state = lay.weights @ state
-            state += lay.bias[:, None]
+        for weights, bias in zip(self.hidden_weights, self.hidden_bias):
+            state = weights @ state
+            state += bias[:, None]
             np.maximum(state, lb, out=state)
-        out = (self.layers[-1].weights @ state + self.layers[-1].bias[:, None])[0]
+        out = self.out_weights @ state + self.out_bias
         return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def __repr__(self) -> str:
@@ -121,27 +110,26 @@ class SpecialNetwork(ReluNetwork):
         "source channel bias must stay 0",
     )
 
-    def _check_structure(self, layers, width):
+    def _check_structure(self):
+        width = self.width
         if width < 4:
             raise StructureError("special networks need width >= 4")
-        first, last = layers[0], layers[-1]
-        if first.weights[0, 0] != 1.0 or first.weights[-1, 0] != 0.0:
+        if self.in_weights[0] != 1.0 or self.in_weights[-1] != 0.0:
             raise StructureError("input layer must seed the source channel with x only")
-        if first.bias[0] != 0.0 or first.bias[-1] != 0.0:
+        if self.in_bias[0] != 0.0 or self.in_bias[-1] != 0.0:
             raise StructureError("source and collation biases must start at 0")
-        hidden = np.array([lay.weights for lay in layers[1:-1]]).reshape(-1, width, width)
-        source_bias = np.array([lay.bias[0] for lay in layers[1:-1]])
-        rail = rail_layer(width).weights
+        hidden = self.hidden_weights
+        rail = rail_layer(width)
         broken = np.array([
             (hidden[:, 0] != rail[0]).any(axis=1),
             (hidden[:, :, -1] != rail[:, -1]).any(axis=1),
-            source_bias != 0.0,
+            self.hidden_bias[:, 0] != 0.0,
         ])
         if broken.any():
             # the first broken layer decides, then the rule order above
             layer = broken.any(axis=0).argmax()
             raise StructureError(self._HIDDEN_RULES[broken[:, layer].argmax()])
-        if last.weights[0, -1] != 1.0:
+        if self.out_weights[-1] != 1.0:
             raise StructureError("output layer must read the collation channel")
 
     def _lower_bound(self) -> np.ndarray:
@@ -161,13 +149,12 @@ class _SharedGrid:
     """
 
     def __init__(self, net: ReluNetwork, node_budget: int):
-        first = net.layers[0]
         self.special = net.special
         self.rows = slice(1, net.width - 1) if net.special else slice(None)
         self.node_budget = node_budget
         self.held = 0
         self.grid = np.array([0.0, 1.0])
-        self.vals = first.weights[self.rows] * self.grid + first.bias[self.rows, None]
+        self.vals = net.in_weights[self.rows, None] * self.grid + net.in_bias[self.rows, None]
         self.relu()
 
     def readout(self, weights: np.ndarray, bias: float) -> np.ndarray:
@@ -179,13 +166,12 @@ class _SharedGrid:
         out += bias
         return out
 
-    def affine(self, lay: AffineLayer) -> None:
+    def affine(self, weights: np.ndarray, bias: np.ndarray) -> None:
         """Pre-activation of the live rows: one matmul on the grid."""
-        w = lay.weights
-        vals = w[self.rows, self.rows] @ self.vals
+        vals = weights[self.rows, self.rows] @ self.vals
         if self.special:
-            vals += np.multiply.outer(w[self.rows, 0], self.grid)
-        vals += lay.bias[self.rows, None]
+            vals += np.multiply.outer(weights[self.rows, 0], self.grid)
+        vals += bias[self.rows, None]
         self.vals = vals
 
     def relu(self) -> None:
@@ -282,19 +268,18 @@ def extract_cpwl(net: ReluNetwork, node_budget: int = cpwl.DEFAULT_NODE_BUDGET) 
     step = _SharedGrid(net, node_budget)
     parts = []
     rail_grid, rail = step.grid, np.zeros(step.grid.size)
-    for lay in net.layers[1:-1]:
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
         if step.special:
             if rail_grid is not step.grid:
                 rail_grid, rail = step.grid, np.interp(step.grid, rail_grid, rail)
-            rail += step.readout(lay.weights[-1], lay.bias[-1])
-        step.affine(lay)
+            rail += step.readout(weights[-1], bias[-1])
+        step.affine(weights, bias)
         step.relu()
         if step.prune() and step.special:
             parts.append((rail_grid, rail))
             step.held += rail.size
             rail_grid, rail = step.grid, np.zeros(step.grid.size)
-    last = net.layers[-1]
-    out = step.readout(last.weights[0], last.bias[0])
+    out = step.readout(net.out_weights, net.out_bias)
     out += np.interp(step.grid, rail_grid, rail)
     parts.append((step.grid, out))
     return cpwl.CPwL(*_sum_parts(parts))
@@ -307,15 +292,15 @@ def collation_courses(net: SpecialNetwork) -> list[cpwl.CPwL]:
     step = _SharedGrid(net, cpwl.DEFAULT_NODE_BUDGET)
     course = cpwl.line(0.0, 0.0)
     courses = []
-    for lay in net.layers[1:-1]:
-        inc = step.readout(lay.weights[-1], lay.bias[-1])
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
+        inc = step.readout(weights[-1], bias[-1])
         grid = np.union1d(course.breakpoints, step.grid)
         vals = np.interp(grid, course.breakpoints, course.values)
         vals += np.interp(grid, step.grid, inc)
         course = cpwl.CPwL(grid, vals)
         courses.append(course)
         step.held = course.breakpoints.size
-        step.affine(lay)
+        step.affine(weights, bias)
         step.relu()
         step.prune()
     return courses
@@ -329,43 +314,41 @@ def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
     computed by partial extraction, and the total lift is removed at the output.
     """
     lifts = [max(0.0, -float(c.values.min())) for c in collation_courses(net)]
-    layers = [net.layers[0]]
-    for lay, c in zip(net.layers[1:-1], lifts):
-        bias = lay.bias.copy()
-        bias[-1] += c
-        layers.append(AffineLayer(lay.weights, bias))
-    out = net.layers[-1]
-    layers.append(AffineLayer(out.weights, out.bias - sum(lifts)))
-    return ReluNetwork(layers)
+    hidden_bias = net.hidden_bias.copy()
+    hidden_bias[:, -1] += lifts
+    return ReluNetwork(net.in_weights, net.in_bias, net.hidden_weights, hidden_bias,
+                       net.out_weights, net.out_bias - sum(lifts))
 
 
-def rail_layer(width: int) -> AffineLayer:
-    """Hidden layer of a width-W special network that carries only the two
-    rails: the source channel copies x, the collation channel keeps its sum."""
+def rail_layer(width: int) -> np.ndarray:
+    """Hidden weights (W x W, zero bias) of a width-W special network layer that
+    carries only the two rails: the source channel copies x, the collation
+    channel keeps its sum."""
     weights = np.zeros((width, width))
     weights[0, 0] = weights[-1, -1] = 1.0
-    return AffineLayer(weights, np.zeros(width))
+    return weights
 
 
 def hat_net() -> ReluNetwork:
     """Width-2, depth-1 network computing the unit hat: 2(x)_+ - 4(x - 1/2)_+."""
-    return ReluNetwork([
-        AffineLayer([[1.0], [1.0]], [0.0, -0.5]),
-        AffineLayer([[2.0, -4.0]], [0.0]),
-    ])
+    return ReluNetwork([1.0, 1.0], [0.0, -0.5], np.zeros((0, 2, 2)), np.zeros((0, 2)),
+                       [2.0, -4.0], 0.0)
 
 
 def write_network(net: ReluNetwork, path) -> None:
     """Header 'W L kind', then per layer a dims line, weight rows, and the bias."""
     kind = "special" if net.special else "standard"
+    layers = [(net.in_weights[:, None], net.in_bias),
+              *zip(net.hidden_weights, net.hidden_bias),
+              (net.out_weights[None, :], [net.out_bias])]
     with open(path, "w") as fh:
         fh.write(f"{net.width} {net.depth} {kind}\n")
-        for lay in net.layers:
-            r, c = lay.shape
+        for weights, bias in layers:
+            r, c = weights.shape
             fh.write(f"{r} {c}\n")
-            for row in lay.weights:
+            for row in weights:
                 fh.write(" ".join(f"{w:.17g}" for w in row) + "\n")
-            fh.write(" ".join(f"{b:.17g}" for b in lay.bias) + "\n")
+            fh.write(" ".join(f"{b:.17g}" for b in bias) + "\n")
 
 
 def read_network(path) -> ReluNetwork:
@@ -403,7 +386,7 @@ def read_network(path) -> ReluNetwork:
         except ValueError:
             raise ParseError("malformed number", line=lineno) from None
 
-    layers = []
+    weights, biases = [], []
     for k in range(depth + 1):
         dims, lineno = next_line()
         try:
@@ -418,13 +401,16 @@ def read_network(path) -> ReluNetwork:
             text, lineno = next_line()
             rows.append(floats(text, lineno, c))
         text, lineno = next_line()
-        bias = floats(text, lineno, r)
-        layers.append(AffineLayer(rows, bias))
+        weights.append(np.array(rows))
+        biases.append(np.array(floats(text, lineno, r)))
     for i in range(pos, len(lines)):
         if lines[i].strip():
             raise ParseError("trailing content after final layer", line=i + 1)
     cls = SpecialNetwork if parts[2] == "special" else ReluNetwork
+    hidden = np.array(weights[1:-1]).reshape(depth - 1, width, width)
+    hidden_bias = np.array(biases[1:-1]).reshape(depth - 1, width)
     try:
-        return cls(layers)
+        return cls(np.ravel(weights[0]), biases[0], hidden, hidden_bias,
+                   weights[-1][0], biases[-1][0])
     except StructureError as exc:
         raise ParseError(str(exc)) from exc

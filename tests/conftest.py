@@ -38,24 +38,21 @@ def reference_extract(net, node_budget=cpwl.DEFAULT_NODE_BUDGET):
             raise ResourceError(f"extraction grew past {node_budget} nodes")
         return [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
 
-    first = net.layers[0]
-    states = [cpwl.line(first.weights[i, 0], first.bias[i]) for i in range(net.width)]
+    states = [cpwl.line(w, b) for w, b in zip(net.in_weights, net.in_bias)]
     states = clamp(states)
-    for lay in net.layers[1:-1]:
-        states = clamp(_reference_affine(states, lay.weights, lay.bias))
-    last = net.layers[-1]
-    return _reference_affine(states, last.weights, last.bias)[0]
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
+        states = clamp(_reference_affine(states, weights, bias))
+    return _reference_affine(states, net.out_weights[None, :], [net.out_bias])[0]
 
 
 def reference_courses(net):
     """Per-channel pre-ReLU collation courses after hidden layers 1..L-1."""
     mask = _reference_mask(net)
-    first = net.layers[0]
-    states = [cpwl.line(first.weights[i, 0], first.bias[i]) for i in range(net.width)]
+    states = [cpwl.line(w, b) for w, b in zip(net.in_weights, net.in_bias)]
     states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
     courses = []
-    for lay in net.layers[1:-1]:
-        states = _reference_affine(states, lay.weights, lay.bias)
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
+        states = _reference_affine(states, weights, bias)
         courses.append(states[-1])
         states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
     return courses

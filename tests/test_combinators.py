@@ -19,7 +19,7 @@ from spline2relu.combinators import (
 )
 from spline2relu.compiler import compile_spline
 from spline2relu.errors import StructureError
-from spline2relu.network import extract_cpwl
+from spline2relu.network import extract_cpwl, special_to_standard
 
 
 def test_zero_special_is_zero():
@@ -58,14 +58,41 @@ def test_concat_sum_is_variadic():
     a, b, c = (compile_spline(random_spline(rng, n), 8)[0] for n in (9, 30, 4))
     once = concat_sum(a, b, c)
     folded = concat_sum(concat_sum(a, b), c)
-    assert len(once.layers) == len(folded.layers)
-    for x, y in zip(once.layers, folded.layers):
-        assert np.array_equal(x.weights, y.weights) and np.array_equal(x.bias, y.bias)
+    assert once.depth == folded.depth
+    for field in ("in_weights", "in_bias", "hidden_weights", "hidden_bias",
+                  "out_weights", "out_bias"):
+        assert np.array_equal(getattr(once, field), getattr(folded, field))
     alone = concat_sum(a)
     assert alone.special and alone.depth == a.depth
     assert cpwl.sup_diff(extract_cpwl(alone), extract_cpwl(a)) == 0.0
     with pytest.raises(StructureError):
         concat_sum()
+
+
+def test_plain_combinators_reject_special_networks():
+    # ReLU on the rails would break these; special_to_standard converts first
+    rng = np.random.default_rng(26)
+    f = random_spline(rng, 30, -3.0, 0.0)
+    net, _ = compile_spline(f, 8)
+    std = special_to_standard(net)
+    identity = plain_net(cpwl.line(1.0, 0.0), 8)
+    same_function = [
+        lambda n: compose_nets(identity, n),
+        lambda n: stack_sum([n]),
+        lambda n: parallel_sum([n]),
+        lambda n: pad_width(n, 10),
+    ]
+    other = [
+        lambda n: stack_relu_sum([n]),
+        lambda n: iterate_sum(n, [1.0, 0.5]),
+        lambda n: iterate_apply_sum(n, n, [1.0]),
+    ]
+    for build in same_function + other:
+        with pytest.raises(StructureError):
+            build(net)
+        build(std)
+    for build in same_function:
+        assert cpwl.sup_diff(extract_cpwl(build(std)), f) <= 1e-11
 
 
 def test_embed_deeper():

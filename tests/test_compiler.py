@@ -116,6 +116,23 @@ def test_compile_spline_rejects_small_width():
         compile_spline(cpwl.hat(), 3)
 
 
+def test_compile_spline_knot_near_one():
+    # the last gap cannot host the artificial breakpoints, so they go to the widest gap
+    rng = np.random.default_rng(31)
+    near = random_spline(rng, 40)
+    x = near.breakpoints.copy()
+    x[-2] = 1.0 - 1e-13
+    cases = (
+        (cpwl.CPwL([0.0, 0.3, 1.0 - 1e-13, 1.0], [0.0, 1.0, 0.5, 0.0]), 1e-12),
+        (cpwl.CPwL(x, near.values), 1e-10),
+    )
+    for f, tol in cases:
+        for width in (4, 5, 6, 7, 8, 13, 32):
+            net, report = compile_spline(f, width)
+            assert report.params <= spline_budget(width, f.n_interior)
+            assert cpwl.sup_diff(extract_cpwl(net), f) <= tol
+
+
 def test_narrow_depth_formula():
     rng = np.random.default_rng(33)
     for width in (4, 5, 6):

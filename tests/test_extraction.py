@@ -104,8 +104,9 @@ def test_special_to_standard_lifts_match_reference():
     net, _ = compile_spline(random_spline(rng, 20, -3.0, -1.0), 5)
     lifts = [max(0.0, -float(c.values.min())) for c in reference_courses(net)]
     std = special_to_standard(net)
-    for lay, ref, c in zip(std.layers[1:-1], net.layers[1:-1], lifts):
-        assert abs(lay.bias[-1] - ref.bias[-1] - c) <= 1e-12 * (1.0 + c)
+    assert len(lifts) == len(std.hidden_bias)
+    for bias, ref, c in zip(std.hidden_bias, net.hidden_bias, lifts):
+        assert abs(bias[-1] - ref[-1] - c) <= 1e-12 * (1.0 + c)
 
 
 def test_node_budget_counts_distinct_nodes():

@@ -8,7 +8,6 @@ from spline2relu import cpwl
 from spline2relu.compiler import compile_shallow, compile_spline
 from spline2relu.errors import ParseError, ResourceError, StructureError
 from spline2relu.network import (
-    AffineLayer,
     ReluNetwork,
     SpecialNetwork,
     collation_courses,
@@ -37,27 +36,34 @@ def test_params_property_matches_closed_form():
         assert report.params == net.params
 
 
+NO_HIDDEN = (np.zeros((0, 2, 2)), np.zeros((0, 2)))
+
+
 def test_affine_layer_validation():
-    lay = AffineLayer([[1.0], [2.0]], [0.0, 1.0])
-    assert lay.shape == (2, 1)
+    """The network arrays are copied, checked for finiteness and frozen."""
+    weights = np.array([1.0, 2.0])
+    net = ReluNetwork(weights, [0.0, 1.0], *NO_HIDDEN, [1.0, 1.0], 0.0)
+    weights[0] = 5.0
+    assert net.in_weights.shape == (2,) and net.in_weights[0] == 1.0
     with pytest.raises(StructureError):
-        AffineLayer([[np.inf], [0.0]], [0.0, 0.0])
+        ReluNetwork([np.inf, 0.0], [0.0, 0.0], *NO_HIDDEN, [1.0, 1.0], 0.0)
     with pytest.raises(StructureError):
-        AffineLayer([[1.0], [0.0]], [0.0, np.nan])
+        ReluNetwork([1.0, 0.0], [0.0, np.nan], *NO_HIDDEN, [1.0, 1.0], 0.0)
     with pytest.raises(AttributeError):
-        lay.bias = np.zeros(2)
+        net.in_bias = np.zeros(2)
+    with pytest.raises(ValueError):
+        net.in_bias[0] = 3.0
 
 
 def test_relu_network_shape_validation():
     good = hat_net()
     assert good.width == 2 and good.depth == 1
-    with pytest.raises(StructureError):
-        ReluNetwork([AffineLayer([[1.0], [1.0]], [0.0, 0.0])])
-    with pytest.raises(StructureError):
-        ReluNetwork([
-            AffineLayer([[1.0], [1.0]], [0.0, 0.0]),
-            AffineLayer([[1.0, 0.0, 0.0]], [0.0]),
-        ])
+    assert good.hidden_weights.shape == (0, 2, 2) and good.hidden_bias.shape == (0, 2)
+    with pytest.raises(StructureError, match="hidden layers must be W x W"):
+        ReluNetwork([1.0, 1.0], [0.0, 0.0], np.zeros((1, 2, 3)), np.zeros((1, 2)),
+                    [1.0, 0.0], 0.0)
+    with pytest.raises(StructureError, match="output layer must be 1 x W"):
+        ReluNetwork([1.0, 1.0], [0.0, 0.0], *NO_HIDDEN, [1.0, 0.0, 0.0], 0.0)
 
 
 def test_hat_net_and_identity_net():
@@ -83,12 +89,12 @@ def test_forward_matches_masked_loop():
         mask = np.ones(net.width, dtype=bool)
         if net.special:
             mask[0] = mask[-1] = False
-        state = net.layers[0].weights @ xs[None, :] + net.layers[0].bias[:, None]
+        state = net.in_weights[:, None] @ xs[None, :] + net.in_bias[:, None]
         state[mask] = np.maximum(state[mask], 0.0)
-        for lay in net.layers[1:-1]:
-            state = lay.weights @ state + lay.bias[:, None]
+        for weights, bias in zip(net.hidden_weights, net.hidden_bias):
+            state = weights @ state + bias[:, None]
             state[mask] = np.maximum(state[mask], 0.0)
-        return (net.layers[-1].weights @ state + net.layers[-1].bias[:, None])[0]
+        return (net.out_weights[None, :] @ state + net.out_bias)[0]
 
     for width in (4, 7, 13):
         net, _ = compile_spline(random_spline(rng, 25, -3.0, 3.0), width)
@@ -121,19 +127,12 @@ def test_special_structure_enforced():
     rng = np.random.default_rng(12)
     net, _ = compile_spline(random_spline(rng, 6), 5)
     assert net.special
-    layers = list(net.layers)
-    mid = layers[1]
-    bad = mid.weights.copy()
-    bad[0, 1] = 0.5
-    layers[1] = AffineLayer(bad, mid.bias)
-    with pytest.raises(StructureError):
-        SpecialNetwork(layers)
-    layers = list(net.layers)
-    bad = layers[1].weights.copy()
-    bad[2, -1] = 1.0
-    layers[1] = AffineLayer(bad, net.layers[1].bias)
-    with pytest.raises(StructureError):
-        SpecialNetwork(layers)
+    for row, col, value in ((0, 1, 0.5), (2, -1, 1.0)):
+        bad = net.hidden_weights.copy()
+        bad[0, row, col] = value
+        with pytest.raises(StructureError):
+            SpecialNetwork(net.in_weights, net.in_bias, bad, net.hidden_bias,
+                           net.out_weights, net.out_bias)
 
 
 def test_special_structure_checked_in_the_last_of_many_layers():
@@ -145,30 +144,33 @@ def test_special_structure_checked_in_the_last_of_many_layers():
     bias_msg = "source channel bias must stay 0"
 
     def broken(k, weight=None, source_bias=0.0):
-        layers = list(net.layers)
-        w, b = layers[k].weights.copy(), layers[k].bias.copy()
+        """Hidden weights and biases with hidden layer k broken."""
+        w, b = net.hidden_weights.copy(), net.hidden_bias.copy()
         if weight is not None:
             row, col, value = weight
-            w[row, col] = value
-        b[0] = source_bias
-        layers[k] = AffineLayer(w, b)
-        return layers
+            w[k, row, col] = value
+        b[k, 0] = source_bias
+        return w, b
 
-    last = net.depth - 1
+    def build(hidden):
+        return SpecialNetwork(net.in_weights, net.in_bias, *hidden,
+                              net.out_weights, net.out_bias)
+
+    last = net.depth - 2
     cases = [
         (broken(last, (0, 1, 0.5)), copy_msg),           # source row
         (broken(last, (1, -1, 1.0)), collate_msg),       # collation off-diagonal
         (broken(last, (-1, -1, 0.5)), collate_msg),      # collation diagonal != 1
         (broken(last, source_bias=0.25), bias_msg),      # source bias
     ]
-    for layers, message in cases:
+    for hidden, message in cases:
         with pytest.raises(StructureError, match=message):
-            SpecialNetwork(layers)
+            build(hidden)
     # with several broken layers the first one decides
-    layers = broken(1, source_bias=0.25)
-    layers[last] = broken(last, (0, 1, 0.5))[last]
+    weights, bias = broken(0, source_bias=0.25)
+    weights[last] = broken(last, (0, 1, 0.5))[0][last]
     with pytest.raises(StructureError, match=bias_msg):
-        SpecialNetwork(layers)
+        build((weights, bias))
 
 
 def test_special_forward_matches_extraction():

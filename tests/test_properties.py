@@ -1,4 +1,5 @@
-"""Property tests: compile -> extract round trips on adversarial spacings."""
+"""Property tests: compile -> extract round trips on adversarial spacings, and
+the laws of the CPwL algebra."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from spline2relu.network import extract_cpwl
 
 
 @st.composite
-def splines(draw):
-    """Up to 200 knots whose gaps spread over up to three decades, values in +-10."""
+def splines(draw, scale=10.0):
+    """Up to 200 knots whose gaps spread over up to three decades, values in +-scale."""
     # hypothesis leans to small sizes; the second branches keep the extremes in
     n = draw(st.integers(0, 200) | st.integers(150, 200))
     decades = draw(st.floats(0.0, 3.0) | st.just(3.0))
@@ -22,7 +23,7 @@ def splines(draw):
     gaps = 10.0 ** (decades * spread)
     inner = np.cumsum(gaps)[:-1] / gaps.sum()
     x = np.concatenate(([0.0], inner, [1.0]))
-    values = draw(arrays(np.float64, n + 2, elements=st.floats(-10.0, 10.0),
+    values = draw(arrays(np.float64, n + 2, elements=st.floats(-scale, scale),
                          fill=st.nothing()))
     return cpwl.CPwL(x, values)
 
@@ -37,3 +38,50 @@ def test_compile_extract_round_trip(f, width):
     got = extract_cpwl(net)
     assert cpwl.sup_diff(got, f) <= bound
     assert cpwl.sup_diff(got, reference_extract(net)) <= bound
+
+
+def _size(f):
+    """max |slope| + max |value|: moving a node by one rounding moves the
+    function by about eps times the slope there."""
+    slopes = np.diff(f.values) / np.diff(f.breakpoints)
+    return float(np.abs(slopes).max() + np.abs(f.values).max())
+
+
+LAWS = settings(max_examples=30, deadline=None, derandomize=True)
+coefficients = st.floats(-2.0, 2.0)
+
+
+@LAWS
+@given(f=splines(1e4), g=splines(1e4), a=coefficients, b=coefficients,
+       c=st.floats(-1e4, 1e4))
+def test_combine_is_pointwise(f, g, a, b, c):
+    h = cpwl.combine([f, g], [a, b], c)
+    xs = np.union1d(np.union1d(f.breakpoints, g.breakpoints), np.linspace(0.0, 1.0, 101))
+    bound = 1e-12 * (1.0 + abs(a) * _size(f) + abs(b) * _size(g) + abs(c))
+    assert np.abs(h(xs) - (a * f(xs) + b * g(xs) + c)).max() <= bound
+
+
+@LAWS
+@given(f=splines(1e4))
+def test_relu_splits_a_function(f):
+    neg = cpwl.combine([f], [-1.0])
+    split = cpwl.combine([cpwl.relu(f), cpwl.relu(neg)], [1.0, -1.0])
+    assert cpwl.sup_diff(split, f) <= 1e-12 * (1.0 + _size(f))
+
+
+@LAWS
+@given(f=splines(1e4))
+def test_reflect_is_an_involution(f):
+    assert cpwl.sup_diff(cpwl.reflect(cpwl.reflect(f)), f) <= 1e-12 * (1.0 + _size(f))
+
+
+@LAWS
+@given(f=splines(1e4))
+def test_compose_with_identity(f):
+    assert cpwl.sup_diff(cpwl.compose(f, cpwl.line(1.0, 0.0)), f) <= 1e-12 * (1.0 + _size(f))
+
+
+@LAWS
+@given(f=splines(1e4), g=splines(1e4))
+def test_sup_diff_is_symmetric(f, g):
+    assert cpwl.sup_diff(f, g) == cpwl.sup_diff(g, f)
