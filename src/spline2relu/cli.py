@@ -2,6 +2,7 @@
 run rate experiments and basis-system numerics, and emit CSV/SVG artifacts."""
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -99,6 +100,15 @@ def _report_line(report):
     return text
 
 
+def _emit(text, path):
+    """Write text to the file at path, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _run_compile(args):
     target = cpwl.read_spline(args.spline)
     net, report = compile_spline(target, args.width)
@@ -119,14 +129,8 @@ def _run_verify(args):
 def _run_eval(args):
     net = read_network(args.network)
     xs = np.linspace(0.0, 1.0, args.grid_n)
-    ys = net.forward(xs)
-    rows = ["x,value"] + ["%.17g,%.17g" % (x, y) for x, y in zip(xs, ys)]
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    pairs = np.column_stack([xs, net.forward(xs)]).ravel().tolist()
+    _emit("x,value\n" + ("%.17g,%.17g\n" * args.grid_n) % tuple(pairs), args.out)
     return 0
 
 
@@ -154,11 +158,7 @@ def _run_rates(args):
         if r.reason:
             print(f"rates: m={r.m} failed: {r.reason}", file=sys.stderr)
     text = approx.records_to_csv(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     if args.svg:
         ms = [r.m for r in records]
         errs = [r.sup_error for r in records]
@@ -186,8 +186,7 @@ def _run_riesz(args):
     rows.append(("odd_sum_tail", riesz.odd_square_tail(riesz.ODD_SUM_CAP)))
     text = "\n".join("%s,%.17g" % (name, value) for name, value in rows) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _emit(text, args.out)
     sys.stdout.write(text)
     return 0
 
@@ -259,6 +258,7 @@ def run(args):
     return _DISPATCH[args.command](args)
 
 
+@functools.cache  # built once per process: `main` may run many times
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spline2relu",
@@ -312,14 +312,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return run(args)
-    except Spline2ReluError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Spline2ReluError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ relative tolerance of 1e-10 are removed.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -259,12 +260,33 @@ def _sine_cpwl(k: int) -> CPwL:
     return CPwL(xs, vs)
 
 
+def _numbers(lines: list[str], linenos, counts: list[int], count_error: str) -> np.ndarray:
+    """The numbers on `lines`, line i holding counts[i] of them, converted in one
+    pass.  Only lines that fail it are walked, so the first offending one raises
+    ParseError: `count_error` (formats `want`, `found`) or 'malformed number'."""
+    if list(map(len, map(str.split, lines))) == counts:
+        tokens = itertools.chain.from_iterable(map(str.split, lines))
+        try:
+            return np.fromiter(map(float, tokens), float, sum(counts))
+        except ValueError:
+            pass
+    for text, line, want in zip(lines, linenos, counts):
+        tokens = text.split()
+        if len(tokens) != want:
+            raise ParseError(count_error.format(want=want, found=len(tokens)), line=line)
+        try:
+            list(map(float, tokens))
+        except ValueError:
+            raise ParseError("malformed number", line=line) from None
+
+
 def write_spline(f: CPwL, path) -> None:
-    """Write the node-count header and one 'x value' line per node."""
+    """Write the node-count header and one 'x value' line per node, every
+    number as %.17g (an exact round trip)."""
+    n = f.breakpoints.size
+    pairs = np.column_stack([f.breakpoints, f.values]).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write(f"{f.breakpoints.size}\n")
-        for x, v in zip(f.breakpoints, f.values):
-            fh.write(f"{x:.17g} {v:.17g}\n")
+        fh.write(f"{n}\n" + ("%.17g %.17g\n" * n) % tuple(pairs))
 
 
 def read_spline(path) -> CPwL:
@@ -281,20 +303,11 @@ def read_spline(path) -> CPwL:
         raise ParseError("node count must be at least 2", line=1)
     if len(lines) < count + 1:
         raise ParseError(f"expected {count} node lines, found {len(lines) - 1}", line=len(lines))
-    xs, vs = [], []
-    for i in range(1, count + 1):
-        parts = lines[i].split()
-        if len(parts) != 2:
-            raise ParseError("expected 'x value'", line=i + 1)
-        try:
-            xs.append(float(parts[0]))
-            vs.append(float(parts[1]))
-        except ValueError:
-            raise ParseError("malformed number", line=i + 1) from None
+    flat = _numbers(lines[1:count + 1], range(2, count + 2), [2] * count, "expected 'x value'")
     for i in range(count + 1, len(lines)):
         if lines[i].strip():
             raise ParseError("trailing content after declared nodes", line=i + 1)
     try:
-        return CPwL(xs, vs)
+        return CPwL(*flat.reshape(count, 2).T.copy())
     except DomainError as exc:
         raise ParseError(str(exc)) from exc

@@ -10,6 +10,8 @@ results and never feeds a computational node); both are exempt from ReLU.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import cpwl
@@ -87,10 +89,12 @@ class ReluNetwork:
         state = self.in_weights[:, None] @ xa[None, :]
         state += self.in_bias[:, None]
         np.maximum(state, lb, out=state)
+        spare = np.empty_like(state)
         for weights, bias in zip(self.hidden_weights, self.hidden_bias):
-            state = weights @ state
-            state += bias[:, None]
-            np.maximum(state, lb, out=state)
+            np.matmul(weights, state, out=spare)
+            spare += bias[:, None]
+            np.maximum(spare, lb, out=spare)
+            state, spare = spare, state
         out = self.out_weights @ state + self.out_bias
         return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
@@ -336,38 +340,34 @@ def hat_net() -> ReluNetwork:
 
 
 def write_network(net: ReluNetwork, path) -> None:
-    """Header 'W L kind', then per layer a dims line, weight rows, and the bias."""
+    """Header 'W L kind', then per layer a dims line, weight rows, and the bias;
+    every number as %.17g (an exact round trip)."""
+    w, depth = net.width, net.depth
     kind = "special" if net.special else "standard"
-    layers = [(net.in_weights[:, None], net.in_bias),
-              *zip(net.hidden_weights, net.hidden_bias),
-              (net.out_weights[None, :], [net.out_bias])]
+    row = " ".join(["%.17g"] * w) + "\n"
+    hidden = np.concatenate([net.hidden_weights, net.hidden_bias[:, None]], axis=1)
+    per = max(1, 4096 // (w * w + w))  # hidden layers per format call: bounds the floats alive
     with open(path, "w") as fh:
-        fh.write(f"{net.width} {net.depth} {kind}\n")
-        for weights, bias in layers:
-            r, c = weights.shape
-            fh.write(f"{r} {c}\n")
-            for row in weights:
-                fh.write(" ".join(f"{w:.17g}" for w in row) + "\n")
-            fh.write(" ".join(f"{b:.17g}" for b in bias) + "\n")
+        fh.write((f"{w} {depth} {kind}\n{w} 1\n" + "%.17g\n" * w + row)
+                 % (*net.in_weights.tolist(), *net.in_bias.tolist()))
+        for i in range(0, depth - 1, per):
+            block = hidden[i:i + per]
+            fh.write((f"{w} {w}\n" + row * (w + 1)) * len(block) % tuple(block.ravel().tolist()))
+        fh.write((f"1 {w}\n" + row + "%.17g\n") % (*net.out_weights.tolist(), net.out_bias))
 
 
 def read_network(path) -> ReluNetwork:
-    """Read the write_network format; the special flag re-runs shape validation."""
+    """Read the write_network format; the special flag re-runs shape validation.
+    Blank lines are skipped; the dims lines are checked per layer, the number
+    lines in one pass (see `cpwl._numbers`)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise ParseError("unexpected end of file", line=max(1, len(lines)))
-        pos += 1
-        return lines[pos - 1], pos
-
-    header, lineno = next_line()
-    parts = header.split()
+    counts = list(map(len, map(str.split, lines)))
+    linenos = list(itertools.compress(itertools.count(1), counts))
+    body = list(itertools.compress(lines, counts))
+    if not body:
+        raise ParseError("unexpected end of file", line=max(1, len(lines)))
+    parts, lineno = body[0].split(), linenos[0]
     if len(parts) != 3 or parts[2] not in ("special", "standard"):
         raise ParseError("expected 'W L special|standard'", line=lineno)
     try:
@@ -376,41 +376,32 @@ def read_network(path) -> ReluNetwork:
         raise ParseError("malformed width or depth", line=lineno) from None
     if width < 1 or depth < 1:
         raise ParseError("width and depth must be positive", line=lineno)
-
-    def floats(text, lineno, count):
-        vals = text.split()
-        if len(vals) != count:
-            raise ParseError(f"expected {count} numbers, found {len(vals)}", line=lineno)
+    step = width + 2  # non-blank lines per layer; the output layer has 3
+    end = total = depth * step + 4
+    error = None
+    for k, pos in enumerate(range(1, min(len(body), total), step)):
+        r, c = (width, 1) if k == 0 else (1, width) if k == depth else (width, width)
         try:
-            return [float(v) for v in vals]
+            dims = tuple(map(int, body[pos].split()))
         except ValueError:
-            raise ParseError("malformed number", line=lineno) from None
-
-    weights, biases = [], []
-    for k in range(depth + 1):
-        dims, lineno = next_line()
-        try:
-            r, c = (int(t) for t in dims.split())
-        except ValueError:
-            raise ParseError("expected 'rows cols'", line=lineno) from None
-        expect = (width, 1) if k == 0 else (1, width) if k == depth else (width, width)
-        if (r, c) != expect:
-            raise ParseError(f"layer {k} must be {expect[0]} x {expect[1]}", line=lineno)
-        rows = []
-        for _ in range(r):
-            text, lineno = next_line()
-            rows.append(floats(text, lineno, c))
-        text, lineno = next_line()
-        weights.append(np.array(rows))
-        biases.append(np.array(floats(text, lineno, r)))
-    for i in range(pos, len(lines)):
-        if lines[i].strip():
-            raise ParseError("trailing content after final layer", line=i + 1)
+            dims = ()
+        if dims != (r, c):
+            text = "expected 'rows cols'" if len(dims) != 2 else f"layer {k} must be {r} x {c}"
+            error, end = ParseError(text, line=linenos[pos]), pos
+            break
+    rows, row_lines = body[1:end], linenos[1:end]
+    del rows[::step], row_lines[::step]
+    n = len(rows)
+    want = ([1] * min(width, n) + [width] * min((width + 1) * (depth - 1) + 2, n) + [1])[:n]
+    values = cpwl._numbers(rows, row_lines, want, "expected {want} numbers, found {found}")
+    if error is not None or len(body) < total:
+        raise error or ParseError("unexpected end of file", line=max(1, len(lines)))
+    if len(body) > total:
+        raise ParseError("trailing content after final layer", line=linenos[total])
+    hidden = values[2 * width:-width - 1].reshape(depth - 1, width + 1, width)
     cls = SpecialNetwork if parts[2] == "special" else ReluNetwork
-    hidden = np.array(weights[1:-1]).reshape(depth - 1, width, width)
-    hidden_bias = np.array(biases[1:-1]).reshape(depth - 1, width)
     try:
-        return cls(np.ravel(weights[0]), biases[0], hidden, hidden_bias,
-                   weights[-1][0], biases[-1][0])
+        return cls(values[:width], values[width:2 * width], hidden[:, :width], hidden[:, width],
+                   values[-width - 1:-1], values[-1])
     except StructureError as exc:
         raise ParseError(str(exc)) from exc

@@ -5,7 +5,7 @@ import numpy as np
 from spline2relu import approx, cpwl
 from spline2relu.compiler import compile_spline
 from spline2relu.errors import ResourceError
-from spline2relu.network import special_to_standard
+from spline2relu.network import ReluNetwork, hat_net, special_to_standard
 
 
 def _reference_mask(net):
@@ -56,6 +56,51 @@ def reference_courses(net):
         courses.append(states[-1])
         states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
     return courses
+
+
+def reference_write_network(net, path):
+    """Per-number network writer kept as a test-only reference for write_network."""
+    kind = "special" if net.special else "standard"
+    layers = [(net.in_weights[:, None], net.in_bias),
+              *zip(net.hidden_weights, net.hidden_bias),
+              (net.out_weights[None, :], [net.out_bias])]
+    with open(path, "w") as fh:
+        fh.write(f"{net.width} {net.depth} {kind}\n")
+        for weights, bias in layers:
+            r, c = weights.shape
+            fh.write(f"{r} {c}\n")
+            for row in weights:
+                fh.write(" ".join(f"{w:.17g}" for w in row) + "\n")
+            fh.write(" ".join(f"{b:.17g}" for b in bias) + "\n")
+
+
+def reference_write_spline(f, path):
+    """Per-number spline writer kept as a test-only reference for write_spline."""
+    with open(path, "w") as fh:
+        fh.write(f"{f.breakpoints.size}\n")
+        for x, v in zip(f.breakpoints, f.values):
+            fh.write(f"{x:.17g} {v:.17g}\n")
+
+
+def reference_eval_csv(net, grid_n):
+    """Per-row text of `spline2relu eval`, kept as a test-only reference."""
+    xs = np.linspace(0.0, 1.0, grid_n)
+    ys = net.forward(xs)
+    rows = ["x,value"] + ["%.17g,%.17g" % (x, y) for x, y in zip(xs, ys)]
+    return "\n".join(rows) + "\n"
+
+
+def text_io_networks(rng):
+    """Networks whose files pin the writer's number format: the hat (W=2,
+    depth 1), a converted plain network, compiled special networks at
+    W = 4 (depth 250), 8 and 32, and one holding -0.0, 5e-324, 1e300, 1/3
+    and integers."""
+    nets = [hat_net(), plain_net(random_spline(rng, 6), 5)]
+    nets += [compile_spline(random_spline(rng, n), w)[0] for w, n in ((4, 500), (8, 40), (32, 90))]
+    odd = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 7.0, -12.0, 0.0, 2.0 ** 60, -1e-300])
+    nets.append(ReluNetwork(odd[:3], odd[3:6], np.resize(odd, (2, 3, 3)),
+                            np.resize(odd[::-1], (2, 3)), odd[6:], -0.0))
+    return nets
 
 
 def random_spline(rng, n, low=-2.0, high=2.0):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_spline
+from conftest import random_spline, reference_eval_csv, text_io_networks
 from spline2relu import approx, cli, cpwl
 from spline2relu.compiler import takagi_network
 from spline2relu.errors import Spline2ReluError
+from spline2relu.network import read_network, write_network
 
 
 def _mask_wall(text):
@@ -195,3 +196,44 @@ def test_unknown_family_raises_through_run():
 def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         cli.main(["transmogrify"])
+
+
+def test_eval_csv_matches_reference(tmp_path, capsys):
+    """`eval` writes the per-row reference text, to --out and to stdout."""
+    csv = tmp_path / "out.csv"
+    for i, net in enumerate(text_io_networks(np.random.default_rng(24))):
+        npath = tmp_path / f"{i}.relu"
+        write_network(net, npath)
+        for grid in (2, 101, 1001):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = reference_eval_csv(read_network(npath), grid)
+                assert cli.main(["eval", str(npath), "--grid", str(grid), "--out", str(csv)]) == 0
+                assert csv.read_text() == want
+                assert cli.main(["eval", str(npath), "--grid", str(grid)]) == 0
+            assert capsys.readouterr().out == want
+
+
+def test_main_reuses_its_parser_without_leaking_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    spath = tmp_path / "hat.spline"
+    npath = tmp_path / "a.relu"
+    cpwl.write_spline(cpwl.hat(), spath)
+    assert cli.main(["compile", str(spath), "--width", "4", "--out", str(npath)]) == 0
+    npath.unlink()
+    assert cli.main(["compile", str(spath), "--width", "4"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hat.spline"]
+    svg = tmp_path / "p.svg"
+    assert cli.main(["rates", "--ms", "1:3", "--grid", "33", "--svg", str(svg)]) == 0
+    svg.unlink()
+    assert cli.main(["rates", "--ms", "1:3", "--grid", "33"]) == 0
+    assert not svg.exists()
+    cli.main(["compile", str(spath), "--width", "4", "--out", str(npath)])
+    capsys.readouterr()
+    assert cli.main(["eval", str(npath), "--grid", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert cli.main(["eval", str(npath)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "compile" in capsys.readouterr().out

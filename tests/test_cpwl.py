@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_spline
+from conftest import random_spline, reference_write_spline
 from spline2relu import cpwl
 from spline2relu.errors import DomainError, ParseError, ResourceError
 
@@ -195,3 +195,52 @@ def test_spline_parse_wraps_domain_errors(tmp_path):
     p.write_text("2\n0.2 0\n1 1\n")
     with pytest.raises(ParseError):
         cpwl.read_spline(p)
+
+
+def test_spline_parse_error_lines(tmp_path):
+    """Full messages and line numbers; the first offending line in file order wins."""
+    def failing(text):
+        p = tmp_path / "bad.spline"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            cpwl.read_spline(p)
+        return str(err.value), err.value.line
+
+    # node lines may not be blank; trailing blank lines are fine
+    assert failing("3\n0 0\n\n1 1\n") == ("line 3: expected 'x value'", 3)
+    assert failing("3\n0 0\n  \t\n1 1\n") == ("line 3: expected 'x value'", 3)
+    p = tmp_path / "ok.spline"
+    p.write_text("3\n0 -0\n0.5 1e300\n1 5e-324\n\n  \n")
+    f = cpwl.read_spline(p)
+    assert np.array_equal(f.values, [0.0, 1e300, 5e-324])
+    assert np.signbit(f.values[0])
+    # a malformed number and a wrong count, each on its own
+    assert failing("4\n0 0\n0.25 1\n0.5 1e\n1 1\n") == ("line 4: malformed number", 4)
+    assert failing("4\n0 0\n0.25 1\n0.5\n1 1\n") == ("line 4: expected 'x value'", 4)
+    assert failing("3\n0 0\n0.5 x y\n1 1\n") == ("line 3: expected 'x value'", 3)
+    # two errors: the earlier line wins either way round
+    assert failing("4\n0 0\n0.25 oops\n0.5\n1 1\n") == ("line 3: malformed number", 3)
+    assert failing("4\n0 0\n0.25\n0.5 oops\n1 1\n") == ("line 3: expected 'x value'", 3)
+    # too few lines is reported before any bad node line
+    assert failing("4\n0 0\nx\n1 1\n") == ("line 4: expected 4 node lines, found 3", 4)
+    # trailing content after blank lines; an earlier bad node line wins
+    assert failing("2\n0 0\n1 1\n\n  \nextra\n") == (
+        "line 6: trailing content after declared nodes", 6)
+    assert failing("2\n0 0\n1 z\nextra\n") == ("line 3: malformed number", 3)
+    # an invalid function parses but fails the CPwL check, without a line
+    assert failing("2\n0.2 0\n1 1\n") == ("breakpoints must start at 0 and end at 1", None)
+
+
+def test_write_spline_matches_reference(tmp_path):
+    """Byte-identical to the per-number writer, and stable through a read."""
+    odd = cpwl.CPwL([0.0, 5e-324, 1.0 / 3.0, 0.5, 0.75, 1.0],
+                    [-0.0, 1e-323, 5e-324, 1e300, 1.0 / 3.0, 7.0])
+    assert odd.breakpoints.size == 6
+    rng = np.random.default_rng(23)
+    for i, f in enumerate([cpwl.hat(), odd, random_spline(rng, 1), random_spline(rng, 400)]):
+        path, ref, again = (tmp_path / f"{i}.{ext}" for ext in ("spline", "ref", "again"))
+        cpwl.write_spline(f, path)
+        reference_write_spline(f, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        cpwl.write_spline(cpwl.read_spline(path), again)
+        assert again.read_bytes() == ref.read_bytes()

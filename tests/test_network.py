@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import plain_net, random_spline
+from conftest import plain_net, random_spline, reference_write_network, text_io_networks
 from spline2relu import cpwl
 from spline2relu.compiler import compile_shallow, compile_spline
 from spline2relu.errors import ParseError, ResourceError, StructureError
@@ -262,3 +262,100 @@ def test_trailing_garbage_rejected(tmp_path):
     with pytest.raises(ParseError) as err:
         read_network(p)
     assert "trailing" in str(err.value)
+
+
+def _six_layer_lines(tmp_path):
+    """Lines of a W=2, depth-6 standard network file: layer k < 6 has its
+    dims on line 2 + 4k, its rows on the next two lines and its bias after;
+    layer 6 has dims on line 26, its row on 27 and its bias on 28."""
+    rng = np.random.default_rng(3)
+    net = ReluNetwork(rng.normal(size=2), rng.normal(size=2), rng.normal(size=(5, 2, 2)),
+                      rng.normal(size=(5, 2)), rng.normal(size=2), 0.5)
+    path = tmp_path / "six.relu"
+    write_network(net, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 28 and lines[25] == "1 2"
+    return net, lines
+
+
+def test_network_parse_error_lines(tmp_path):
+    """Full messages and line numbers; the first offending line in file order wins."""
+    net, good = _six_layer_lines(tmp_path)
+    path = tmp_path / "edited.relu"
+
+    def parse(lines, tail="\n"):
+        path.write_text("\n".join(lines) + tail)
+        return read_network(path)
+
+    def failing(edits, tail="\n", insert=()):
+        lines = list(good)
+        for lineno, text in edits.items():
+            lines[lineno - 1] = text
+        for lineno, text in sorted(insert, reverse=True):
+            lines.insert(lineno - 1, text)
+        with pytest.raises(ParseError) as err:
+            parse(lines, tail)
+        return str(err.value), err.value.line
+
+    # blank and whitespace-only lines between rows are skipped
+    spaced = list(good)
+    for at in (27, 16, 15, 3, 2):
+        spaced.insert(at - 1, "  \t" if at % 2 else "")
+    back = parse(spaced, "\n\n   \n")
+    for name in ("in_weights", "in_bias", "hidden_weights", "hidden_bias", "out_weights"):
+        assert np.array_equal(getattr(back, name), getattr(net, name))
+    assert back.out_bias == net.out_bias
+    # a malformed number in a hidden weight row and in a bias row, layers 3 and 4
+    assert failing({15: good[14].split()[0] + " 1.0x"}) == ("line 15: malformed number", 15)
+    assert failing({21: "0.25 --1"}) == ("line 21: malformed number", 21)
+    # a wrong count in a bias row; a count error outranks a bad number on its line
+    assert failing({17: "1 2 3"}) == ("line 17: expected 2 numbers, found 3", 17)
+    assert failing({16: "1 x y"}) == ("line 16: expected 2 numbers, found 3", 16)
+    # wrong dims at a hidden layer and at the output layer
+    assert failing({10: "2 3"}) == ("line 10: layer 2 must be 2 x 2", 10)
+    assert failing({26: "2 2"}) == ("line 26: layer 6 must be 1 x 2", 26)
+    assert failing({10: "2 2 2"}) == ("line 10: expected 'rows cols'", 10)
+    assert failing({14: "2 x"}) == ("line 14: expected 'rows cols'", 14)
+    # two errors in one layer: the earlier line wins either way round
+    assert failing({15: "1 oops", 17: "1"}) == ("line 15: malformed number", 15)
+    assert failing({15: "1", 16: "1 oops"}) == ("line 15: expected 2 numbers, found 1", 15)
+    assert failing({19: "7", 20: "7 7 7"}) == ("line 19: expected 2 numbers, found 1", 19)
+    # errors in two layers, or an error before a missing or extra line
+    assert failing({22: "9 9", 16: "1 #"}) == ("line 16: malformed number", 16)
+    assert failing({13: "1 2 3"}, tail="\n" + "\n".join(good[-3:]) + "\n") == (
+        "line 13: expected 2 numbers, found 3", 13)
+    # blank lines shift the physical line number of a later error
+    assert failing({17: "1 2 3"}, insert=[(15, ""), (15, " ")]) == (
+        "line 19: expected 2 numbers, found 3", 19)
+    # a header declaring more than the file holds fails at the first layer that differs
+    assert failing({1: "2 999999999 standard"}) == ("line 26: layer 6 must be 2 x 2", 26)
+    assert failing({1: "999999999 1 standard"}) == ("line 2: layer 0 must be 999999999 x 1", 2)
+
+    def truncated(keep, edits=None):
+        lines = good[:keep]
+        lines.extend(edits or ())
+        path.write_text("\n".join(lines) + "\n\n  \n")
+        with pytest.raises(ParseError) as err:
+            read_network(path)
+        return str(err.value), err.value.line
+
+    # missing layers: end of file reports the last physical line
+    assert truncated(25) == ("line 27: unexpected end of file", 27)
+    assert truncated(20) == ("line 22: unexpected end of file", 22)
+    assert truncated(20, ["1 x"]) == ("line 21: malformed number", 21)
+    # trailing content after the final layer, past blank lines
+    assert failing({}, tail="\n\n \nmore\n") == (
+        "line 31: trailing content after final layer", 31)
+    # a non-finite number parses but fails the network check, without a line
+    assert failing({19: "nan 1"}) == ("weights and bias must be finite", None)
+
+
+def test_write_network_matches_reference(tmp_path):
+    """Byte-identical to the per-number writer, and stable through a read."""
+    for i, net in enumerate(text_io_networks(np.random.default_rng(21))):
+        path, ref, again = (tmp_path / f"{i}.{ext}" for ext in ("relu", "ref", "again"))
+        write_network(net, path)
+        reference_write_network(net, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        write_network(read_network(path), again)
+        assert again.read_bytes() == ref.read_bytes()
