@@ -13,7 +13,7 @@ import numpy as np
 from . import cpwl
 from .combinators import concat_sum
 from .compiler import compile_self_similar, compile_spline
-from .errors import ContractError, DomainError, StructureError
+from .errors import ContractError, DomainError, ResourceError, StructureError
 from .network import extract_cpwl
 
 ENDPOINT_TOL = 1e-9
@@ -303,11 +303,18 @@ def sobolev_split(fprime, p, t, anchor=0.0, panels=1024):
 def measure_sigma(f, net, grid_n):
     """Max deviation |f - net| over a uniform grid joined with the network's
     breakpoints (and the target's own breakpoints when it is piecewise linear),
-    so piecewise-linear targets are measured exactly."""
+    so piecewise-linear targets are measured exactly.
+
+    A network whose extraction outgrows the node budget is measured on the
+    grid (and the target's breakpoints) alone, with a RuntimeWarning."""
     if grid_n < 2:
         raise DomainError("need at least two grid points")
     pts = np.linspace(0.0, 1.0, grid_n)
-    pts = np.union1d(pts, extract_cpwl(net).breakpoints)
+    try:
+        pts = np.union1d(pts, extract_cpwl(net).breakpoints)
+    except ResourceError as exc:
+        warnings.warn(f"{exc}, the node budget; measuring on the {grid_n}-point grid "
+                      "without the network's breakpoints", RuntimeWarning, stacklevel=2)
     source = f.evaluator if isinstance(f, TargetFunction) else f
     if isinstance(source, cpwl.CPwL):
         pts = np.union1d(pts, source.breakpoints)

@@ -140,6 +140,15 @@ def test_takagi_subcommand(tmp_path, capsys):
     assert npath.exists()
 
 
+def test_takagi_past_the_node_budget_measures_on_the_grid(capsys):
+    # order 21 has 2^21 + 1 nodes, one more than the default budget
+    with pytest.warns(RuntimeWarning, match="2097152 nodes, the node budget"):
+        assert cli.main(["takagi", "--order", "21"]) == 0
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+    assert fields["order"] == "21" and fields["depth"] == "21"
+    assert 0.0 < float(fields["sup_error"]) <= 2.0 ** -21
+
+
 def test_fourier_atom_subcommand(capsys):
     assert cli.main(["fourier", "--kind", "cosine", "--index", "5"]) == 0
     fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())

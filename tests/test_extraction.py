@@ -2,23 +2,44 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import plain_net, random_spline, reference_courses, reference_extract
+from conftest import (
+    gentle_unit_spline,
+    plain_net,
+    random_spline,
+    reference_courses,
+    reference_extract,
+    reference_sum_parts,
+)
 from spline2relu import cpwl
-from spline2relu.combinators import compose_nets, iterate_sum, stack_sum
+from spline2relu.combinators import (
+    compose_nets,
+    concat_sum,
+    iterate_sum,
+    stack_sum,
+    zero_special,
+)
 from spline2relu.compiler import (
     compile_fourier_sum,
     compile_shallow,
     compile_spline,
+    fourier_oracle,
     takagi_network,
 )
 from spline2relu.errors import ResourceError, StructureError
 from spline2relu.network import (
+    ReluNetwork,
+    _sum_parts,
     collation_courses,
     extract_cpwl,
     hat_net,
+    reset_layers,
     special_to_standard,
 )
+
+U = 2.0 ** -52
 
 
 def _max_slope(f):
@@ -118,3 +139,137 @@ def test_node_budget_counts_distinct_nodes():
     assert extract_cpwl(deep, node_budget=641).n_interior == 255
     with pytest.raises(ResourceError):
         extract_cpwl(deep, node_budget=640)
+
+
+def test_reset_layer_counts_on_compiled_networks():
+    rng = np.random.default_rng(115)
+    narrow, _ = compile_spline(random_spline(rng, 6400), 4)
+    assert narrow.depth - 1 == 3199
+    assert np.array_equal(reset_layers(narrow), np.arange(narrow.depth))
+    wide, _ = compile_spline(random_spline(rng, 400), 8)
+    assert np.array_equal(reset_layers(wide), np.arange(0, wide.depth, 2))
+    takagi = takagi_network([2.0 ** -k for k in range(1, 11)])
+    assert np.array_equal(reset_layers(takagi), [0])
+    assert np.array_equal(reset_layers(plain_net(random_spline(rng, 5), 4)), [0])
+
+
+def _mixed(rng, kinds):
+    """W=8 special networks of mixed segment depths, one per kind: a compiled
+    spline (depth-2 segments), a zero network (depth-1 segments), a stack of
+    one-layer W=6 networks with weights of both signs (depth-1 segments) and
+    a stack of plain W=6 networks (deeper segments)."""
+    nets = []
+    for kind in kinds:
+        if kind == 0:
+            nets.append(compile_spline(random_spline(rng, int(rng.integers(1, 40))), 8)[0])
+        elif kind == 1:
+            nets.append(zero_special(8, int(rng.integers(1, 4))))
+        elif kind == 2:
+            shallow = [ReluNetwork(*rng.uniform(-2.0, 2.0, (2, 6)), np.zeros((0, 6, 6)),
+                                   np.zeros((0, 6)), rng.uniform(-2.0, 2.0, 6), rng.uniform(-1, 1))
+                       for _ in range(int(rng.integers(1, 4)))]
+            nets.append(stack_sum(shallow, rng.uniform(-2.0, 2.0, len(shallow))))
+        else:
+            plain = [plain_net(random_spline(rng, int(rng.integers(9, 20))), 6)
+                     for _ in range(int(rng.integers(1, 3)))]
+            nets.append(stack_sum(plain, rng.uniform(-2.0, 2.0, len(plain))))
+    return concat_sum(*nets)
+
+
+def test_mixed_depth_segments_match_reference():
+    rng = np.random.default_rng(116)
+    net = _mixed(rng, [0, 1, 2, 3])
+    depths = np.diff(np.append(reset_layers(net), net.depth))
+    assert {1, 2} <= set(depths) and depths.max() > 2
+    _assert_close(extract_cpwl(net), reference_extract(net))
+    narrow = concat_sum(compile_spline(random_spline(rng, 30), 6)[0], zero_special(6, 2),
+                        stack_sum([plain_net(random_spline(rng, 4), 4)] * 2, [1.0, -0.5]))
+    _assert_close(extract_cpwl(narrow), reference_extract(narrow))
+
+
+def test_depth_one_kinks_at_the_ends_match_reference():
+    # units whose kink -b/a sits at 0 or 1, or outside [0, 1], on either side
+    first = np.array([1.0, -1.0, 2.0, -3.0, 0.5, 4.0, -0.5, 0.0])
+    bias = np.array([0.0, 0.0, -2.0, 3.0, -0.25, 1.0, 2.0, 0.5])
+    edges = ReluNetwork(first, bias, np.zeros((0, 8, 8)), np.zeros((0, 8)),
+                        np.linspace(-1.5, 2.0, 8), 0.25)
+    net = stack_sum([edges, edges], [1.0, -0.5])
+    assert np.array_equal(reset_layers(net), [0, 1])
+    _assert_close(extract_cpwl(net), reference_extract(net))
+
+
+def test_batched_segments_with_inner_readouts_match_reference():
+    # eight equal-depth segments that each fold partial sums into the rail
+    # and prune at different layers, so one batch sets aside only some rails
+    rng = np.random.default_rng(119)
+    nets = [iterate_sum(plain_net(gentle_unit_spline(rng), 4), rng.uniform(-1.0, 1.0, 3))
+            for _ in range(8)]
+    net = concat_sum(*nets)
+    assert np.array_equal(np.diff(reset_layers(net)), [nets[0].depth] * 7)
+    _assert_close(extract_cpwl(net), reference_extract(net))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), kinds=st.lists(st.integers(0, 3), min_size=1, max_size=5))
+def test_concatenations_match_reference(seed, kinds):
+    net = _mixed(np.random.default_rng(seed), kinds)
+    _assert_close(extract_cpwl(net), reference_extract(net))
+
+
+@pytest.mark.parametrize("width, n", [(4, 200), (8, 200)])
+def test_segmented_network_respects_node_budget(width, n):
+    net, _ = compile_spline(random_spline(np.random.default_rng(117), n), width)
+    assert reset_layers(net).size > 1
+    _assert_identical(extract_cpwl(net, node_budget=10 * n), extract_cpwl(net))
+    with pytest.raises(ResourceError):
+        extract_cpwl(net, node_budget=n // 2)
+
+
+def _kappa_u(f):
+    """kappa(f) u = (max |f| + max |f'|) 2^-52: what a one-ulp change in x
+    costs, about the best any float64 extraction can do."""
+    slopes = np.diff(f.values) / np.diff(f.breakpoints)
+    return (float(np.abs(f.values).max()) + float(np.abs(slopes).max())) * U
+
+
+def _clustered():
+    x = np.r_[0.0, 0.5 + 1e-9 * np.arange(39), 1.0]
+    return cpwl.CPwL(x, np.r_[0.0, np.tile([1.0, -1.0], 20)[:39], 0.0])
+
+
+def _large_values():
+    r = np.random.default_rng(3)
+    return cpwl.CPwL(np.r_[0.0, np.sort(r.uniform(0, 1, 97)), 1.0], r.uniform(-1e4, 1e4, 99))
+
+
+@pytest.mark.parametrize("target", [_clustered(), _large_values()], ids=["cluster", "1e4"])
+@pytest.mark.parametrize("width", [4, 5, 6, 7])
+def test_adversarial_narrow_splines_within_two_kappa_u(target, width):
+    net, _ = compile_spline(target, width)
+    assert cpwl.sup_diff(extract_cpwl(net), target) <= 2.0 * _kappa_u(target)
+
+
+def test_fourier_canary_within_kappa_u():
+    # the benchmark's large-coefficient sum: two segments of depth 14
+    terms = [(18, -764.8866776838437, 836.5627152718496),
+             (8, 567.8061312607904, 915.386755555927),
+             (24, 2.7824910497016617, 764.850914379376)]
+    net, _ = compile_fourier_sum(terms, 10)
+    target = fourier_oracle(terms)
+    assert _kappa_u(target) == pytest.approx(5.30e-11, rel=1e-3)
+    assert cpwl.sup_diff(extract_cpwl(net), target) <= _kappa_u(target)
+
+
+def test_sum_parts_matches_pairwise_loop():
+    # the same arithmetic as union1d + interp pair by pair, so equal to the bit
+    rng = np.random.default_rng(118)
+    shared = np.sort(rng.uniform(0.0, 1.0, 8))
+    for count in range(1, 10):
+        parts = []
+        for _ in range(count):
+            grid = np.union1d(np.r_[0.0, rng.uniform(0.0, 1.0, rng.integers(0, 12)), 1.0],
+                              shared[:rng.integers(0, 9)])
+            parts.append((grid, rng.standard_normal(grid.size) * 10.0 ** rng.uniform(-3, 3)))
+        want = reference_sum_parts(parts)
+        got = _sum_parts([(g, v, np.array([g.size])) for g, v in parts])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
