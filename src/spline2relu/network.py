@@ -142,99 +142,40 @@ class SpecialNetwork(ReluNetwork):
         return lb
 
 
-def _insert(arr: np.ndarray, g: np.ndarray, old: np.ndarray, at: np.ndarray,
-            right: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Rows `arr` on the grid `g`, moved to the `old` columns of a grid that
-    has the nodes `new` at columns `at`, each inside the interval that ends
-    at g[right]; a new node takes its interval's linear interpolant."""
-    left = right - 1
-    gl, vl = g[left], arr[:, left]
-    out = np.empty((len(arr), old.size))
-    out[:, old] = arr
-    out[:, at] = (arr[:, right] - vl) / (g[right] - gl) * (new - gl) + vl
-    return out
-
-
-# equal-depth segments step as one batch from this many on; fewer step one at
-# a time, and a network with only a few deep segments is not split at all:
-# there the split saves less than its bookkeeping costs
-_BATCH = 8
-
-
 class _SharedGrid:
-    """The live channels of S segments as one rows x N array on their grids,
-    laid back to back.
+    """The live channels of a network as one rows x G array on one sorted grid.
 
-    Segment s holds nodes start[s] .. start[s+1]-1 of `grid`, which run from
-    0 to 1; no interval joins two segments.  A plain network keeps all W
-    channels.  A special network keeps only its W-2 computational channels:
-    the source rail is exactly x (the grid itself) and the collation rail,
-    which no computational node reads, is left to the caller through
-    `readout`.  Every row is linear between adjacent nodes of a segment.
+    A plain network keeps all W channels.  A special network keeps only its
+    W-2 computational channels: the source rail is exactly x (the grid itself)
+    and the collation rail, which no computational node reads, is left to the
+    caller through `readout`.  Every row is linear between adjacent grid nodes.
     `held` counts nodes the caller keeps outside the grid, for the budget.
     """
 
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, special: bool,
-                 node_budget: int, held: int = 0):
-        """Start segment s from its first layer: the x-column `weights[s]`
-        and the biases `bias[s]`, both of length W."""
-        self.special = special
-        self.rows = slice(1, weights.shape[1] - 1) if special else slice(None)
+    def __init__(self, net: ReluNetwork, node_budget: int):
+        self.special = net.special
+        self.rows = slice(1, net.width - 1) if net.special else slice(None)
         self.node_budget = node_budget
-        self.held = held
-        count = len(weights)
-        self.several = count > 1
-        self.start = np.arange(0, 2 * count + 1, 2)
-        self._layout = None
-        unit = np.array([0.0, 1.0])
-        self.grid = np.zeros(2 * count)
-        self.grid[1::2] = 1.0
-        self.vals = (weights[:, self.rows, None] * unit + bias[:, self.rows, None]).transpose(
-            1, 0, 2).reshape(-1, 2 * count)
+        self.held = 0
+        self.grid = np.array([0.0, 1.0])
+        self.vals = net.in_weights[self.rows, None] * self.grid + net.in_bias[self.rows, None]
         self.relu()
 
-    def layout(self) -> tuple:
-        """Segment of every node (a full slice for one segment, so that
-        per-segment rows index as themselves and broadcast), and its place
-        within the segment."""
-        if self._layout is None:
-            if not self.several:
-                self._layout = slice(None), None
-            else:
-                owner = np.repeat(np.arange(self.start.size - 1), np.diff(self.start))
-                self._layout = owner, np.arange(owner.size) - self.start[owner]
-        return self._layout
-
-    def _apply(self, mats: np.ndarray) -> np.ndarray:
-        """mats[s] @ (segment s of the rows), one k x N array (N for k = 1).
-
-        Several segments are multiplied as one batch, each on its own
-        zero-padded grid."""
-        if len(mats) == 1:
-            return mats[0] @ self.vals
-        owner, local = self.layout()
-        pad = np.zeros((len(mats), len(self.vals), local.max() + 1))
-        pad[owner, :, local] = self.vals.T
-        out = (mats.reshape(len(mats), -1, len(self.vals)) @ pad)[owner, :, local].T
-        return out.reshape(mats.shape[1:-1] + owner.shape)
-
-    def readout(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Values on the grid of segment s's affine row weights[s] . state +
-        bias[s], without the collation rail's own term."""
-        owner = self.layout()[0]
-        out = self._apply(weights[:, self.rows])
+    def readout(self, weights: np.ndarray, bias: float) -> np.ndarray:
+        """Values on the grid of the affine row weights . state + bias, without
+        the collation rail's own term."""
+        out = weights[self.rows] @ self.vals
         if self.special:
-            out += weights[owner, 0] * self.grid
-        out += bias[owner]
+            out += weights[0] * self.grid
+        out += bias
         return out
 
     def affine(self, weights: np.ndarray, bias: np.ndarray) -> None:
-        """Pre-activation of the live rows: one matmul per segment."""
-        owner = self.layout()[0]
-        vals = self._apply(weights[:, self.rows, self.rows])
+        """Pre-activation of the live rows: one matmul on the grid."""
+        vals = weights[self.rows, self.rows] @ self.vals
         if self.special:
-            vals += weights[owner, self.rows, 0].T * self.grid
-        vals += bias[owner, self.rows].T
+            vals += np.multiply.outer(weights[self.rows, 0], self.grid)
+        vals += bias[self.rows, None]
         self.vals = vals
 
     def relu(self) -> None:
@@ -243,79 +184,47 @@ class _SharedGrid:
         A crossing within CROSSING_SNAP of a grid node reuses that node.  Every
         row is evaluated at the new nodes by its own linear segment, so a
         crossing row holds its clamped value at the rounded crossing, not a
-        forced 0.  `regrid` moves other arrays along.
+        forced 0.
         """
         g, v = self.grid, self.vals
-        several = self.several
         a, b = v[:, :-1], v[:, 1:]
-        sign = a * b < 0.0
-        if several:  # no interval joins two segments
-            sign[:, self.start[1:-1] - 1] = False
-        row, seg = np.nonzero(sign)
-        del sign
+        row, seg = np.nonzero(a * b < 0.0)
         new = g[:0]
         if seg.size:
             x0, x1 = g[seg], g[seg + 1]
             va, vb = a[row, seg], b[row, seg]
             cross = x0 - va * (x1 - x0) / (vb - va)
             far = (np.abs(cross - x0) > CROSSING_SNAP) & (np.abs(cross - x1) > CROSSING_SNAP)
-            del x0, x1, va, vb, row  # per-crossing temporaries: free them before the grid grows
-            if several:  # grid order: by segment, then by x
-                seg, new = seg[far], cross[far]
-                order = np.lexsort((new, seg))
-                seg, new = seg[order], new[order]
-            else:
-                new = np.sort(cross[far])
-            del cross, far
+            new = np.sort(cross[far])
             if new.size > 1:
                 first = np.empty(new.size, dtype=bool)
                 first[0] = True
                 np.not_equal(new[1:], new[:-1], out=first[1:])
-                if several:
-                    first[1:] |= seg[1:] != seg[:-1]
-                    seg = seg[first]
                 new = new[first]
         size = g.size + new.size
         if size + self.held > self.node_budget:
             raise ResourceError(f"extraction grew past {self.node_budget} nodes")
-        self._inserted = None
         if new.size:
-            right = seg + 1 if several else np.searchsorted(g, new)
+            right = np.searchsorted(g, new)
+            left = right - 1
+            gl, vl = g[left], v[:, left]
+            mid = (v[:, right] - vl) / (g[right] - gl) * (new - gl) + vl
             at = right + np.arange(new.size)
             old = np.ones(size, dtype=bool)
             old[at] = False
             self.grid = np.empty(size)
             self.grid[old] = g
             self.grid[at] = new
-            v = _insert(v, g, old, at, right, new)
-            if several:
-                self._inserted = (old, at, right, new)
-                self.start = self.start + np.searchsorted(right, self.start, side="right")
-                self._layout = None
-            else:  # np.interp finds the intervals itself
-                self._inserted = ()
-                self.start = np.array([0, size])
+            v = np.empty((v.shape[0], size))
+            v[:, old] = self.vals
+            v[:, at] = mid
         self.vals = np.maximum(v, 0.0, out=v)
 
-    def regrid(self, arr: np.ndarray, before: np.ndarray) -> np.ndarray:
-        """`arr`, an array on the grid `before` the last `relu`, on the grid
-        after it, its new nodes interpolated like the rows'.  With one
-        segment, call it only while that grid is still the current one (the
-        prune dropped nothing)."""
-        if self._inserted is None:
-            return arr
-        if not self._inserted:
-            return np.interp(self.grid, before, arr)  # the same arithmetic, in one pass
-        return _insert(arr[None], before, *self._inserted)[0]
-
-    def prune(self) -> np.ndarray | None:
-        """Drop nodes where no row kinks by more than SLOPE_TOL (relative).
-
-        Returns None when no node was dropped, else per segment whether some
-        node was.  With several segments, `kept` then indexes the surviving
-        nodes of the grid before the prune."""
-        g, v, start = self.grid, self.vals, self.start
-        kept = None
+    def prune(self) -> bool:
+        """Drop nodes where no row kinks by more than SLOPE_TOL (relative);
+        True when some node was dropped."""
+        g, v = self.grid, self.vals
+        dropped = False
         while g.size > 2:
             slopes = v[:, 1:] - v[:, :-1]
             slopes /= g[1:] - g[:-1]
@@ -326,197 +235,105 @@ class _SharedGrid:
             np.maximum(tol, 1.0, out=tol)
             tol *= SLOPE_TOL
             kink = (gap > tol).any(axis=0)
-            if self.several:  # segment ends stay
-                kink[start[1:-1] - 2] = kink[start[1:-1] - 1] = True
             if kink.all():
                 break
             keep = np.concatenate(([True], kink, [True]))
             g, v = g[keep], v[:, keep]
-            if self.several:
-                kept = np.flatnonzero(keep) if kept is None else kept[keep]
-                start = np.searchsorted(kept, self.start)
-            else:
-                start = np.array([0, g.size])
-        if g is self.grid:
-            return None
-        self.kept = kept
-        dropped = start[1:] - start[:-1] < self.start[1:] - self.start[:-1]
-        self.grid, self.vals, self.start, self._layout = g, v, start, None
+            dropped = True
+        self.grid, self.vals = g, v
         return dropped
 
 
-def _sum_parts(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sum CPwL parts in a pairwise tree, one vectorized pass per level.
-
-    `parts` holds (nodes, values, sizes) blocks of parts laid back to back,
-    each part running from 0 to 1.  Each level adds part 2i to part 2i+1 on
-    the union of their grids and passes an odd last part on; a node's value
-    is np.interp's arithmetic (exact at a node, else slope * (x - left) +
-    left value), so every pair sums as union1d, interp and add would.
-    """
-    grid, vals, size = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    while size.size > 1:
-        pairs = size.size // 2
-        cut = int(size[:2 * pairs].sum())
-        part = np.repeat(np.arange(2 * pairs), size[:2 * pairs])
-        order = np.lexsort((grid[:cut], part >> 1))  # stable: part 2i first on ties
-        at, part = grid[order], part[order]
-        pair = part >> 1
-        # a union node is the last of its run of equal (pair, x): by then the
-        # nodes of both parts at or left of it have been passed
-        last = np.ones(cut, dtype=bool)
-        np.not_equal(at[1:], at[:-1], out=last[:-1])
-        last[:-1] |= pair[1:] != pair[:-1]
-        union = at[last]
-        odd = (part & 1).astype(bool)
-        total = 0.0
-        for side in (~odd, odd):
-            # the side's last node at or left of each union node
-            j = np.maximum.accumulate(np.where(side, order, -1))[last]
-            # a part's last node is exact; its right neighbour (the next
-            # part's first node, wrapping at the end) only keeps `inner` finite
-            xj, vj = grid[j], vals[j]
-            xr, vr = np.take(grid, j + 1, mode="wrap"), np.take(vals, j + 1, mode="wrap")
-            inner = (vr - vj) / (xr - xj) * (union - xj) + vj
-            total = total + np.where(union == xj, vj, inner)
-        grid = np.concatenate([union, grid[cut:]])
-        vals = np.concatenate([total, vals[cut:]])
-        size = np.concatenate([np.bincount(pair[last], minlength=pairs), size[2 * pairs:]])
-    return grid, vals
+def _sum_parts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum (grid, values) CPwL parts pairwise, O(N log parts)."""
+    while len(parts) > 1:
+        merged = []
+        for (ga, va), (gb, vb) in zip(parts[::2], parts[1::2]):
+            grid = np.union1d(ga, gb)
+            merged.append((grid, np.interp(grid, ga, va) + np.interp(grid, gb, vb)))
+        if len(parts) % 2:
+            merged.append(parts[-1])
+        parts = merged
+    return parts[0]
 
 
 def reset_layers(net: ReluNetwork) -> np.ndarray:
     """Layers that restart the computational channels from x alone: layer 0
     and, in a special network, every hidden layer l whose computational block
-    hidden_weights[l-1, 1:-1, 1:-1] is zero.  The network splits at them into
-    segments that extract independently; a plain network is one segment."""
+    hidden_weights[l-1, 1:-1, 1:-1] is zero.  The network is the sum of the
+    segments between them; a plain network is one segment."""
     if not net.special:
         return np.zeros(1, dtype=int)
     reset = ~net.hidden_weights[:, 1:-1, 1:-1].any(axis=(1, 2))
     return np.concatenate(([0], 1 + np.flatnonzero(reset)))
 
 
-class _Layers:
-    """Per state l = 0..L-1 of a network: the x-column `col[l]` and bias
-    `col_b[l]` that start it (layer l's source column; the input column at
-    l = 0), and the row `read[l]` and bias `read_b[l]` that read it (layer
-    l+1's collation row; the output row at l = L-1)."""
+def _depth_one(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and values of a special network whose every layer is a reset.
 
-    def __init__(self, net: ReluNetwork):
-        self.net = net
-        self.col = np.concatenate([net.in_weights[None], net.hidden_weights[:, :, 0]])
-        self.col_b = np.concatenate([net.in_bias[None], net.hidden_bias])
-        self.read = np.concatenate([net.hidden_weights[:, -1], net.out_weights[None]])
-        self.read_b = np.append(net.hidden_bias[:, -1], net.out_bias)
-
-    def depth_one(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and values of the sum of the depth-1 segments at `starts`.
-
-        Together they are alpha x + beta + sum_i c_i relu(a_i x + b_i), read
-        straight from the weights: a, b from each segment's first layer, c,
-        alpha and beta from the row that reads it.  The kinks -b_i/a_i inside
-        (0, 1) are sorted once; the slope changes c_i |a_i| are prefix-summed
-        into slopes and the slopes integrated into values from x = 0.
-        """
-        comp = slice(1, -1)
-        a = self.col[starts, comp].ravel()
-        b = self.col_b[starts, comp].ravel()
-        c = self.read[starts, comp].ravel()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -b / a
-        live = np.where(a > 0.0, t <= 0.0, t > 0.0)  # active just right of 0
-        value = np.concatenate([self.read_b[starts], c * np.maximum(b, 0.0)]).sum()
-        slope = np.concatenate([self.read[starts, 0], (c * a)[live]]).sum()
-        inside = (t > 0.0) & (t < 1.0) & (c != 0.0)
-        order = np.argsort(t[inside])
-        kinks, change = t[inside][order], (c * np.abs(a))[inside][order]
-        first = np.flatnonzero(np.diff(kinks, prepend=-1.0))
-        x = np.concatenate(([0.0], kinks[first], [1.0]))
-        slopes = np.cumsum(np.concatenate(([slope], np.add.reduceat(change, first))))
-        return x, np.cumsum(np.concatenate(([value], slopes * np.diff(x))))
-
-    def run(self, starts: np.ndarray, depth: int, node_budget: int, parts: list) -> None:
-        """Extract the equal-depth segments at `starts` as one `_SharedGrid`,
-        appending (nodes, values, sizes) parts to `parts`.
-
-        The collation rail is summed on each segment's grid while it only
-        grows; when the prune drops nodes of a segment, its partial sum is
-        set aside as a part.
-        """
-        net = self.net
-        held = sum(p[0].size for p in parts)
-        step = _SharedGrid(self.col[starts], self.col_b[starts], net.special, node_budget, held)
-        states = starts[:, None] + np.arange(depth)
-        weights, bias = net.hidden_weights[states[:, :-1]], net.hidden_bias[states[:, :-1]]
-        read, read_b = self.read[states], self.read_b[states]
-        # a collation row that only keeps the rail's sum adds nothing
-        adds = net.special & ((read[..., :-1] != 0.0).any(axis=-1) | (read_b != 0.0)).any(axis=0)
-        rail = None  # the rail's partial sum on the grid, None while it is zero
-        for k in range(depth - 1):
-            if adds[k]:
-                add = step.readout(read[:, k], read_b[:, k])
-                rail = add if rail is None else rail + add
-            step.affine(weights[:, k], bias[:, k])
-            grid, start = step.grid, step.start
-            step.relu()
-            dropped = step.prune()
-            if dropped is None:
-                if rail is not None:
-                    rail = step.regrid(rail, grid)
-                continue
-            if not net.special:
-                continue
-            sizes = start[1:] - start[:-1]
-            aside = np.zeros(grid.size) if rail is None else rail
-            if dropped.all():
-                parts.append((grid, aside, sizes))
-                step.held += grid.size
-                rail = None
-            else:
-                mine = np.repeat(dropped, sizes)
-                parts.append((grid[mine], aside[mine], sizes[dropped]))
-                step.held += int(mine.sum())
-                if rail is not None:
-                    rail = step.regrid(rail, grid)[step.kept]
-                    rail[np.repeat(dropped, step.start[1:] - step.start[:-1])] = 0.0
-        out = step.readout(read[:, -1], read_b[:, -1])
-        if rail is not None:
-            out += rail
-        parts.append((step.grid, out, step.start[1:] - step.start[:-1]))
+    Layer l's units relu(a x + b) are read only by the row after it (layer
+    l+1's collation row, the output row after the last layer), so the network
+    is alpha x + beta + sum_i c_i relu(a_i x + b_i), read straight from the
+    weights.  The kinks -b_i/a_i inside (0, 1) are sorted once; the slope
+    changes c_i |a_i| are prefix-summed into slopes and the slopes integrated
+    into values from x = 0.
+    """
+    comp = slice(1, -1)
+    a = np.concatenate([net.in_weights[None, comp], net.hidden_weights[:, comp, 0]]).ravel()
+    b = np.concatenate([net.in_bias[None, comp], net.hidden_bias[:, comp]]).ravel()
+    read = np.concatenate([net.hidden_weights[:, -1], net.out_weights[None]])
+    c = read[:, comp].ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -b / a
+    live = np.where(a > 0.0, t <= 0.0, t > 0.0)  # active just right of 0
+    value = np.concatenate([net.hidden_bias[:, -1], [net.out_bias], c * np.maximum(b, 0.0)]).sum()
+    slope = np.concatenate([read[:, 0], (c * a)[live]]).sum()
+    inside = (t > 0.0) & (t < 1.0) & (c != 0.0)
+    order = np.argsort(t[inside])
+    kinks, change = t[inside][order], (c * np.abs(a))[inside][order]
+    first = np.flatnonzero(np.diff(kinks, prepend=-1.0))
+    x = np.concatenate(([0.0], kinks[first], [1.0]))
+    slopes = np.cumsum(np.concatenate(([slope], np.add.reduceat(change, first))))
+    return x, np.cumsum(np.concatenate(([value], slopes * np.diff(x))))
 
 
 def extract_cpwl(net: ReluNetwork, node_budget: int = cpwl.DEFAULT_NODE_BUDGET) -> cpwl.CPwL:
     """Exact symbolic function computed by the network on [0, 1].
 
-    A special network splits at its reset layers (see `reset_layers`) into
-    segments that each read x afresh, and is the sum of their outputs.  It is
-    split when that pays: when it has depth-1 segments, which are summed in
-    closed form (`_Layers.depth_one`), or at least _BATCH segments of one
-    depth, which step as one batch.  Every deeper segment, and the whole of a
-    network that is not split, steps one layer at a time on its own grid (see
-    `_SharedGrid`): a matmul, a ReLU that inserts zero crossings, and a joint
-    prune.  All parts are summed pointwise at the end (`_sum_parts`).
+    A special network whose every layer is a reset (see `reset_layers`) is
+    summed in closed form (`_depth_one`).  Any other network steps one hidden
+    layer at a time on a shared grid (see `_SharedGrid`): a matmul, a ReLU
+    that inserts zero crossings, and a joint prune.  The collation rail of a
+    special network is summed on the grid while the grid only grows; when the
+    prune drops nodes the partial sum is set aside, and all set-aside parts
+    are summed pairwise once at the end.
 
-    `node_budget` bounds the nodes held at any time: the grids in flight plus
-    every part set aside, the closed form's included.  Past it,
+    `node_budget` bounds the distinct nodes held at any time: the shared grid
+    plus the set-aside collation nodes, or the closed form's nodes.  Past it,
     ResourceError is raised.
     """
-    layers = _Layers(net)
-    starts = reset_layers(net)
-    depths = np.append(starts[1:], net.depth) - starts
+    if net.special and reset_layers(net).size == net.depth:
+        x, v = _depth_one(net)
+        if x.size > node_budget:
+            raise ResourceError(f"extraction grew past {node_budget} nodes")
+        return cpwl.CPwL(x, v)
+    step = _SharedGrid(net, node_budget)
     parts = []
-    if starts.size == 1 or not ((depths == 1).any() or np.bincount(depths).max() >= _BATCH):
-        layers.run(starts[:1], net.depth, node_budget, parts)
-    else:
-        if (depths == 1).any():
-            x, v = layers.depth_one(starts[depths == 1])
-            if x.size > node_budget:
-                raise ResourceError(f"extraction grew past {node_budget} nodes")
-            parts.append((x, v, np.array([x.size])))
-        for depth in sorted(set(depths[depths > 1].tolist())):
-            group = starts[depths == depth]
-            for batch in [group] if group.size >= _BATCH else group[:, None]:
-                layers.run(batch, depth, node_budget, parts)
+    rail_grid, rail = step.grid, np.zeros(step.grid.size)
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
+        if step.special:
+            if rail_grid is not step.grid:
+                rail_grid, rail = step.grid, np.interp(step.grid, rail_grid, rail)
+            rail += step.readout(weights[-1], bias[-1])
+        step.affine(weights, bias)
+        step.relu()
+        if step.prune() and step.special:
+            parts.append((rail_grid, rail))
+            step.held += rail.size
+            rail_grid, rail = step.grid, np.zeros(step.grid.size)
+    out = step.readout(net.out_weights, net.out_bias)
+    out += np.interp(step.grid, rail_grid, rail)
+    parts.append((step.grid, out))
     return cpwl.CPwL(*_sum_parts(parts))
 
 
@@ -524,11 +341,11 @@ def collation_courses(net: SpecialNetwork) -> list[cpwl.CPwL]:
     """Pre-ReLU collation-channel functions after each hidden layer 1..L-1."""
     if not isinstance(net, SpecialNetwork):
         raise StructureError("expected a special network")
-    step = _SharedGrid(net.in_weights[None], net.in_bias[None], True, cpwl.DEFAULT_NODE_BUDGET)
+    step = _SharedGrid(net, cpwl.DEFAULT_NODE_BUDGET)
     course = cpwl.line(0.0, 0.0)
     courses = []
-    for weights, bias in zip(net.hidden_weights[:, None], net.hidden_bias[:, None]):
-        inc = step.readout(weights[:, -1], bias[:, -1])
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
+        inc = step.readout(weights[-1], bias[-1])
         grid = np.union1d(course.breakpoints, step.grid)
         vals = np.interp(grid, course.breakpoints, course.values)
         vals += np.interp(grid, step.grid, inc)

@@ -45,20 +45,6 @@ def reference_extract(net, node_budget=cpwl.DEFAULT_NODE_BUDGET):
     return _reference_affine(states, net.out_weights[None, :], [net.out_bias])[0]
 
 
-def reference_sum_parts(parts):
-    """Pairwise sum of (grid, values) CPwL parts, one pair at a time, kept as
-    a test-only reference for the vectorized merge."""
-    while len(parts) > 1:
-        merged = []
-        for (ga, va), (gb, vb) in zip(parts[::2], parts[1::2]):
-            grid = np.union1d(ga, gb)
-            merged.append((grid, np.interp(grid, ga, va) + np.interp(grid, gb, vb)))
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0]
-
-
 def reference_courses(net):
     """Per-channel pre-ReLU collation courses after hidden layers 1..L-1."""
     mask = _reference_mask(net)

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    gentle_unit_spline,
-    plain_net,
-    random_spline,
-    reference_courses,
-    reference_extract,
-    reference_sum_parts,
-)
+from conftest import plain_net, random_spline, reference_courses, reference_extract
 from spline2relu import cpwl
 from spline2relu.combinators import (
     compose_nets,
@@ -31,7 +24,6 @@ from spline2relu.compiler import (
 from spline2relu.errors import ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
-    _sum_parts,
     collation_courses,
     extract_cpwl,
     hat_net,
@@ -198,21 +190,19 @@ def test_depth_one_kinks_at_the_ends_match_reference():
     _assert_close(extract_cpwl(net), reference_extract(net))
 
 
-def test_batched_segments_with_inner_readouts_match_reference():
-    # eight equal-depth segments that each fold partial sums into the rail
-    # and prune at different layers, so one batch sets aside only some rails
-    rng = np.random.default_rng(119)
-    nets = [iterate_sum(plain_net(gentle_unit_spline(rng), 4), rng.uniform(-1.0, 1.0, 3))
-            for _ in range(8)]
-    net = concat_sum(*nets)
-    assert np.array_equal(np.diff(reset_layers(net)), [nets[0].depth] * 7)
-    _assert_close(extract_cpwl(net), reference_extract(net))
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), kinds=st.lists(st.integers(0, 3), min_size=1, max_size=5))
 def test_concatenations_match_reference(seed, kinds):
     net = _mixed(np.random.default_rng(seed), kinds)
+    _assert_close(extract_cpwl(net), reference_extract(net))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), kinds=st.lists(st.integers(1, 2), min_size=1, max_size=5))
+def test_all_reset_concatenations_match_reference(seed, kinds):
+    # every layer a reset: the closed form
+    net = _mixed(np.random.default_rng(seed), kinds)
+    assert reset_layers(net).size == net.depth
     _assert_close(extract_cpwl(net), reference_extract(net))
 
 
@@ -258,18 +248,3 @@ def test_fourier_canary_within_kappa_u():
     target = fourier_oracle(terms)
     assert _kappa_u(target) == pytest.approx(5.30e-11, rel=1e-3)
     assert cpwl.sup_diff(extract_cpwl(net), target) <= _kappa_u(target)
-
-
-def test_sum_parts_matches_pairwise_loop():
-    # the same arithmetic as union1d + interp pair by pair, so equal to the bit
-    rng = np.random.default_rng(118)
-    shared = np.sort(rng.uniform(0.0, 1.0, 8))
-    for count in range(1, 10):
-        parts = []
-        for _ in range(count):
-            grid = np.union1d(np.r_[0.0, rng.uniform(0.0, 1.0, rng.integers(0, 12)), 1.0],
-                              shared[:rng.integers(0, 9)])
-            parts.append((grid, rng.standard_normal(grid.size) * 10.0 ** rng.uniform(-3, 3)))
-        want = reference_sum_parts(parts)
-        got = _sum_parts([(g, v, np.array([g.size])) for g, v in parts])
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
