@@ -16,7 +16,6 @@ import numpy as np
 from . import cpwl
 from .combinators import (
     compose_nets,
-    concat_sum,
     embed_deeper,
     pad_width,
     parallel_sum,
@@ -92,122 +91,100 @@ def spline_budget(width: int, n: int) -> int:
     raise DomainError("width must be at least 4")
 
 
-def partition_indices(coeffs: Sequence[float], q: int, width: int) -> list[list[int]]:
-    """Deterministic split of hat-expansion indices into width-2 classes.
+def _hat_classes(coeffs: np.ndarray, q: int) -> np.ndarray:
+    """Class of every hat-expansion index k along the last axis of `coeffs`.
 
-    Index k (0-based) belongs to the hat with peak position t = ceil((k+1)/q)
-    and reach i = t*q - k; classes fix (sign, t mod 3, i), so members share a
-    sign, sit at least three peaks apart, and there are 6q <= width-2 classes.
-    Zero coefficients are left out.  Returned list always has width-2 entries.
+    Index k (0-based) belongs to the hat with peak position t = k // q + 1 and
+    reach i = t*q - k; the class fixes (sign, t mod 3, i), so members share a
+    sign and sit at least three peaks apart, and there are 6q classes.
     """
+    k = np.arange(coeffs.shape[-1])
+    t = k // q + 1
+    return np.where(coeffs > 0, 0, 3 * q) + (t % 3) * q + (t * q - k - 1)
+
+
+def partition_indices(coeffs: Sequence[float], q: int, width: int) -> list[list[int]]:
+    """Deterministic split of hat-expansion indices into width-2 classes (see
+    `_hat_classes`; 6q <= width-2 of them can be nonempty).  Zero coefficients
+    are left out.  Returned list always has width-2 entries."""
     if q < 1 or width < 4 or 6 * q > width - 2:
         raise DomainError("need 1 <= q and 6q <= width - 2")
+    coeffs = np.asarray(coeffs, dtype=float)
+    cls = _hat_classes(coeffs, q)
     classes: list[list[int]] = [[] for _ in range(width - 2)]
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        t = (k // q) + 1
-        i = t * q - k
-        cls = (0 if c > 0 else 3 * q) + (t % 3) * q + (i - 1)
-        classes[cls].append(k)
+    for k in np.flatnonzero(coeffs):
+        classes[cls[k]].append(int(k))
     return classes
 
 
-def _hat_coefficients(y: np.ndarray, s: np.ndarray, q: int, peaks: int) -> np.ndarray:
-    """Solve for hat-basis coefficients on one block by forward substitution.
+def _hat_coefficients(y: np.ndarray, s: np.ndarray, q: int) -> np.ndarray:
+    """Hat-basis coefficients of every block by one forward substitution.
 
-    y are the block nodes (bounding nodes included), s the target values with
-    s[0] = s[-1] = 0.  Hat (t, i) has feet y[t*q - i], y[t*q + 1] and peak 1 at
-    y[t*q]; equations at the q nodes owned by each peak are triangular.
+    y (blocks, q*peaks + 2) are the block nodes, bounding nodes included, s
+    the target values with s[:, 0] = s[:, -1] = 0.  Hat (t, i) has feet
+    y[t*q - i], y[t*q + 1] and peak 1 at p = t*q, so it vanishes at the nodes
+    of every other peak: nodes p-q+1 .. p-1 fix the reaches i = q .. 2 in
+    turn and the peak fixes i = 1.  Returns (blocks, peaks, q) with the
+    coefficient of hat (t, i), index k = t*q - i, at [:, t-1, q-i].
     """
-    coeff = np.zeros(peaks * q)
-    for t in range(1, peaks + 1):
-        p = t * q
-        solved: dict[int, float] = {}
-        for u in range(p - q + 1, p + 1):
-            if u == p:
-                residual = s[p] - sum(solved.values())
-                solved[p - u + 1] = residual  # i = 1, hat value 1 at the peak
-            else:
-                i_new = p - u + 1
-                acc = 0.0
-                for i, c in solved.items():
-                    acc += c * (y[u] - y[p - i]) / (y[p] - y[p - i])
-                w = (y[u] - y[p - i_new]) / (y[p] - y[p - i_new])
-                solved[i_new] = (s[u] - acc) / w
-        for i, c in solved.items():
-            coeff[p - i] = c  # phi index k = t*q - i (0-based)
+    peaks = (y.shape[1] - 2) // q
+    p = q * np.arange(1, peaks + 1)
+    yp = y[:, p]
+    coeff = np.empty((y.shape[0], peaks, q))
+    for r in range(1, q):  # node p - q + r fixes reach q - r + 1, column r - 1
+        u = y[:, p - q + r]
+        acc = np.zeros(yp.shape)
+        for j in range(r - 1):
+            foot = y[:, p - q + j]
+            acc += coeff[..., j] * (u - foot) / (yp - foot)
+        foot = y[:, p - q + r - 1]
+        coeff[..., r - 1] = (s[:, p - q + r] - acc) / ((u - foot) / (yp - foot))
+    solved = np.zeros(yp.shape)
+    for j in range(q - 1):
+        solved += coeff[..., j]
+    coeff[..., q - 1] = s[:, p] - solved  # hat value 1 at the peak
     return coeff
 
 
-def _class_profile(cls: list[int], coeff: np.ndarray, y: np.ndarray, q: int,
-                   peaks: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodal profile of the pre-ReLU function for one index class.
+def _class_profiles(coeff: np.ndarray, y: np.ndarray, xs: np.ndarray, q: int) -> np.ndarray:
+    """Values (blocks, 6q, peaks+2) at xs (0, the peaks, 1) of every class's
+    pre-ReLU profile, whose positive part is exactly the class's hats.
 
-    Returns (xs, vs, sign): a piecewise-linear profile on the peak positions
-    (plus the endpoints 0 and 1) whose positive part is exactly the class's
-    hat combination.  Values at peaks neighbouring a used hat are chosen so
-    the profile crosses zero at the hat's feet; everything else interpolates
-    between (or extends) those anchors, staying nonpositive.
+    Each used hat (t, i) of magnitude m anchors its class to m at t and to the
+    lines through its feet at t-1 and t+1; members sit three peaks apart, so
+    no anchors collide.  Other nodes interpolate between anchors, or extend
+    the first or last one, with np.interp's arithmetic; an empty class reads
+    the zeros it started from.
     """
-    xs = np.concatenate(([0.0], y[q:peaks * q + 1:q], [1.0]))
-    sign = 1.0 if coeff[cls[0]] > 0 else -1.0
-    det: dict[int, float] = {}
-    edge0 = None
-    edge1 = None
-    for k in cls:
-        t = (k // q) + 1
-        i = t * q - k
-        mag = abs(coeff[k])
-        p = t * q
-        foot_l, peak, foot_r = y[p - i], y[p], y[p + 1]
-        det[t] = mag
-        left = lambda x: mag * (x - foot_l) / (peak - foot_l)
-        right = lambda x: mag * (x - foot_r) / (peak - foot_r)
-        if t - 1 >= 1:
-            det[t - 1] = left(y[p - q])
-        else:
-            edge0 = left(0.0)
-        if t + 1 <= peaks:
-            det[t + 1] = right(y[p + q])
-        else:
-            edge1 = right(1.0)
-    order = sorted(det)
-    vs = np.empty(xs.size)
-    anchor_x = [xs[t] for t in order]
-    anchor_v = [det[t] for t in order]
-    vs[1:-1] = np.interp(xs[1:-1], anchor_x, anchor_v)
-    vs[0] = edge0 if edge0 is not None else anchor_v[0]
-    vs[-1] = edge1 if edge1 is not None else anchor_v[-1]
-    return xs, vs, sign
+    blocks, peaks = coeff.shape[:2]
+    pk = q * np.arange(1, peaks + 1)[:, None]
+    foot_l = y[:, pk - q + np.arange(q)]
+    foot_r = y[:, pk[:, 0] + 1, None]
+    peak = y[:, pk]
+    mag = np.abs(coeff)
+    cls = _hat_classes(coeff.reshape(blocks, -1), q).reshape(coeff.shape)
+    hat = np.nonzero(coeff)
+    b, t, _ = hat  # t is the 0-based peak: the peak sits at xs[:, t + 1]
+    c = cls[hat]
+    vals = np.zeros((blocks, 6 * q, peaks + 2))
+    anchored = np.zeros(vals.shape, dtype=bool)
+    vals[b, c, t] = (mag * (xs[:, :-2, None] - foot_l) / (peak - foot_l))[hat]
+    vals[b, c, t + 1] = mag[hat]
+    vals[b, c, t + 2] = (mag * (xs[:, 2:, None] - foot_r) / (peak - foot_r))[hat]
+    anchored[b, c, t] = anchored[b, c, t + 1] = anchored[b, c, t + 2] = True
 
-
-def _block_special(y: np.ndarray, s: np.ndarray, width: int, q: int) -> SpecialNetwork:
-    """Depth-2 special network for one residual block (W >= 8 construction)."""
-    peaks = width - 2
-    coeff = _hat_coefficients(y, s, q, peaks)
-    classes = partition_indices(coeff, q, width)
-    xi = y[q:peaks * q + 1:q]
-
-    first = np.zeros(width)
-    first[:-1] = 1.0
-    fb = np.zeros(width)
-    fb[1:-1] = -xi
-
-    mid = rail_layer(width)
-    mb = np.zeros(width)
-    out = np.zeros(width)
-    out[-1] = 1.0
-    for row, cls in enumerate(classes, start=1):
-        if not cls:
-            continue
-        xs, vs, sign = _class_profile(cls, coeff, y, q, peaks)
-        slopes = np.diff(vs) / np.diff(xs)
-        mid[row, 0] = slopes[0]
-        mid[row, 1:-1] = np.diff(slopes)
-        mb[row] = vs[0]
-        out[row] = sign
-    return SpecialNetwork(first, fb, mid[None], mb[None], out, 0.0)
+    pos = np.arange(peaks + 2)
+    lo = np.maximum.accumulate(np.where(anchored, pos, -1), axis=-1)
+    hi = np.minimum.accumulate(np.where(anchored, pos, peaks + 2)[..., ::-1], axis=-1)[..., ::-1]
+    ends = np.where(lo < 0, hi, lo).clip(0, peaks + 1)
+    profile = np.take_along_axis(vals, ends, axis=-1)
+    gap = ~anchored & (lo >= 0) & (hi <= peaks + 1)
+    b, c, x = np.nonzero(gap)
+    lo, hi = lo[gap], hi[gap]
+    x_lo, v_lo = xs[b, lo], vals[b, c, lo]
+    slope = (vals[b, c, hi] - v_lo) / (xs[b, hi] - x_lo)
+    profile[gap] = slope * (xs[b, x] - x_lo) + v_lo
+    return profile
 
 
 def _pad_knots(knots: np.ndarray, total: int) -> np.ndarray:
@@ -231,7 +208,13 @@ def _pad_knots(knots: np.ndarray, total: int) -> np.ndarray:
 
 
 def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
-    """Width >= 8 pipeline: subtract the endpoint line, slice, build hat blocks."""
+    """Width >= 8 pipeline: subtract the endpoint line, cut the knots into
+    blocks of q*(W-2) and build every block's hat sum at once.
+
+    Layer 2j is block j: row r is class r-1's profile, read from x and the
+    relu(x - xi_t).  Layer 2j+1 is a seam: it seeds block j+1's relu(x - xi_t)
+    from the source rail while the collation rail adds block j's signed rows.
+    """
     q = (width - 2) // 6
     slope = float(target.values[-1] - target.values[0])
     offset = float(target.values[0])
@@ -241,19 +224,36 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     blocks = max(1, math.ceil(n / size))
     knots = np.sort(_pad_knots(residual.breakpoints[1:-1], blocks * size))
     full = np.concatenate(([0.0], knots, [1.0]))
-    vals = residual.eval(full)
-    nets = []
-    for j in range(blocks):
-        y = full[j * size:(j + 1) * size + 2]
-        s = vals[j * size:(j + 1) * size + 2].copy()
-        s[0] = 0.0
-        s[-1] = 0.0
-        nets.append(_block_special(y, s, width, q))
-    net = concat_sum(*nets)
-    out = net.out_weights.copy()
+    index = size * np.arange(blocks)[:, None] + np.arange(size + 2)
+    y = full[index]
+    s = residual.eval(full)[index]
+    s[:, 0] = s[:, -1] = 0.0
+    xi = y[:, q:-1:q]
+    xs = np.pad(xi, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
+
+    coeff = _hat_coefficients(y, s, q)
+    profile = _class_profiles(coeff, y, xs, q)
+    slopes = np.diff(profile) / np.diff(xs)[:, None]
+    signs = np.where(profile.any(axis=-1), np.repeat([1.0, -1.0], 3 * q), 0.0)
+
+    rows = slice(1, 6 * q + 1)
+    hidden = np.tile(rail_layer(width), (2 * blocks - 1, 1, 1))
+    bias = np.zeros((2 * blocks - 1, width))
+    hidden[::2, rows, 0] = slopes[..., 0]
+    hidden[::2, rows, 1:-1] = np.diff(slopes)
+    bias[::2, rows] = profile[..., 0]
+    hidden[1::2, 1:-1, 0] = 1.0
+    hidden[1::2, -1, rows] = signs[:-1]
+    bias[1::2, 1:-1] = -xi[1:]
+    first = np.ones(width)
+    first[-1] = 0.0
+    first_bias = np.zeros(width)
+    first_bias[1:-1] = -xi[0]
+    out = np.zeros(width)
     out[0] += slope
-    return SpecialNetwork(net.in_weights, net.in_bias, net.hidden_weights, net.hidden_bias,
-                          out, net.out_bias + offset)
+    out[rows] = signs[-1]
+    out[-1] = 1.0
+    return SpecialNetwork(first, first_bias, hidden, bias, out, 0.0 + offset)  # never -0.0
 
 
 def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cpwl
 from .cpwl import CROSSING_SNAP, SLOPE_TOL
-from .errors import ParseError, ResourceError, StructureError
+from .errors import DomainError, ParseError, ResourceError, StructureError
 
 
 def param_count(width: int, depth: int) -> int:
@@ -82,20 +82,43 @@ class ReluNetwork:
         """Per-channel clamp: 0 on ReLU channels, -inf on ReLU-free rails."""
         return np.zeros(self.width)
 
-    def forward(self, x):
-        """Evaluate at scalar or 1-d array x."""
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
+    def _states(self, xa: np.ndarray):
+        """Hidden states after layers 0 .. L-1 at the points xa; two buffers
+        take turns, so each state is overwritten two steps later."""
         lb = self._lower_bound()[:, None]
         state = self.in_weights[:, None] @ xa[None, :]
         state += self.in_bias[:, None]
         np.maximum(state, lb, out=state)
+        yield state
         spare = np.empty_like(state)
         for weights, bias in zip(self.hidden_weights, self.hidden_bias):
             np.matmul(weights, state, out=spare)
             spare += bias[:, None]
             np.maximum(spare, lb, out=spare)
             state, spare = spare, state
-        out = self.out_weights @ state + self.out_bias
+            yield state
+
+    def _not_finite(self, xa: np.ndarray) -> DomainError:
+        """The error for a network whose value at some of xa is not finite: it
+        names the first layer (0 the input layer, L the output) whose state is
+        not finite there."""
+        if not np.isfinite(xa).all():
+            return DomainError("x must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            layer = next((k for k, state in enumerate(self._states(xa))
+                          if not np.isfinite(state).all()), self.depth)
+        return DomainError(f"network value is not finite: layer {layer} of {self.depth} "
+                           "overflows")
+
+    def forward(self, x):
+        """Evaluate at scalar or 1-d array x.  A value that is not finite (a
+        layer overflowed) raises DomainError naming that layer."""
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, state = self._states(xa)
+            out = self.out_weights @ state + self.out_bias
+        if not np.isfinite(out).all():
+            raise self._not_finite(xa)
         return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def __repr__(self) -> str:
@@ -310,13 +333,22 @@ def extract_cpwl(net: ReluNetwork, node_budget: int = cpwl.DEFAULT_NODE_BUDGET) 
 
     `node_budget` bounds the distinct nodes held at any time: the shared grid
     plus the set-aside collation nodes, or the closed form's nodes.  Past it,
-    ResourceError is raised.
+    ResourceError is raised.  Values that are not finite raise DomainError
+    naming the first layer that overflows (see `ReluNetwork.forward`).
     """
+    x, v = _extract(net, node_budget)
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise net._not_finite(x[np.isfinite(x)])
+    return cpwl.CPwL(x, v)
+
+
+def _extract(net: ReluNetwork, node_budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and values of `extract_cpwl`, before the finiteness check."""
     if net.special and reset_layers(net).size == net.depth:
         x, v = _depth_one(net)
         if x.size > node_budget:
             raise ResourceError(f"extraction grew past {node_budget} nodes")
-        return cpwl.CPwL(x, v)
+        return x, v
     step = _SharedGrid(net, node_budget)
     parts = []
     rail_grid, rail = step.grid, np.zeros(step.grid.size)
@@ -334,7 +366,7 @@ def extract_cpwl(net: ReluNetwork, node_budget: int = cpwl.DEFAULT_NODE_BUDGET) 
     out = step.readout(net.out_weights, net.out_bias)
     out += np.interp(step.grid, rail_grid, rail)
     parts.append((step.grid, out))
-    return cpwl.CPwL(*_sum_parts(parts))
+    return _sum_parts(parts)
 
 
 def collation_courses(net: SpecialNetwork) -> list[cpwl.CPwL]:

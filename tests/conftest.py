@@ -1,11 +1,20 @@
 """Shared random constructions used across the test modules."""
 
+import math
+
 import numpy as np
 
 from spline2relu import approx, cpwl
-from spline2relu.compiler import compile_spline
+from spline2relu.combinators import concat_sum
+from spline2relu.compiler import _pad_knots, block_size, compile_spline
 from spline2relu.errors import ResourceError
-from spline2relu.network import ReluNetwork, hat_net, special_to_standard
+from spline2relu.network import (
+    ReluNetwork,
+    SpecialNetwork,
+    hat_net,
+    rail_layer,
+    special_to_standard,
+)
 
 
 def _reference_mask(net):
@@ -90,16 +99,152 @@ def reference_eval_csv(net, grid_n):
     return "\n".join(rows) + "\n"
 
 
+def _reference_hat_coefficients(y, s, q, peaks):
+    """Per-block forward substitution: the equations at the q nodes owned by
+    each peak are triangular."""
+    coeff = np.zeros(peaks * q)
+    for t in range(1, peaks + 1):
+        p = t * q
+        solved = {}
+        for u in range(p - q + 1, p + 1):
+            if u == p:
+                residual = s[p] - sum(solved.values())
+                solved[p - u + 1] = residual  # i = 1, hat value 1 at the peak
+            else:
+                i_new = p - u + 1
+                acc = 0.0
+                for i, c in solved.items():
+                    acc += c * (y[u] - y[p - i]) / (y[p] - y[p - i])
+                w = (y[u] - y[p - i_new]) / (y[p] - y[p - i_new])
+                solved[i_new] = (s[u] - acc) / w
+        for i, c in solved.items():
+            coeff[p - i] = c  # phi index k = t*q - i (0-based)
+    return coeff
+
+
+def _reference_class_profile(cls, coeff, y, q, peaks):
+    """Nodal profile (xs, vs, sign) of one class's pre-ReLU function: anchors
+    at the used peaks and their neighbours, np.interp between them."""
+    xs = np.concatenate(([0.0], y[q:peaks * q + 1:q], [1.0]))
+    sign = 1.0 if coeff[cls[0]] > 0 else -1.0
+    det = {}
+    edge0 = None
+    edge1 = None
+    for k in cls:
+        t = (k // q) + 1
+        i = t * q - k
+        mag = abs(coeff[k])
+        p = t * q
+        foot_l, peak, foot_r = y[p - i], y[p], y[p + 1]
+        det[t] = mag
+        left = lambda x: mag * (x - foot_l) / (peak - foot_l)
+        right = lambda x: mag * (x - foot_r) / (peak - foot_r)
+        if t - 1 >= 1:
+            det[t - 1] = left(y[p - q])
+        else:
+            edge0 = left(0.0)
+        if t + 1 <= peaks:
+            det[t + 1] = right(y[p + q])
+        else:
+            edge1 = right(1.0)
+    order = sorted(det)
+    vs = np.empty(xs.size)
+    anchor_x = [xs[t] for t in order]
+    anchor_v = [det[t] for t in order]
+    vs[1:-1] = np.interp(xs[1:-1], anchor_x, anchor_v)
+    vs[0] = edge0 if edge0 is not None else anchor_v[0]
+    vs[-1] = edge1 if edge1 is not None else anchor_v[-1]
+    return xs, vs, sign
+
+
+def _reference_block_special(y, s, width, q):
+    """Depth-2 special network for one residual block."""
+    peaks = width - 2
+    coeff = _reference_hat_coefficients(y, s, q, peaks)
+    classes = [[] for _ in range(width - 2)]
+    for k, c in enumerate(coeff):
+        if c != 0.0:
+            t = (k // q) + 1
+            classes[(0 if c > 0 else 3 * q) + (t % 3) * q + (t * q - k - 1)].append(k)
+    xi = y[q:peaks * q + 1:q]
+    first = np.zeros(width)
+    first[:-1] = 1.0
+    fb = np.zeros(width)
+    fb[1:-1] = -xi
+    mid = rail_layer(width)
+    mb = np.zeros(width)
+    out = np.zeros(width)
+    out[-1] = 1.0
+    for row, cls in enumerate(classes, start=1):
+        if not cls:
+            continue
+        xs, vs, sign = _reference_class_profile(cls, coeff, y, q, peaks)
+        slopes = np.diff(vs) / np.diff(xs)
+        mid[row, 0] = slopes[0]
+        mid[row, 1:-1] = np.diff(slopes)
+        mb[row] = vs[0]
+        out[row] = sign
+    return SpecialNetwork(first, fb, mid[None], mb[None], out, 0.0)
+
+
+def reference_compile_wide(target, width):
+    """Block-at-a-time W >= 8 compile kept as a test-only reference: one hat
+    solve, one class profile per used class and one validated network per
+    block, joined by concat_sum."""
+    q = (width - 2) // 6
+    slope = float(target.values[-1] - target.values[0])
+    offset = float(target.values[0])
+    residual = cpwl.add(target, cpwl.line(slope, offset), 1.0, -1.0)
+    size = block_size(width)
+    n = residual.n_interior
+    blocks = max(1, math.ceil(n / size))
+    knots = np.sort(_pad_knots(residual.breakpoints[1:-1], blocks * size))
+    full = np.concatenate(([0.0], knots, [1.0]))
+    vals = residual.eval(full)
+    nets = []
+    for j in range(blocks):
+        y = full[j * size:(j + 1) * size + 2]
+        s = vals[j * size:(j + 1) * size + 2].copy()
+        s[0] = 0.0
+        s[-1] = 0.0
+        nets.append(_reference_block_special(y, s, width, q))
+    net = concat_sum(*nets)
+    out = net.out_weights.copy()
+    out[0] += slope
+    return SpecialNetwork(net.in_weights, net.in_bias, net.hidden_weights, net.hidden_bias,
+                          out, net.out_bias + offset)
+
+
+def same_weights(a, b):
+    """The six arrays of two networks hold the same numbers, signs of zeros
+    included."""
+    pairs = [(getattr(a, f), getattr(b, f)) for f in
+             ("in_weights", "in_bias", "hidden_weights", "hidden_bias", "out_weights", "out_bias")]
+    return all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+               for x, y in pairs)
+
+
+def overflowing_net():
+    """W=3 network of odd values whose forward pass overflows: in layer 1
+    (layer 0 is the input layer) for x in (0, 1], in layer 2 at x = 0."""
+    odd = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 7.0, -12.0, 0.0, 2.0 ** 60, -1e-300])
+    return ReluNetwork(odd[:3], odd[3:6], np.resize(odd, (2, 3, 3)),
+                       np.resize(odd[::-1], (2, 3)), odd[6:], -0.0)
+
+
 def text_io_networks(rng):
     """Networks whose files pin the writer's number format: the hat (W=2,
     depth 1), a converted plain network, compiled special networks at
     W = 4 (depth 250), 8 and 32, and one holding -0.0, 5e-324, 1e300, 1/3
-    and integers."""
+    and integers.  Its channels 1 and 2 are 0 on [0, 1] in every layer, so
+    its large weights meet only zeros and every value stays finite."""
     nets = [hat_net(), plain_net(random_spline(rng, 6), 5)]
     nets += [compile_spline(random_spline(rng, n), w)[0] for w, n in ((4, 500), (8, 40), (32, 90))]
-    odd = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 7.0, -12.0, 0.0, 2.0 ** 60, -1e-300])
-    nets.append(ReluNetwork(odd[:3], odd[3:6], np.resize(odd, (2, 3, 3)),
-                            np.resize(odd[::-1], (2, 3)), odd[6:], -0.0))
+    third, tiny, huge, big, neg_tiny = 1.0 / 3.0, 5e-324, 1e300, 2.0 ** 60, -1e-300
+    hidden = [[[7.0, huge, big], [neg_tiny, third, huge], [-12.0, tiny, -0.0]],
+              [[third, big, huge], [-12.0, 7.0, huge], [neg_tiny, tiny, big]]]
+    nets.append(ReluNetwork([third, 7.0, -12.0], [tiny, -12.0, -0.0], hidden,
+                            [[0.0, -12.0, neg_tiny], [tiny, -0.0, 0.0]], [big, huge, neg_tiny], -0.0))
     return nets
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_spline, reference_eval_csv, text_io_networks
+from conftest import overflowing_net, random_spline, reference_eval_csv, text_io_networks
 from spline2relu import approx, cli, cpwl
 from spline2relu.compiler import takagi_network
 from spline2relu.errors import Spline2ReluError
@@ -220,6 +220,18 @@ def test_eval_csv_matches_reference(tmp_path, capsys):
                 assert csv.read_text() == want
                 assert cli.main(["eval", str(npath), "--grid", str(grid)]) == 0
             assert capsys.readouterr().out == want
+
+
+def test_overflowing_network_fails_eval_and_verify(tmp_path, capsys):
+    """eval and verify exit 1 and name the layer that overflows."""
+    npath, spath = tmp_path / "odd.relu", tmp_path / "line.spline"
+    write_network(overflowing_net(), npath)
+    cpwl.write_spline(cpwl.line(0.0, 1.0), spath)
+    for argv in (["eval", str(npath)], ["verify", str(npath), str(spath)]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: network value is not finite: layer 1 of 3 overflows\n")
 
 
 def test_main_reuses_its_parser_without_leaking_state(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import compose_chain, random_spline
+from conftest import compose_chain, random_spline, reference_compile_wide, same_weights
 from spline2relu import cpwl
 from spline2relu.compiler import (
     CompileReport,
@@ -131,6 +131,45 @@ def test_compile_spline_knot_near_one():
             net, report = compile_spline(f, width)
             assert report.params <= spline_budget(width, f.n_interior)
             assert cpwl.sup_diff(extract_cpwl(net), f) <= tol
+
+
+def _sparse_target():
+    """200 knots, each a kink, off the endpoint line by 1 at every third knot
+    only: at q = 1 the hat coefficients are the residual values, so every
+    block leaves the negative classes empty."""
+    f = random_spline(np.random.default_rng(35), 200)
+    bump = np.arange(f.breakpoints.size) % 3 == 1
+    return cpwl.CPwL(f.breakpoints, 1.0 - 3.0 * f.breakpoints + bump)
+
+
+def _wide_corpus():
+    """Random splines, the benchmark's three adversarial kinds (the
+    reproducers of bench/README.md), a sparse target and knots near 1."""
+    rng = np.random.default_rng(34)
+    near = random_spline(rng, 50)
+    x = near.breakpoints.copy()
+    x[-2] = 1.0 - 1e-13
+    cluster = cpwl.CPwL(np.r_[0.0, 0.5 + 1e-9 * np.arange(39), 1.0],
+                        np.r_[0.0, np.tile([1.0, -1.0], 20)[:39], 0.0])
+    big = np.random.default_rng(3)
+    large = cpwl.CPwL(np.r_[0.0, np.sort(big.uniform(0.0, 1.0, 97)), 1.0],
+                      big.uniform(-1e4, 1e4, 99))
+    fixed = [cpwl.CPwL([0.0, 0.3, 1.0 - 1e-13, 1.0], [0.0, 1.0, 0.5, 0.0]),
+             cpwl.CPwL(x, near.values), cluster, large, _sparse_target()]
+    for width in (8, 9, 13, 14, 19, 20, 26, 31, 32, 38):
+        for n in (0, 1, 5, 20, 97, 400):
+            yield random_spline(rng, n), width
+        for f in fixed:
+            yield f, width
+
+
+def test_compile_wide_matches_block_reference():
+    for f, width in _wide_corpus():
+        net, _ = compile_spline(f, width)
+        assert same_weights(net, reference_compile_wide(f, width)), (width, f.n_interior)
+    net, _ = compile_spline(_sparse_target(), 8)
+    assert _sparse_target().n_interior == 200
+    assert (~net.hidden_weights[::2, 1:-1].any(axis=-1)).sum(axis=1).min() >= 3
 
 
 def test_narrow_depth_formula():

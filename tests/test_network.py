@@ -1,12 +1,20 @@
 """Network representation tests: parameter counts, rails, extraction, file IO."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import plain_net, random_spline, reference_write_network, text_io_networks
+from conftest import (
+    overflowing_net,
+    plain_net,
+    random_spline,
+    reference_write_network,
+    text_io_networks,
+)
 from spline2relu import cpwl
 from spline2relu.compiler import compile_shallow, compile_spline
-from spline2relu.errors import ParseError, ResourceError, StructureError
+from spline2relu.errors import DomainError, ParseError, ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
@@ -103,6 +111,31 @@ def test_forward_matches_masked_loop():
         std = special_to_standard(net)
         assert isinstance(std, ReluNetwork) and not std.special
         assert np.array_equal(std.forward(xs), masked(std))
+
+
+def test_overflow_is_an_error_naming_the_layer():
+    """A value that is not finite raises DomainError naming the first layer
+    (0 the input layer, L the output) that overflows; forward, whose
+    arrays are large, does so without numpy warnings."""
+    net = overflowing_net()
+    # the output row alone overflows at x = 1: 1.2e308 + 0.6e308
+    loud = ReluNetwork([1.0, 1.0], [0.0, -0.5], np.zeros((0, 2, 2)), np.zeros((0, 2)),
+                       [1.2e308, 1.2e308], 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, layer in ((lambda: net.forward(np.linspace(0.0, 1.0, 11)), "layer 1 of 3"),
+                            (lambda: net.forward(0.0), "layer 2 of 3"),
+                            (lambda: loud.forward([0.0, 1.0]), "layer 1 of 1")):
+            with pytest.raises(DomainError, match=f"not finite: {layer} overflows"):
+                call()
+        assert loud.forward(0.5) == 1.2e308 * 0.5
+        with pytest.raises(DomainError, match="x must be finite"):
+            hat_net().forward([0.5, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for bad, layer in ((net, "layer 1 of 3"), (loud, "layer 1 of 1")):
+            with pytest.raises(DomainError, match=f"not finite: {layer} overflows"):
+                extract_cpwl(bad)
 
 
 def test_compile_shallow_exact():

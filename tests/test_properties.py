@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import reference_extract
+from conftest import reference_compile_wide, reference_extract, same_weights
 from spline2relu import cpwl
 from spline2relu.compiler import compile_spline
 from spline2relu.network import extract_cpwl
@@ -38,6 +38,12 @@ def test_compile_extract_round_trip(f, width):
     got = extract_cpwl(net)
     assert cpwl.sup_diff(got, f) <= bound
     assert cpwl.sup_diff(got, reference_extract(net)) <= bound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=splines(1e3), width=st.integers(8, 38))
+def test_compile_wide_matches_block_reference(f, width):
+    assert same_weights(compile_spline(f, width)[0], reference_compile_wide(f, width))
 
 
 def _size(f):
