@@ -121,8 +121,8 @@ def _run_compile(args):
 def _run_verify(args):
     net = read_network(args.network)
     target = cpwl.read_spline(args.spline)
-    deviation = cpwl.sup_diff(extract_cpwl(net), target)
-    print(f"max deviation = {deviation:.17g}")
+    deviation, at = cpwl.deviation(extract_cpwl(net), target)
+    print(f"max deviation = {deviation:.17g}\nat x = {at:.17g}")
     return 0
 
 

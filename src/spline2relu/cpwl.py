@@ -21,9 +21,13 @@ CROSSING_SNAP = 1e-14
 # eval/compose tolerate this much float overshoot outside [0, 1]
 EDGE_TOL = 1e-12
 DEFAULT_NODE_BUDGET = 1 << 21
+SLOPE_OVERFLOW = "a slope overflows, so a kink cannot be told from a straight node"
 
 
 def _canonical_arrays(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop interior nodes whose adjacent slopes agree within SLOPE_TOL
+    (relative).  A node to drop next to an overflowing slope raises
+    DomainError: inf > inf is False, so the test cannot see its kink."""
     while x.size > 2:
         slopes = np.diff(v) / np.diff(x)
         gap = np.abs(np.diff(slopes))
@@ -31,6 +35,8 @@ def _canonical_arrays(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndar
         keep = gap > SLOPE_TOL * scale
         if keep.all():
             break
+        if not np.isfinite(scale[~keep]).all():
+            raise DomainError(SLOPE_OVERFLOW)
         mask = np.concatenate(([True], keep, [True]))
         x, v = x[mask], v[mask]
     return x, v
@@ -185,12 +191,20 @@ def restrict(f: CPwL, lo: float, hi: float) -> CPwL:
     return CPwL(newx, vals)
 
 
-def sup_diff(f: CPwL, g: CPwL) -> float:
-    """Exact sup |f - g| (attained on the merged node set)."""
+def deviation(f: CPwL, g: CPwL) -> tuple[float, float]:
+    """Exact sup |f - g| and the first node of the merged node set where it
+    is attained."""
     grid = np.union1d(f.breakpoints, g.breakpoints)
     fv = np.interp(grid, f.breakpoints, f.values)
     gv = np.interp(grid, g.breakpoints, g.values)
-    return float(np.abs(fv - gv).max())
+    gap = np.abs(fv - gv)
+    at = gap.argmax()
+    return float(gap[at]), float(grid[at])
+
+
+def sup_diff(f: CPwL, g: CPwL) -> float:
+    """Exact sup |f - g| (attained on the merged node set)."""
+    return deviation(f, g)[0]
 
 
 def hat_iterate(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> CPwL:

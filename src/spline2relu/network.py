@@ -245,7 +245,9 @@ class _SharedGrid:
 
     def prune(self) -> bool:
         """Drop nodes where no row kinks by more than SLOPE_TOL (relative);
-        True when some node was dropped."""
+        True when some node was dropped.  A node to drop next to a slope that
+        overflows raises DomainError, as in the CPwL canonical form; values
+        that are not finite are left to the caller's check."""
         g, v = self.grid, self.vals
         dropped = False
         while g.size > 2:
@@ -260,6 +262,8 @@ class _SharedGrid:
             kink = (gap > tol).any(axis=0)
             if kink.all():
                 break
+            if not np.isfinite(tol[:, ~kink]).all() and np.isfinite(v).all():
+                raise DomainError(cpwl.SLOPE_OVERFLOW)
             keep = np.concatenate(([True], kink, [True]))
             g, v = g[keep], v[:, keep]
             dropped = True
@@ -369,25 +373,43 @@ def _extract(net: ReluNetwork, node_budget: int) -> tuple[np.ndarray, np.ndarray
     return _sum_parts(parts)
 
 
-def collation_courses(net: SpecialNetwork) -> list[cpwl.CPwL]:
-    """Pre-ReLU collation-channel functions after each hidden layer 1..L-1."""
+def _courses(net: SpecialNetwork):
+    """Canonical (nodes, values) of the pre-ReLU collation course after each
+    hidden layer 1..L-1.
+
+    Layer l adds its collation row (the self weight aside) and bias, read on
+    the shared grid, to the course it was given: a union of the two grids, two
+    interpolations and the CPwL canonical form.  A layer whose row and bias are
+    zero writes nothing and yields the course unchanged, and the grid steps no
+    further than the last layer that writes.
+    """
     if not isinstance(net, SpecialNetwork):
         raise StructureError("expected a special network")
+    writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
+    last = np.flatnonzero(writes).max(initial=0)
     step = _SharedGrid(net, cpwl.DEFAULT_NODE_BUDGET)
-    course = cpwl.line(0.0, 0.0)
-    courses = []
-    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
-        inc = step.readout(weights[-1], bias[-1])
-        grid = np.union1d(course.breakpoints, step.grid)
-        vals = np.interp(grid, course.breakpoints, course.values)
-        vals += np.interp(grid, step.grid, inc)
-        course = cpwl.CPwL(grid, vals)
-        courses.append(course)
-        step.held = course.breakpoints.size
-        step.affine(weights, bias)
-        step.relu()
-        step.prune()
-    return courses
+    nodes, values = np.array([0.0, 1.0]), np.zeros(2)
+    for layer, (weights, bias) in enumerate(zip(net.hidden_weights, net.hidden_bias)):
+        if writes[layer]:
+            inc = step.readout(weights[-1], bias[-1])
+            grid = np.union1d(nodes, step.grid)
+            vals = np.interp(grid, nodes, values)
+            vals += np.interp(grid, step.grid, inc)
+            if not np.isfinite(vals).all():
+                raise DomainError(f"collation course is not finite: layer {layer + 1} of "
+                                  f"{net.depth} overflows")
+            nodes, values = cpwl._canonical_arrays(grid, vals)
+            step.held = nodes.size
+        yield nodes, values
+        if layer < last:
+            step.affine(weights, bias)
+            step.relu()
+            step.prune()
+
+
+def collation_courses(net: SpecialNetwork) -> list[cpwl.CPwL]:
+    """Pre-ReLU collation-channel functions after each hidden layer 1..L-1."""
+    return [cpwl.CPwL(nodes, values) for nodes, values in _courses(net)]
 
 
 def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
@@ -397,7 +419,7 @@ def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
     lifted by the exact constant C_l = max(0, -min of its course at layer l),
     computed by partial extraction, and the total lift is removed at the output.
     """
-    lifts = [max(0.0, -float(c.values.min())) for c in collation_courses(net)]
+    lifts = [max(0.0, -float(values.min())) for _, values in _courses(net)]
     hidden_bias = net.hidden_bias.copy()
     hidden_bias[:, -1] += lifts
     return ReluNetwork(net.in_weights, net.in_bias, net.hidden_weights, hidden_bias,

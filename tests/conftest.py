@@ -11,6 +11,7 @@ from spline2relu.errors import ResourceError
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
+    _SharedGrid,
     hat_net,
     rail_layer,
     special_to_standard,
@@ -65,6 +66,37 @@ def reference_courses(net):
         courses.append(states[-1])
         states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
     return courses
+
+
+def reference_lifts(net):
+    """Collation lifts of special_to_standard kept as a test-only reference:
+    one canonical CPwL course built at every hidden layer, on a shared grid
+    that steps through the whole network."""
+    step = _SharedGrid(net, cpwl.DEFAULT_NODE_BUDGET)
+    course = cpwl.line(0.0, 0.0)
+    lifts = []
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
+        inc = step.readout(weights[-1], bias[-1])
+        grid = np.union1d(course.breakpoints, step.grid)
+        vals = np.interp(grid, course.breakpoints, course.values)
+        vals += np.interp(grid, step.grid, inc)
+        course = cpwl.CPwL(grid, vals)
+        lifts.append(max(0.0, -float(course.values.min())))
+        step.held = course.breakpoints.size
+        step.affine(weights, bias)
+        step.relu()
+        step.prune()
+    return lifts
+
+
+def same_lifts(std, net):
+    """std holds net's weights lifted by reference_lifts, to the bit."""
+    lifts = reference_lifts(net)
+    hidden_bias = net.hidden_bias.copy()
+    hidden_bias[:, -1] += lifts
+    want = ReluNetwork(net.in_weights, net.in_bias, net.hidden_weights, hidden_bias,
+                       net.out_weights, net.out_bias - sum(lifts))
+    return same_weights(std, want)
 
 
 def reference_write_network(net, path):
@@ -230,6 +262,15 @@ def overflowing_net():
     odd = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 7.0, -12.0, 0.0, 2.0 ** 60, -1e-300])
     return ReluNetwork(odd[:3], odd[3:6], np.resize(odd, (2, 3, 3)),
                        np.resize(odd[::-1], (2, 3)), odd[6:], -0.0)
+
+
+def slope_overflow_nets():
+    """Finite networks with a real kink at 0.5 between slopes 1e308 and 2e308
+    = inf: in the output row (depth 1) and in a hidden layer (depth 2)."""
+    first, first_b = [1.0, 1.0], [0.0, -0.5]
+    return [ReluNetwork(first, first_b, np.zeros((0, 2, 2)), np.zeros((0, 2)), [1e308, 1e308], 0.0),
+            ReluNetwork(first, first_b, [[[1e308, 1e308], [0.0, 0.0]]], np.zeros((1, 2)),
+                        [1.0, 0.0], 0.0)]
 
 
 def text_io_networks(rng):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import overflowing_net, random_spline, reference_eval_csv, text_io_networks
+from conftest import (
+    overflowing_net,
+    random_spline,
+    reference_eval_csv,
+    slope_overflow_nets,
+    text_io_networks,
+)
 from spline2relu import approx, cli, cpwl
 from spline2relu.compiler import takagi_network
 from spline2relu.errors import Spline2ReluError
@@ -38,9 +44,34 @@ def test_compile_and_verify_roundtrip(tmp_path, capsys):
     assert "width=8" in out and "params=" in out
     assert npath.exists()
     assert cli.main(["verify", str(npath), str(spath)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("max deviation = ")
-    assert float(out.split("=")[1]) <= 1e-9
+    deviation, at = capsys.readouterr().out.splitlines()
+    assert deviation.startswith("max deviation = ")
+    assert float(deviation.split("=")[1]) <= 1e-9
+    assert at.startswith("at x = ") and 0.0 <= float(at.split("=")[1]) <= 1.0
+
+
+def test_verify_reports_where_the_deviation_peaks(tmp_path, capsys):
+    spath, npath, zero = tmp_path / "f.spline", tmp_path / "f.relu", tmp_path / "zero.spline"
+    cpwl.write_spline(cpwl.CPwL([0.0, 0.3, 1.0], [0.0, -2.5, 1.0]), spath)
+    cpwl.write_spline(cpwl.line(0.0, 0.0), zero)
+    assert cli.main(["compile", str(spath), "--width", "4", "--out", str(npath)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(npath), str(zero)]) == 0
+    assert capsys.readouterr().out == "max deviation = 2.5\nat x = 0.29999999999999999\n"
+
+
+def test_verify_fails_on_an_overflowing_slope(tmp_path, capsys):
+    spath = tmp_path / "line.spline"
+    cpwl.write_spline(cpwl.line(0.0, 1.0), spath)
+    for k, net in enumerate(slope_overflow_nets()):
+        npath = tmp_path / f"{k}.relu"
+        write_network(net, npath)
+        with np.errstate(over="ignore"):
+            assert cli.main(["verify", str(npath), str(spath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("slope overflows, so a kink cannot be told from a "
+                                     "straight node\n")
 
 
 def test_compile_hat_width4_reports_33_params(tmp_path, capsys):

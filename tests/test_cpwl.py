@@ -22,6 +22,21 @@ def test_canonical_form_keeps_real_kinks():
     assert g.n_interior == 1
 
 
+def test_canonical_form_refuses_an_overflowing_slope():
+    # slopes 1e308 and 2e308 = inf: the kink at 0.5 is real but gap > tol
+    # reads inf > inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="slope overflows"):
+            cpwl.CPwL([0.0, 0.5, 1.0], [0.0, 5e307, 1.5e308])
+        with pytest.raises(DomainError, match="slope overflows"):
+            cpwl.CPwL([0.0, 1e-320, 1.0], [0.0, 1.0, 1.0])
+        # huge but finite slopes still canonicalize; a slope change that
+        # overflows is a kink
+        line = cpwl.CPwL([0.0, 0.5, 1.0], [0.0, 5e307, 1e308])
+        assert np.array_equal(line.breakpoints, [0.0, 1.0])
+        assert cpwl.CPwL([0.0, 0.5, 1.0], [0.0, 5e307, 0.0]).n_interior == 1
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         cpwl.CPwL([0.0, 1.0], [1.0])
@@ -130,6 +145,11 @@ def test_sup_diff_attained_on_nodes():
     assert cpwl.sup_diff(cpwl.hat(), cpwl.line(0.0, 0.0)) == 1.0
     f = cpwl.CPwL([0.0, 0.5, 1.0], [0.0, 0.25, 1.0])
     assert cpwl.sup_diff(f, cpwl.line(1.0, 0.0)) == 0.25
+    assert cpwl.deviation(f, cpwl.line(1.0, 0.0)) == (0.25, 0.5)
+    # ties go to the first node of the merged set
+    assert cpwl.deviation(cpwl.line(0.0, 1.0), cpwl.hat()) == (1.0, 0.0)
+    g = cpwl.CPwL([0.0, 0.3, 1.0], [0.0, -2.0, 0.5])
+    assert cpwl.deviation(f, g) == (cpwl.sup_diff(f, g), 0.3)
 
 
 def test_hat_iterate_against_closed_form():

@@ -1,29 +1,41 @@
 """Shared-grid extraction against the per-channel reference in conftest."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plain_net, random_spline, reference_courses, reference_extract
-from spline2relu import cpwl
+from conftest import (
+    plain_net,
+    random_spline,
+    reference_courses,
+    reference_extract,
+    same_lifts,
+)
+from spline2relu import approx, compiler, cpwl
 from spline2relu.combinators import (
     compose_nets,
     concat_sum,
+    embed_deeper,
     iterate_sum,
     stack_sum,
     zero_special,
 )
 from spline2relu.compiler import (
     compile_fourier_sum,
+    compile_self_similar,
     compile_shallow,
     compile_spline,
+    fourier_atom,
     fourier_oracle,
     takagi_network,
 )
 from spline2relu.errors import ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
+    _courses,
     collation_courses,
     extract_cpwl,
     hat_net,
@@ -120,6 +132,86 @@ def test_special_to_standard_lifts_match_reference():
     assert len(lifts) == len(std.hidden_bias)
     for bias, ref, c in zip(std.hidden_bias, net.hidden_bias, lifts):
         assert abs(bias[-1] - ref[-1] - c) <= 1e-12 * (1.0 + c)
+
+
+def _fourier_pairs():
+    """Cosine/sine pairs j = 1..24 as compile_fourier_sum embeds them: at
+    their own depth and at the depth of a sum reaching j = 24."""
+    rng = np.random.default_rng(118)
+    for scale in (1.0, 1e3):
+        for j in range(1, 25):
+            a, b = rng.uniform(-scale, scale, 2)
+            pair = stack_sum([fourier_atom("cosine", j), fourier_atom("sine", j)], [a, b])
+            for depth in sorted({2 * (max(0, math.ceil(math.log2(j))) + 2), 14}):
+                yield embed_deeper(pair, depth)
+
+
+def _adversarial():
+    """The benchmark's three adversarial kinds: a 1e-9 knot cluster, values of
+    +-1e4, and a knot 1e-13 below 1."""
+    near = random_spline(np.random.default_rng(119), 50)
+    x = near.breakpoints.copy()
+    x[-2] = 1.0 - 1e-13
+    return [_clustered(), _large_values(), cpwl.CPwL(x, near.values)]
+
+
+def _compiled_splines():
+    rng = np.random.default_rng(120)
+    for width in (4, 5, 8, 9, 13, 20, 32):
+        for f in [random_spline(rng, n, -3.0, 3.0) for n in (1, 20, 150)] + _adversarial():
+            yield compile_spline(f, width)[0]
+
+
+def _converted_inside(monkeypatch, build):
+    """The special networks that `build()` hands to special_to_standard."""
+    seen = []
+
+    def record(net):
+        seen.append(net)
+        return special_to_standard(net)
+
+    monkeypatch.setattr(compiler, "special_to_standard", record)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+def test_lifts_identical_to_reference_on_corpus(monkeypatch):
+    nets = [*_fourier_pairs(), *_compiled_splines()]
+    rng = np.random.default_rng(121)
+    kink = approx.TargetFunction(lambda x: np.abs(np.asarray(x, float) - 0.3), lip_alpha=(1.0, 1.0))
+    for width in (8, 10):
+        pattern = cpwl.CPwL(np.linspace(0.0, 1.0, 6), np.r_[0.0, rng.uniform(-1.0, 1.0, 4), 0.0])
+        intervals = [(0.1, 0.2), (0.2, 0.45), (0.6, 0.9)]
+        nets += _converted_inside(monkeypatch,
+                                  lambda: compile_self_similar(pattern, intervals, width))
+        nets += _converted_inside(monkeypatch,
+                                  lambda: approx.lip_alpha_approximant(kink, 1.0, 36, width))
+    assert len(nets) > 150
+    for net in nets:
+        assert same_lifts(special_to_standard(net), net), net
+
+
+def test_layers_that_write_nothing_keep_their_course():
+    rng = np.random.default_rng(122)
+    pair = stack_sum([fourier_atom("cosine", 5), fourier_atom("sine", 5)], [0.5, -1.5])
+    # a constant -2.5 writes its collation bias alone, at the seam after it
+    net = embed_deeper(concat_sum(compile_spline(cpwl.line(0.0, -2.5), 4)[0],
+                                  compile_spline(random_spline(rng, 12), 4)[0],
+                                  embed_deeper(pair, pair.depth + 2)), 30)
+    assert net.hidden_bias[1, -1] == -2.5 and not net.hidden_weights[1, -1, :-1].any()
+    writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
+    assert 0 < writes.sum() < writes.size - 5
+    courses = list(_courses(net))
+    assert len(courses) == len(collation_courses(net)) == net.depth - 1
+    assert not writes[0]
+    assert np.array_equal(courses[0][0], [0.0, 1.0]) and np.array_equal(courses[0][1], [0.0, 0.0])
+    for previous, (nodes, values), wrote in zip(courses, courses[1:], writes[1:]):
+        if not wrote:
+            assert nodes is previous[0] and values is previous[1]
+    for got, want in zip(collation_courses(net), reference_courses(net)):
+        _assert_close(got, want)
+    assert same_lifts(special_to_standard(net), net)
 
 
 def test_node_budget_counts_distinct_nodes():

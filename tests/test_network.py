@@ -10,6 +10,7 @@ from conftest import (
     plain_net,
     random_spline,
     reference_write_network,
+    slope_overflow_nets,
     text_io_networks,
 )
 from spline2relu import cpwl
@@ -22,6 +23,7 @@ from spline2relu.network import (
     extract_cpwl,
     hat_net,
     param_count,
+    rail_layer,
     read_network,
     special_to_standard,
     write_network,
@@ -136,6 +138,31 @@ def test_overflow_is_an_error_naming_the_layer():
         for bad, layer in ((net, "layer 1 of 3"), (loud, "layer 1 of 1")):
             with pytest.raises(DomainError, match=f"not finite: {layer} overflows"):
                 extract_cpwl(bad)
+
+
+def test_slope_overflow_is_an_error():
+    for net in slope_overflow_nets():
+        assert net.forward(0.5) == 5e307 and net.forward(1.0) == 1.5e308
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="slope overflows"):
+                extract_cpwl(net)
+    # a layer whose values overflow is named, though its slopes overflow too
+    hot = ReluNetwork([1.0, 1.0], [0.0, -0.5], [[[1.2e308, 1.2e308], [1.0, 0.0]]],
+                      np.zeros((1, 2)), [1.0, 0.0], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="not finite: layer 1 of 2 overflows"):
+            extract_cpwl(hot)
+
+
+def test_overflowing_collation_course_is_an_error():
+    # the collation row adds 1e308 x twice: the course reaches 2e308 = inf at x = 1
+    weights = rail_layer(4)
+    weights[-1, 1:3] = 1e308
+    net = SpecialNetwork([1.0, 1.0, 1.0, 0.0], np.zeros(4), [weights], np.zeros((1, 4)),
+                         [0.0, 0.0, 0.0, 1.0], 0.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="course is not finite: layer 1 of 2 overflows"):
+            special_to_standard(net)
 
 
 def test_compile_shallow_exact():

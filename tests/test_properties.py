@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import reference_compile_wide, reference_extract, same_weights
+from conftest import reference_compile_wide, reference_extract, same_lifts, same_weights
 from spline2relu import cpwl
 from spline2relu.compiler import compile_spline
-from spline2relu.network import extract_cpwl
+from spline2relu.network import extract_cpwl, special_to_standard
 
 
 @st.composite
@@ -44,6 +44,13 @@ def test_compile_extract_round_trip(f, width):
 @given(f=splines(1e3), width=st.integers(8, 38))
 def test_compile_wide_matches_block_reference(f, width):
     assert same_weights(compile_spline(f, width)[0], reference_compile_wide(f, width))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=splines(1e3), width=st.integers(4, 38))
+def test_lifts_identical_to_reference(f, width):
+    net, _ = compile_spline(f, width)
+    assert same_lifts(special_to_standard(net), net)
 
 
 def _size(f):
