@@ -12,7 +12,7 @@ import numpy as np
 from . import approx, cpwl, riesz
 from .compiler import (compile_fourier_sum, compile_spline, fourier_atom,
                        fourier_oracle, takagi_network)
-from .errors import Spline2ReluError
+from .errors import ResourceError, Spline2ReluError
 from .network import extract_cpwl, read_network, write_network
 
 DEFAULT_SEED = 42
@@ -129,8 +129,7 @@ def _run_verify(args):
 def _run_eval(args):
     net = read_network(args.network)
     xs = np.linspace(0.0, 1.0, args.grid_n)
-    pairs = np.column_stack([xs, net.forward(xs)]).ravel().tolist()
-    _emit("x,value\n" + ("%.17g,%.17g\n" * args.grid_n) % tuple(pairs), args.out)
+    _emit("x,value\n" + cpwl._format_rows(np.column_stack([xs, net.forward(xs)]), ","), args.out)
     return 0
 
 
@@ -253,6 +252,8 @@ def run(args):
         raise Spline2ReluError(f"unknown command {args.command!r}")
     if args.grid_n < 2:
         raise Spline2ReluError("--grid must be at least 2")
+    if args.grid_n > cpwl.DEFAULT_NODE_BUDGET:
+        raise ResourceError(f"--grid must be at most {cpwl.DEFAULT_NODE_BUDGET}")
     if args.width < 4:
         raise Spline2ReluError("--width must be at least 4")
     return _DISPATCH[args.command](args)

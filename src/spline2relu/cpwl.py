@@ -8,6 +8,7 @@ relative tolerance of 1e-10 are removed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -292,6 +293,131 @@ def _numbers(lines: list[str], linenos, counts: list[int], count_error: str) -> 
             list(map(float, tokens))
         except ValueError:
             raise ParseError("malformed number", line=line) from None
+
+
+# `_format_rows` spells 1e-4 <= |v| < 1e15 and +-0 in numpy: %.17g writes
+# these in fixed notation (decimal exponent -4 ... 14), so a number is a sign,
+# a "0.000" prefix, 17 digits and a decimal point, cut down by a keep-mask.
+# Every other value (tiny, subnormal, large, non-finite) goes through '%'.
+# All integer steps use uint64 operands: numpy 1.24 turns uint64 mixed with
+# int64 into float64.
+_FORMAT_BLOCK = 4096  # values per block; bounds the scratch arrays
+_U = np.uint64
+_POW5 = np.array([5 ** i for i in range(23)], dtype=np.uint64)
+# A row of one number is 40 bytes, five uint64 words: "-0.000" + d0 + ".",
+# then four 4-digit groups spelled "d.d.d.d.".  Digit j sits at byte 6 + 2j
+# with a point slot after it; the separator overwrites the last point slot.
+_ROW = 40
+
+
+@functools.cache  # built on first use, so importing the package stays cheap
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first word of a row by leading digit, the word of every 4-digit
+    group, the index of a group's last nonzero digit (far below 0 for 0000),
+    and the keep-masks of a row, indexed by ((case * 2 + negative) * 17 +
+    last), `last` the index of the last nonzero digit; case is the decimal
+    exponent + 4 for the 19 fixed-notation exponents, 19 for zero, 20 for a
+    value spelled by '%' (only its separator is kept)."""
+    group = np.arange(10000, dtype=np.int16)
+    spell = np.full((10000, 8), ord("."), np.uint8)
+    for i, scale in enumerate((1000, 100, 10, 1)):
+        spell[:, 2 * i] = group // scale % 10 + ord("0")
+    head = np.frombuffer(b"".join(b"-0.000%d." % i for i in range(10)), np.uint64)
+    last4 = np.where(group == 0, -100, 3 - (spell[:, 6::-2] != ord("0")).argmax(1)).astype(np.int8)
+    col = np.arange(_ROW)
+    exp = np.arange(-4, 15)[:, None, None, None]
+    neg = np.arange(2)[None, :, None, None]
+    last = np.arange(17)[None, None, :, None]
+    digit = (col >= 6) & (col % 2 == 0) & (col < _ROW - 1)
+    point = (col >= 7) & (col % 2 == 1) & (col < _ROW - 1)
+    j = (col - 6) // 2  # digit index of a digit column and of the point after it
+    keep = np.zeros((21, 2, 17, _ROW), bool)
+    keep[:19] = (((col == 0) & (neg == 1))
+                 | (((col == 1) | (col == 2)) & (exp < 0))
+                 | ((col >= 3) & (col <= 5) & (col - 3 < -exp - 1))
+                 | (digit & (j <= np.maximum(exp, last)))
+                 | (point & (j == exp) & (last > exp)))
+    keep[19, 1, :, 0] = True
+    keep[19, :, :, 1] = True
+    keep[..., -1] = True
+    return head, spell.view(np.uint64).ravel(), last4, keep.reshape(-1, _ROW)
+
+
+def _decimal(m: np.ndarray, exp: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round_half_even(m * 2^(exp - 1075) * 10^k) for 53-bit m and a shift
+    1075 - exp - k in [1, 63]: m * 5^k (< 2^102) in two uint64 limbs, then
+    shifted right."""
+    low32, s32, one = _U(0xFFFFFFFF), _U(32), _U(1)
+    p = _POW5[k]
+    ml, mh, pl, ph = m & low32, m >> s32, p & low32, p >> s32
+    cross = ml * ph + mh * pl  # < 2^54
+    lo = ml * pl
+    lo2 = lo + (cross << s32)
+    hi = mh * ph + (cross >> s32) + (lo2 < lo).astype(np.uint64)
+    s = _U(1075) - exp - k
+    q = (lo2 >> s) | (hi << (_U(64) - s))
+    rem, half = lo2 & ((one << s) - one), one << (s - one)
+    return q + ((rem > half) | ((rem == half) & (q & one == one))).astype(np.uint64)
+
+
+def _format_block(values: np.ndarray, seps: np.ndarray) -> str:
+    """Text of a (rows, cols) block, each number followed by the separator
+    byte of its column."""
+    v = values.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e15)
+    w = np.where(fast, a, 1.0)
+    bits = w.view(np.uint64)
+    exp = bits >> _U(52)
+    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
+    # 17 digits are round(w * 10^k) with k = 16 - decimal exponent; log10
+    # can miss that exponent by one next to a power of ten
+    k = (16.0 - np.floor(np.log10(w))).astype(np.uint64)
+    d = _decimal(m, exp, k)
+    while True:
+        low, high = d < _U(10 ** 16), d >= _U(10 ** 17)
+        off = low | high
+        if not off.any():
+            break
+        k = k + low.astype(np.uint64) - high.astype(np.uint64)
+        d[off] = _decimal(m[off], exp[off], k[off])
+    first, rest = np.divmod(d, _U(10 ** 16))
+    upper, lower = np.divmod(rest, _U(10 ** 8))
+    groups = (*np.divmod(upper, _U(10 ** 4)), *np.divmod(lower, _U(10 ** 4)))
+    head, group_words, last4, keeps = _format_tables()
+    words = np.empty((len(v), _ROW // 8), np.uint64)
+    words[:, 0] = head[first]
+    last = np.zeros(len(v), np.intp)
+    for i, g in enumerate(groups):
+        words[:, i + 1] = group_words[g]
+        np.maximum(last, last4[g] + (1 + 4 * i), out=last)
+    rows = words.view(np.uint8)
+    rows.reshape(values.shape + (_ROW,))[..., -1] = seps
+    case = np.where(fast, 20 - k.astype(np.intp), np.where(a == 0.0, 19, 20))
+    keep = keeps[(case * 2 + np.signbit(v)) * 17 + last]
+    text = str(np.compress(keep.ravel(), rows.ravel()), "ascii")
+    slow = np.flatnonzero(case == 20)
+    if not slow.size:
+        return text
+    # a slow value kept only its separator: splice its '%' text in before it
+    at = (np.cumsum(keep.sum(1))[slow] - 1).tolist()
+    parts = []
+    for start, end, num in zip([0] + at, at, v[slow].tolist()):
+        parts += (text[start:end], "%.17g" % num)
+    parts.append(text[at[-1]:])
+    return "".join(parts)
+
+
+def _format_rows(values, sep: str) -> str:
+    """Every number of the 2-d array `values` as '%.17g', byte for byte,
+    `sep` (one character) between the numbers of a row and a newline after
+    each row.  Works in blocks of about _FORMAT_BLOCK values."""
+    values = np.asarray(values, dtype=float)
+    rows, cols = values.shape
+    seps = np.full(cols, ord(sep), np.uint8)
+    seps[-1] = ord("\n")
+    per = max(1, _FORMAT_BLOCK // cols)
+    return "".join(_format_block(values[i:i + per], seps) for i in range(0, rows, per))
 
 
 def write_spline(f: CPwL, path) -> None:

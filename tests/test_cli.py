@@ -239,18 +239,32 @@ def test_argparse_rejects_unknown_subcommand():
 
 
 def test_eval_csv_matches_reference(tmp_path, capsys):
-    """`eval` writes the per-row reference text, to --out and to stdout."""
+    """`eval` writes the per-row reference text, to --out and to stdout, on
+    grids up to the benchmark's 10001 points and one row past a multiple of
+    the formatter's block."""
     csv = tmp_path / "out.csv"
     for i, net in enumerate(text_io_networks(np.random.default_rng(24))):
         npath = tmp_path / f"{i}.relu"
         write_network(net, npath)
-        for grid in (2, 101, 1001):
+        for grid in (2, 101, 1001, 10001, cpwl._FORMAT_BLOCK + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 want = reference_eval_csv(read_network(npath), grid)
                 assert cli.main(["eval", str(npath), "--grid", str(grid), "--out", str(csv)]) == 0
                 assert csv.read_text() == want
                 assert cli.main(["eval", str(npath), "--grid", str(grid)]) == 0
             assert capsys.readouterr().out == want
+
+
+def test_grid_above_the_node_budget_is_refused(tmp_path, capsys):
+    """--grid past cpwl.DEFAULT_NODE_BUDGET fails before anything is allocated."""
+    npath = tmp_path / "hat.relu"
+    write_network(takagi_network([1.0]), npath)
+    for grid in (cpwl.DEFAULT_NODE_BUDGET + 1, 100000000000):
+        for argv in (["eval", str(npath)], ["rates"], ["takagi"]):
+            assert cli.main([*argv, "--grid", str(grid)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --grid must be at most {cpwl.DEFAULT_NODE_BUDGET}\n"
 
 
 def test_overflowing_network_fails_eval_and_verify(tmp_path, capsys):

@@ -1,7 +1,12 @@
 """Function-algebra tests: canonical form, operations, closed forms, file IO."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spline, reference_write_spline
 from spline2relu import cpwl
@@ -264,3 +269,61 @@ def test_write_spline_matches_reference(tmp_path):
         assert path.read_bytes() == ref.read_bytes()
         cpwl.write_spline(cpwl.read_spline(path), again)
         assert again.read_bytes() == ref.read_bytes()
+
+
+def _percent_rows(values, sep):
+    """'%.17g' text of a 2-d array, one '%' per number: the reference."""
+    return "".join(sep.join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+
+
+def _format_edges():
+    edges = [0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+             1000000000000000.25, 1000000000000000.75, np.nextafter(1.0, 0.0),
+             100000000000000.125]  # a tie below 1e15, rounded half to even
+    for k in range(-5, 18):
+        p = 10.0 ** k
+        edges += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    # odd * 2^(x - 17) in [10^x, 10^(x + 1)) has 18 significant digits, the
+    # last a 5: a tie at every fixed-notation exponent x
+    for x in range(-4, 15):
+        odd = math.ceil(10.0 ** x * 2.0 ** (17 - x)) | 1
+        edges += [(odd + 2 * i) / 2.0 ** (17 - x) for i in range(3)]
+    edges += [m / 2.0 ** k for m in (1, 3, 7, 99, 12345, 2 ** 53 - 1) for k in range(0, 80, 3)]
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges])
+
+
+def test_format_rows_matches_percent_on_edges():
+    edges = _format_edges()
+    assert cpwl._format_rows(edges[:, None], ",") == _percent_rows(edges[:, None], ",")
+    rows = edges[:edges.size // 3 * 3].reshape(-1, 3)
+    assert cpwl._format_rows(rows, " ") == _percent_rows(rows, " ")
+    # random bit patterns (non-finite ones included) and log-uniform values
+    # across the fixed-notation range
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(float).reshape(-1, 2)
+    scaled = (10.0 ** rng.uniform(-5.0, 16.0, 40000) * rng.choice([-1.0, 1.0], 40000)).reshape(-1, 4)
+    for values in (bits, scaled):
+        assert cpwl._format_rows(values, ",") == _percent_rows(values, ",")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e15, 1e15),
+                min_size=1, max_size=40))
+def test_format_rows_matches_percent(values):
+    column = np.array(values)[:, None]
+    assert cpwl._format_rows(column, ",") == _percent_rows(column, ",")
+
+
+def test_format_rows_memory_is_blocked():
+    """2^20 values: the text is held twice (the blocks and their join) plus
+    the scratch of one block, far below the hundreds of MB that formatting
+    in one piece takes."""
+    values = np.random.default_rng(32).uniform(-1.0, 1.0, (1 << 19, 2))
+    tracemalloc.start()
+    try:
+        size = len(cpwl._format_rows(values, ","))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * size + (4 << 20)
