@@ -5,7 +5,6 @@ grid-based error measurement harnesses."""
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,7 +320,7 @@ def measure_sigma(f, net, grid_n):
     return float(np.abs(_evaluate(f, pts) - net.forward(pts)).max())
 
 
-def rate_experiment(f, builder, ms, grid_n=4097, workers=1):
+def rate_experiment(f, builder, ms, grid_n=4097):
     """One ExperimentRecord per m: build a network with builder(m) and measure
     its grid error against f.  Builder or measurement failures yield a
     NaN-error row with the exception in `reason` instead of aborting the
@@ -346,9 +345,6 @@ def rate_experiment(f, builder, ms, grid_n=4097, workers=1):
         wall_ms = (time.perf_counter() - start) * 1000.0
         return ExperimentRecord(m, params, error, wall_ms, reason)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ms))
     return [one(m) for m in ms]
 
 

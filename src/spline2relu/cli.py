@@ -4,7 +4,6 @@ run rate experiments and basis-system numerics, and emit CSV/SVG artifacts."""
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -16,14 +15,6 @@ from .errors import ResourceError, Spline2ReluError
 from .network import extract_cpwl, read_network, write_network
 
 DEFAULT_SEED = 42
-
-
-def _workers():
-    raw = os.environ.get("SPLINE2RELU_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_sizes(text):
@@ -151,8 +142,7 @@ def _run_rates(args):
     if not ms:
         raise Spline2ReluError("no sizes given; use --ms")
     f, builder = _rates_setup(args)
-    records = approx.rate_experiment(f, builder, ms, grid_n=args.grid_n,
-                                     workers=_workers())
+    records = approx.rate_experiment(f, builder, ms, grid_n=args.grid_n)
     for r in records:
         if r.reason:
             print(f"rates: m={r.m} failed: {r.reason}", file=sys.stderr)
@@ -250,11 +240,13 @@ def run(args):
     returns the process exit status."""
     if args.command not in _DISPATCH:
         raise Spline2ReluError(f"unknown command {args.command!r}")
-    if args.grid_n < 2:
+    # each check reads its flag only where the command takes it
+    grid_n, width = getattr(args, "grid_n", 2), getattr(args, "width", 4)
+    if grid_n < 2:
         raise Spline2ReluError("--grid must be at least 2")
-    if args.grid_n > cpwl.DEFAULT_NODE_BUDGET:
+    if grid_n > cpwl.DEFAULT_NODE_BUDGET:
         raise ResourceError(f"--grid must be at most {cpwl.DEFAULT_NODE_BUDGET}")
-    if args.width < 4:
+    if width < 4:
         raise Spline2ReluError("--width must be at least 4")
     return _DISPATCH[args.command](args)
 
@@ -267,47 +259,47 @@ def _build_parser():
                     "and run the verification experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default=101):
-        p.add_argument("--width", type=int, default=8)
-        p.add_argument("--grid", type=int, default=grid_default, dest="grid_n")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", default=None)
-        p.add_argument("--svg", default=None)
+    def flags(p, *names, grid=101):
+        """Add the shared flags `names` to p: each subcommand takes only the
+        flags it reads."""
+        specs = {"width": dict(type=int, default=8), "grid": dict(type=int, default=grid, dest="grid_n"),
+                 "seed": dict(type=int, default=DEFAULT_SEED), "out": {}, "svg": {}}
+        for name in names:
+            p.add_argument("--" + name, **specs[name])
 
     p = sub.add_parser("compile", help="compile a spline file to a network file")
     p.add_argument("spline")
-    common(p)
+    flags(p, "width", "out")
 
     p = sub.add_parser("verify", help="max deviation between a network and a spline")
     p.add_argument("network")
     p.add_argument("spline")
-    common(p)
 
     p = sub.add_parser("eval", help="evaluate a network file on a uniform grid")
     p.add_argument("network")
-    common(p)
+    flags(p, "grid", "out")
 
     p = sub.add_parser("rates", help="rate experiment CSV for a builder family")
     p.add_argument("--family", choices=("takagi", "lip"), default="takagi")
     p.add_argument("--ms", default="1:12")
     p.add_argument("--alpha", type=float, default=1.0)
-    common(p, grid_default=4097)
+    flags(p, "width", "grid", "out", "svg", grid=4097)
 
     p = sub.add_parser("riesz", help="frame bounds, operator gaps, double-sum checks")
     p.add_argument("--K", type=int, default=32)
     p.add_argument("--gap-k", type=int, default=64, dest="gap_k")
     p.add_argument("--trials", type=int, default=100)
-    common(p)
+    flags(p, "seed", "out")
 
     p = sub.add_parser("takagi", help="build the order-m dyadic sawtooth sum network")
     p.add_argument("--order", type=int, default=10)
-    common(p, grid_default=10001)
+    flags(p, "grid", "out", grid=10001)
 
     p = sub.add_parser("fourier", help="build a single atom or a trigonometric sum")
     p.add_argument("--kind", choices=("cosine", "sine"), default=None)
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--terms", default="")
-    common(p)
+    flags(p, "width", "out")
 
     return parser
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,22 +25,85 @@ DEFAULT_NODE_BUDGET = 1 << 21
 SLOPE_OVERFLOW = "a slope overflows, so a kink cannot be told from a straight node"
 
 
-def _canonical_arrays(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop interior nodes whose adjacent slopes agree within SLOPE_TOL
-    (relative).  A node to drop next to an overflowing slope raises
-    DomainError: inf > inf is False, so the test cannot see its kink."""
-    while x.size > 2:
-        slopes = np.diff(v) / np.diff(x)
-        gap = np.abs(np.diff(slopes))
-        scale = np.maximum(1.0, np.maximum(np.abs(slopes[1:]), np.abs(slopes[:-1])))
-        keep = gap > SLOPE_TOL * scale
-        if keep.all():
+def _crossings(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sorted, distinct zero crossings of the rows v (one row, or rows x G)
+    on the grid g: each segment whose end values have opposite signs crosses
+    at x0 - v0 (x1 - x0) / (v1 - v0).  A crossing within CROSSING_SNAP of
+    either end of its segment reuses that node and is left out."""
+    a, b = v[..., :-1], v[..., 1:]
+    hit = np.nonzero(a * b < 0.0)  # (segments,) or (rows, segments)
+    seg = hit[-1]
+    if not seg.size:
+        return g[:0]
+    x0, x1 = g[seg], g[seg + 1]
+    va, vb = a[hit], b[hit]
+    cross = x0 - va * (x1 - x0) / (vb - va)
+    far = (np.abs(cross - x0) > CROSSING_SNAP) & (np.abs(cross - x1) > CROSSING_SNAP)
+    new = np.sort(cross[far])
+    first = np.ones(new.size, dtype=bool)
+    first[1:] = new[1:] != new[:-1]
+    return new[first]
+
+
+def _insert(g: np.ndarray, v: np.ndarray, new: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid g grown by the sorted, distinct nodes `new` (none of them in
+    g), the rows v on it and the positions of the new nodes.  Each row is
+    evaluated at a new node on its own segment with np.interp's arithmetic.
+    With nothing to insert, g and v come back as they are."""
+    if not new.size:
+        return g, v, np.empty(0, dtype=np.intp)
+    right = np.searchsorted(g, new)
+    at = right + np.arange(new.size)
+    left = right - 1
+    gl, vl = g[left], v[..., left]
+    mid = (v[..., right] - vl) / (g[right] - gl) * (new - gl) + vl
+    old = np.ones(g.size + new.size, dtype=bool)
+    old[at] = False
+    grid = np.empty(old.size)
+    grid[old] = g
+    grid[at] = new
+    vals = np.empty(v.shape[:-1] + old.shape)
+    vals[..., old] = v
+    vals[..., at] = mid
+    return grid, vals, at
+
+
+def _prune(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical form of the rows v (one row, or rows x G) on the grid
+    g: drop every interior node where no row's adjacent slopes differ by more
+    than SLOPE_TOL relative to max(1, |slope|), until every node left kinks.
+    With nothing to drop, g and v come back as they are.  A node to drop next
+    to a slope that overflows raises DomainError (inf > inf is False, so the
+    test cannot see its kink); values that are not finite are left to the
+    caller's check."""
+    while g.size > 2:
+        slopes = v[..., 1:] - v[..., :-1]
+        slopes /= g[1:] - g[:-1]
+        gap = slopes[..., 1:] - slopes[..., :-1]
+        np.abs(gap, out=gap)
+        np.abs(slopes, out=slopes)
+        tol = np.maximum(slopes[..., 1:], slopes[..., :-1])
+        np.maximum(tol, 1.0, out=tol)
+        tol *= SLOPE_TOL
+        kink = (gap > tol).reshape(-1, g.size - 2).any(axis=0)
+        if kink.all():
             break
-        if not np.isfinite(scale[~keep]).all():
+        if not np.isfinite(tol[..., ~kink]).all() and np.isfinite(v).all():
             raise DomainError(SLOPE_OVERFLOW)
-        mask = np.concatenate(([True], keep, [True]))
-        x, v = x[mask], v[mask]
-    return x, v
+        keep = np.concatenate(([True], kink, [True]))
+        g, v = g[keep], v[..., keep]
+    return g, v
+
+
+def _merge(*parts: tuple[np.ndarray, np.ndarray | None]
+           ) -> tuple[np.ndarray, Iterator[np.ndarray | None]]:
+    """The union of the grids of the (grid, values) parts, folded left to
+    right, and each part's values interpolated on it (None for a part given
+    with None: its nodes only join the grid).  The values are interpolated
+    as they are read, so a sum over many parts holds one at a time."""
+    grid = functools.reduce(np.union1d, [g for g, _ in parts])
+    return grid, (None if v is None else np.interp(grid, g, v) for g, v in parts)
 
 
 class CPwL:
@@ -61,7 +124,7 @@ class CPwL:
             raise DomainError("breakpoints must start at 0 and end at 1")
         if not (np.diff(x) > 0).all():
             raise DomainError("breakpoints must be strictly increasing")
-        x, v = _canonical_arrays(x, v)
+        x, v = _prune(x, v)
         x.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "breakpoints", x)
@@ -99,25 +162,19 @@ def hat() -> CPwL:
     return CPwL([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
 
 
-def _merged_grid(fs: Iterable[CPwL]) -> np.ndarray:
-    grids = [f.breakpoints for f in fs]
-    out = grids[0]
-    for g in grids[1:]:
-        out = np.union1d(out, g)
-    return out
-
-
 def combine(fs: Sequence[CPwL], coeffs: Sequence[float], offset: float = 0.0) -> CPwL:
     """Affine combination sum_i coeffs[i]*fs[i] + offset on the merged node set."""
     if len(fs) != len(coeffs):
         raise DomainError("one coefficient per function required")
     if not fs:
         return line(0.0, offset)
-    grid = _merged_grid(fs)
+    # a zero coefficient's nodes still join the grid, but it is not interpolated
+    grid, parts = _merge(*[(f.breakpoints, f.values if c != 0.0 else None)
+                           for f, c in zip(fs, coeffs)])
     vals = np.full(grid.shape, float(offset))
-    for f, c in zip(fs, coeffs):
-        if c != 0.0:
-            vals += c * np.interp(grid, f.breakpoints, f.values)
+    for fv, c in zip(parts, coeffs):
+        if fv is not None:
+            vals += c * fv
     return CPwL(grid, vals)
 
 
@@ -139,40 +196,22 @@ def compose(f: CPwL, g: CPwL) -> CPwL:
     dx = np.diff(g.breakpoints)
     a, b = gv[:-1], gv[1:]
     dv = b - a
-    cuts = [g.breakpoints]
+    cuts = []
     for t in f.breakpoints[1:-1]:
         hit = ((a < t) & (t < b)) | ((b < t) & (t < a))
         if hit.any():
             cuts.append(x0[hit] + (t - a[hit]) * dx[hit] / dv[hit])
-    grid = cuts[0]
-    for extra in cuts[1:]:
-        grid = np.union1d(grid, extra)
-    inner = np.clip(np.interp(grid, g.breakpoints, g.values), 0.0, 1.0)
-    vals = np.interp(inner, f.breakpoints, f.values)
-    return CPwL(grid, vals)
+    grid, (inner, *_) = _merge((g.breakpoints, gv), *[(cut, None) for cut in cuts])
+    return CPwL(grid, np.interp(np.clip(inner, 0.0, 1.0), f.breakpoints, f.values))
 
 
 def relu(f: CPwL) -> CPwL:
     """max(f, 0) with exact zero-crossing nodes inserted."""
     x, v = f.breakpoints, f.values
-    a, b = v[:-1], v[1:]
-    hit = (a * b) < 0.0
-    if hit.any():
-        x0 = x[:-1][hit]
-        x1 = x[1:][hit]
-        va = a[hit]
-        vb = b[hit]
-        cross = x0 - va * (x1 - x0) / (vb - va)
-        near_left = np.abs(cross - x0) <= CROSSING_SNAP
-        near_right = np.abs(cross - x1) <= CROSSING_SNAP
-        cross = cross[~(near_left | near_right)]
-        grid = np.union1d(x, cross)
-        vals = np.interp(grid, x, v)
-        # crossings carry exact zeros; interpolation noise is clamped anyway
-        vals[np.isin(grid, cross)] = 0.0
-    else:
-        grid, vals = x, v
-    return CPwL(grid, np.maximum(vals, 0.0))
+    grid, vals, at = _insert(x, v, _crossings(x, v))
+    vals = np.maximum(vals, 0.0)
+    vals[at] = 0.0  # crossings carry exact zeros, not the interpolated value
+    return CPwL(grid, vals)
 
 
 def reflect(f: CPwL) -> CPwL:
@@ -195,9 +234,7 @@ def restrict(f: CPwL, lo: float, hi: float) -> CPwL:
 def deviation(f: CPwL, g: CPwL) -> tuple[float, float]:
     """Exact sup |f - g| and the first node of the merged node set where it
     is attained."""
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    fv = np.interp(grid, f.breakpoints, f.values)
-    gv = np.interp(grid, g.breakpoints, g.values)
+    grid, (fv, gv) = _merge((f.breakpoints, f.values), (g.breakpoints, g.values))
     gap = np.abs(fv - gv)
     at = gap.argmax()
     return float(gap[at]), float(grid[at])

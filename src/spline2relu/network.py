@@ -15,7 +15,6 @@ import itertools
 import numpy as np
 
 from . import cpwl
-from .cpwl import CROSSING_SNAP, SLOPE_TOL
 from .errors import DomainError, ParseError, ResourceError, StructureError
 
 
@@ -202,82 +201,32 @@ class _SharedGrid:
         self.vals = vals
 
     def relu(self) -> None:
-        """Insert every row's zero crossings into the grid, then clamp at 0.
-
-        A crossing within CROSSING_SNAP of a grid node reuses that node.  Every
-        row is evaluated at the new nodes by its own linear segment, so a
-        crossing row holds its clamped value at the rounded crossing, not a
-        forced 0.
+        """Insert every row's zero crossings into the grid (`cpwl._crossings`),
+        then clamp at 0.  Every row is evaluated at the new nodes by its own
+        linear segment (`cpwl._insert`), so a crossing row holds its clamped
+        value at the rounded crossing, not the forced 0 of `cpwl.relu`.
         """
-        g, v = self.grid, self.vals
-        a, b = v[:, :-1], v[:, 1:]
-        row, seg = np.nonzero(a * b < 0.0)
-        new = g[:0]
-        if seg.size:
-            x0, x1 = g[seg], g[seg + 1]
-            va, vb = a[row, seg], b[row, seg]
-            cross = x0 - va * (x1 - x0) / (vb - va)
-            far = (np.abs(cross - x0) > CROSSING_SNAP) & (np.abs(cross - x1) > CROSSING_SNAP)
-            new = np.sort(cross[far])
-            if new.size > 1:
-                first = np.empty(new.size, dtype=bool)
-                first[0] = True
-                np.not_equal(new[1:], new[:-1], out=first[1:])
-                new = new[first]
-        size = g.size + new.size
-        if size + self.held > self.node_budget:
+        new = cpwl._crossings(self.grid, self.vals)
+        if self.grid.size + new.size + self.held > self.node_budget:
             raise ResourceError(f"extraction grew past {self.node_budget} nodes")
-        if new.size:
-            right = np.searchsorted(g, new)
-            left = right - 1
-            gl, vl = g[left], v[:, left]
-            mid = (v[:, right] - vl) / (g[right] - gl) * (new - gl) + vl
-            at = right + np.arange(new.size)
-            old = np.ones(size, dtype=bool)
-            old[at] = False
-            self.grid = np.empty(size)
-            self.grid[old] = g
-            self.grid[at] = new
-            v = np.empty((v.shape[0], size))
-            v[:, old] = self.vals
-            v[:, at] = mid
+        self.grid, v, _ = cpwl._insert(self.grid, self.vals, new)
         self.vals = np.maximum(v, 0.0, out=v)
 
     def prune(self) -> bool:
-        """Drop nodes where no row kinks by more than SLOPE_TOL (relative);
-        True when some node was dropped.  A node to drop next to a slope that
-        overflows raises DomainError, as in the CPwL canonical form; values
-        that are not finite are left to the caller's check."""
-        g, v = self.grid, self.vals
-        dropped = False
-        while g.size > 2:
-            slopes = v[:, 1:] - v[:, :-1]
-            slopes /= g[1:] - g[:-1]
-            gap = slopes[:, 1:] - slopes[:, :-1]
-            np.abs(gap, out=gap)
-            np.abs(slopes, out=slopes)
-            tol = np.maximum(slopes[:, 1:], slopes[:, :-1])
-            np.maximum(tol, 1.0, out=tol)
-            tol *= SLOPE_TOL
-            kink = (gap > tol).any(axis=0)
-            if kink.all():
-                break
-            if not np.isfinite(tol[:, ~kink]).all() and np.isfinite(v).all():
-                raise DomainError(cpwl.SLOPE_OVERFLOW)
-            keep = np.concatenate(([True], kink, [True]))
-            g, v = g[keep], v[:, keep]
-            dropped = True
-        self.grid, self.vals = g, v
-        return dropped
+        """Drop the nodes where no row kinks (`cpwl._prune`, the CPwL canonical
+        form applied to all rows at once); True when some node was dropped."""
+        size = self.grid.size
+        self.grid, self.vals = cpwl._prune(self.grid, self.vals)
+        return self.grid.size < size
 
 
 def _sum_parts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Sum (grid, values) CPwL parts pairwise, O(N log parts)."""
     while len(parts) > 1:
         merged = []
-        for (ga, va), (gb, vb) in zip(parts[::2], parts[1::2]):
-            grid = np.union1d(ga, gb)
-            merged.append((grid, np.interp(grid, ga, va) + np.interp(grid, gb, vb)))
+        for pa, pb in zip(parts[::2], parts[1::2]):
+            grid, (va, vb) = cpwl._merge(pa, pb)
+            merged.append((grid, va + vb))
         if len(parts) % 2:
             merged.append(parts[-1])
         parts = merged
@@ -392,13 +341,12 @@ def _courses(net: SpecialNetwork):
     for layer, (weights, bias) in enumerate(zip(net.hidden_weights, net.hidden_bias)):
         if writes[layer]:
             inc = step.readout(weights[-1], bias[-1])
-            grid = np.union1d(nodes, step.grid)
-            vals = np.interp(grid, nodes, values)
-            vals += np.interp(grid, step.grid, inc)
+            grid, (vals, inc) = cpwl._merge((nodes, values), (step.grid, inc))
+            vals += inc
             if not np.isfinite(vals).all():
                 raise DomainError(f"collation course is not finite: layer {layer + 1} of "
                                   f"{net.depth} overflows")
-            nodes, values = cpwl._canonical_arrays(grid, vals)
+            nodes, values = cpwl._prune(grid, vals)
             step.held = nodes.size
         yield nodes, values
         if layer < last:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .cpwl import basis_fn
+from .cpwl import _merge, basis_fn
 from .errors import ContractError, DomainError
 
 MU_SQUARED = 96.0 / math.pi ** 4
@@ -19,9 +19,7 @@ def inner_product(f, g):
     On each piece of the merged grid the product is quadratic, so the
     two-point closed form (dx/6) * (f0*(2*g0 + g1) + f1*(g0 + 2*g1)) is exact.
     """
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    fv = np.interp(grid, f.breakpoints, f.values)
-    gv = np.interp(grid, g.breakpoints, g.values)
+    grid, (fv, gv) = _merge((f.breakpoints, f.values), (g.breakpoints, g.values))
     dx = np.diff(grid)
     f0, f1 = fv[:-1], fv[1:]
     g0, g1 = gv[:-1], gv[1:]

@@ -7,7 +7,7 @@ import numpy as np
 from spline2relu import approx, cpwl
 from spline2relu.combinators import concat_sum
 from spline2relu.compiler import _pad_knots, block_size, compile_spline
-from spline2relu.errors import ResourceError
+from spline2relu.errors import DomainError, ResourceError
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
@@ -24,6 +24,47 @@ def _reference_mask(net):
     if net.special:
         mask[0] = mask[-1] = False
     return mask
+
+
+def reference_canonical(x, v):
+    """Canonical-form loop kept as a test-only reference for the CPwL
+    constructor: drop interior nodes whose adjacent slopes agree within
+    SLOPE_TOL (relative); a node to drop next to an overflowing slope raises."""
+    while x.size > 2:
+        slopes = np.diff(v) / np.diff(x)
+        gap = np.abs(np.diff(slopes))
+        scale = np.maximum(1.0, np.maximum(np.abs(slopes[1:]), np.abs(slopes[:-1])))
+        keep = gap > cpwl.SLOPE_TOL * scale
+        if keep.all():
+            break
+        if not np.isfinite(scale[~keep]).all():
+            raise DomainError(cpwl.SLOPE_OVERFLOW)
+        mask = np.concatenate(([True], keep, [True]))
+        x, v = x[mask], v[mask]
+    return x, v
+
+
+def reference_relu(f):
+    """One-function ReLU kept as a test-only reference for cpwl.relu, so the
+    per-channel references below share no crossing code with the extractor."""
+    x, v = f.breakpoints, f.values
+    a, b = v[:-1], v[1:]
+    hit = (a * b) < 0.0
+    if hit.any():
+        x0 = x[:-1][hit]
+        x1 = x[1:][hit]
+        va = a[hit]
+        vb = b[hit]
+        cross = x0 - va * (x1 - x0) / (vb - va)
+        near_left = np.abs(cross - x0) <= cpwl.CROSSING_SNAP
+        near_right = np.abs(cross - x1) <= cpwl.CROSSING_SNAP
+        cross = cross[~(near_left | near_right)]
+        grid = np.union1d(x, cross)
+        vals = np.interp(grid, x, v)
+        vals[np.isin(grid, cross)] = 0.0
+    else:
+        grid, vals = x, v
+    return cpwl.CPwL(grid, np.maximum(vals, 0.0))
 
 
 def _reference_affine(states, weights, bias):
@@ -46,7 +87,7 @@ def reference_extract(net, node_budget=cpwl.DEFAULT_NODE_BUDGET):
         total = sum(s.breakpoints.size for s in states)
         if total > node_budget:
             raise ResourceError(f"extraction grew past {node_budget} nodes")
-        return [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+        return [reference_relu(s) if mask[i] else s for i, s in enumerate(states)]
 
     states = [cpwl.line(w, b) for w, b in zip(net.in_weights, net.in_bias)]
     states = clamp(states)
@@ -59,12 +100,12 @@ def reference_courses(net):
     """Per-channel pre-ReLU collation courses after hidden layers 1..L-1."""
     mask = _reference_mask(net)
     states = [cpwl.line(w, b) for w, b in zip(net.in_weights, net.in_bias)]
-    states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+    states = [reference_relu(s) if mask[i] else s for i, s in enumerate(states)]
     courses = []
     for weights, bias in zip(net.hidden_weights, net.hidden_bias):
         states = _reference_affine(states, weights, bias)
         courses.append(states[-1])
-        states = [cpwl.relu(s) if mask[i] else s for i, s in enumerate(states)]
+        states = [reference_relu(s) if mask[i] else s for i, s in enumerate(states)]
     return courses
 
 

@@ -263,16 +263,6 @@ def test_rate_experiment_takagi_errors_shrink():
     assert errs[-1] <= 2.0 ** -6
 
 
-def test_rate_experiment_workers_match_serial():
-    target = approx.TargetFunction(lambda x: np.abs(np.asarray(x, float) - 0.5))
-    builder = lambda m: takagi_network([1.0] + [0.0] * (m - 1))
-    serial = approx.rate_experiment(target, builder, [1, 2, 4], grid_n=129)
-    threaded = approx.rate_experiment(target, builder, [1, 2, 4], grid_n=129,
-                                      workers=3)
-    for a, b in zip(serial, threaded):
-        assert (a.m, a.params, a.sup_error) == (b.m, b.params, b.sup_error)
-
-
 def test_records_to_csv_format():
     records = [approx.ExperimentRecord(2, 33, 0.125, 1.5),
                approx.ExperimentRecord(4, 65, 0.0625, 2.5)]

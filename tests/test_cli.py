@@ -95,13 +95,12 @@ def test_eval_csv(tmp_path, capsys):
     assert float(mid[0]) == 0.5 and abs(float(mid[1]) - 1.0) <= 1e-12
 
 
-def test_rates_takagi_deterministic_and_svg(tmp_path, capsys, monkeypatch):
+def test_rates_takagi_deterministic_and_svg(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     svg = tmp_path / "plot.svg"
     args = ["rates", "--family", "takagi", "--ms", "1:6", "--grid", "257"]
     assert cli.main(args + ["--out", str(out1), "--svg", str(svg)]) == 0
-    monkeypatch.setenv("SPLINE2RELU_THREADS", "3")
     assert cli.main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     a = _mask_wall(out1.read_text())
@@ -231,6 +230,27 @@ def test_unknown_family_raises_through_run():
     args.family = "mystery"
     with pytest.raises(Spline2ReluError):
         cli.run(args)
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    takes = {"compile": {"--width", "--out"}, "verify": set(), "eval": {"--grid", "--out"},
+             "rates": {"--width", "--grid", "--out", "--svg"}, "riesz": {"--seed", "--out"},
+             "takagi": {"--grid", "--out"}, "fourier": {"--width", "--out"}}
+    positional = {"compile": ["f.spl"], "verify": ["f.net", "f.spl"], "eval": ["f.net"]}
+    parser = cli._build_parser()
+    for command, flags in takes.items():
+        for flag in ("--width", "--grid", "--seed", "--out", "--svg"):
+            argv = [command, *positional.get(command, []), flag, "5"]
+            if flag in flags:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+    for argv in (["verify", "f.net", "f.spl", "--width", "8"], ["compile", "f.spl", "--grid", "5"],
+                 ["riesz", "--svg", "x"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_subcommand():

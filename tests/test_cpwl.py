@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spline, reference_write_spline
+from conftest import random_spline, reference_canonical, reference_relu, reference_write_spline
 from spline2relu import cpwl
 from spline2relu.errors import DomainError, ParseError, ResourceError
 
@@ -94,6 +94,21 @@ def test_combine_matches_pointwise():
         assert np.abs(got - want).max() <= 1e-12
 
 
+def test_combine_interpolates_one_part_at_a_time():
+    """Summing 16 sawtooth iterates holds about seven arrays of the merged
+    grid's size at its peak; one interpolation per part held at once would
+    add 16 more."""
+    fs = [cpwl.hat_iterate(k) for k in range(1, 17)]
+    n = fs[-1].breakpoints.size
+    tracemalloc.start()
+    try:
+        cpwl.combine(fs, [1.0] * len(fs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * n
+
+
 def test_add_is_weighted_sum():
     rng = np.random.default_rng(1)
     f = random_spline(rng, 4)
@@ -134,6 +149,123 @@ def test_relu_inserts_exact_crossings():
         f = random_spline(rng, int(rng.integers(0, 10)))
         got = cpwl.relu(f)(grid)
         assert np.abs(got - np.maximum(f(grid), 0.0)).max() <= 1e-12
+
+
+def _outcome(build, *args):
+    """The (nodes, values) that build(*args) gives, or its DomainError's text."""
+    try:
+        out = build(*args)
+    except DomainError as exc:
+        return str(exc)
+    return (out.breakpoints, out.values) if isinstance(out, cpwl.CPwL) else out
+
+
+def _same_outcome(got, want):
+    """Bit for bit, signs of zero included, or the same error text."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+               for a, b in zip(got, want))
+
+
+def _check_rules_against_references(x, v):
+    """The CPwL canonical form and cpwl.relu match the test-only references
+    in conftest on the nodal arrays (x, v)."""
+    x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = _outcome(reference_canonical, x.copy(), v.copy())
+        assert _same_outcome(_outcome(cpwl.CPwL, x.copy(), v.copy()), want)
+        if not isinstance(want, str):
+            f = cpwl.CPwL(x, v)
+            assert _same_outcome(_outcome(cpwl.relu, f), _outcome(reference_relu, f))
+
+
+def _line_plus(x, slope, jump):
+    """Two lines of slope `slope` and slope * (1 + jump) meeting at x = 0.5."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 0.5, slope * x, slope * 0.5 + slope * (1.0 + jump) * (x - 0.5))
+
+
+_OVERFLOWING_SLOPES = [([0.0, 0.5, 1.0], [0.0, 5e307, 1.5e308]), ([0.0, 1e-320, 1.0], [0.0, 1.0, 1.0])]
+_RULE_EDGES = [
+    ([0.0, 0.5, 1.0], [1e300, -1e300, 1e300]),  # a * b overflows to -inf
+    ([0.0, 0.5, 1.0], [-1e300, 1e300, -1e300]),
+    ([0.0, 0.5, 1.0], [-1e-300, 1e-300, -1e-300]),  # a * b underflows to -0
+    ([0.0, 1.0], [-1e-15, 1.0]),  # crossings within CROSSING_SNAP of a node
+    ([0.0, 1.0], [1.0, -1e-15]),
+    ([0.0, 0.5, 1.0], [-1.0, 1.0, -5e-15]),
+    ([0.0, 1.0], [-1e-14, 1.0 - 1e-14]),  # exactly CROSSING_SNAP from 0
+    ([0.0, 1.0], [-1e-13, 1.0]),  # just outside it
+    ([0.0, 1.0], [1.0, -2e-14]),
+    ([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, -1.0, 0.0, 1.0, 0.0]),  # exact zeros at nodes
+    ([0.0, 0.5, 1.0], [-0.0, 1.0, -0.0]),
+    ([0.0, 0.5, 1.0], [0.0, -0.0, 0.0]),
+    (np.linspace(0.0, 1.0, 6), 2.0 * np.linspace(0.0, 1.0, 6) - 1.0),  # collinear runs
+    (np.linspace(0.0, 1.0, 11), 3.0 * np.linspace(0.0, 1.0, 11) - 1.3),
+    ([0.0, 0.1, 0.2, 0.6, 0.8, 1.0], [1.0, 0.5, 0.0, 0.0, 0.0, -1.0]),
+    *[([0.0, 0.5, 1.0], _line_plus([0.0, 0.5, 1.0], slope, jump))  # kinks next to SLOPE_TOL
+      for slope in (1.0, -1.0, 1e5, -3e7, 0.25)
+      for jump in (1.01e-10, 0.99e-10, -1.01e-10, -0.99e-10, 2e-10, 5e-11)],
+    *_OVERFLOWING_SLOPES,
+    ([0.0, 0.5, 1.0], [0.0, 5e307, 0.0]),  # a slope change that overflows is a kink
+]
+
+
+@pytest.mark.parametrize("x, v", _RULE_EDGES)
+def test_rules_match_references_on_edges(x, v):
+    _check_rules_against_references(x, v)
+
+
+def test_rules_raise_on_an_overflowing_slope():
+    with np.errstate(over="ignore"):
+        for x, v in _OVERFLOWING_SLOPES:
+            assert (_outcome(cpwl.CPwL, x, v) == cpwl.SLOPE_OVERFLOW
+                    == _outcome(reference_canonical, np.array(x), np.array(v)))
+
+
+@st.composite
+def nodal_arrays(draw):
+    """Up to 30 interior nodes, drawn one by one or spread at random, and
+    values at scales from 1e-300 to 1e300: random signs, or a line plus noise
+    near SLOPE_TOL, with zeros of both signs and values within CROSSING_SNAP
+    of zero mixed in."""
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                              min_size=n, max_size=n, unique=True))
+    else:
+        inner = np.unique(rng.uniform(0.0, 1.0, n))
+    x = np.concatenate(([0.0], np.sort(inner), [1.0]))
+    v = rng.uniform(-1.0, 1.0, x.size)
+    special = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 1e-14]), max_size=4))
+    v[rng.integers(0, x.size, len(special))] = special
+    if draw(st.booleans()):
+        slope, root = draw(st.floats(-4.0, 4.0)), draw(st.floats(-0.5, 1.5))
+        v = slope * (x - root) + draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-8])) * v
+    return x, v * draw(st.sampled_from([1.0, 1e-300, 1e-150, 1e150, 1e300]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nodal_arrays())
+def test_rules_match_references(xv):
+    _check_rules_against_references(*xv)
+
+
+def test_cpwl_owns_its_arrays():
+    """Writing into the arrays a CPwL was built from raises or leaves the
+    function as it was, whether the canonical form drops nodes or not."""
+    grid = np.linspace(0.0, 1.0, 9)
+    for x, v in (([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), ([0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 1.0, 0.0])):
+        x, v = np.array(x), np.array(v)
+        f = cpwl.CPwL(x, v)
+        want = f(grid)
+        for arr in (v, x):
+            try:
+                arr[1] = 0.375
+            except ValueError:
+                pass
+        assert np.array_equal(f(grid), want)
 
 
 def test_reflect_and_restrict():
