@@ -27,6 +27,7 @@ from .network import (
     rail_layer,
     read_network,
     special_to_standard,
+    values_at,
     write_network,
 )
 from .combinators import (

@@ -12,7 +12,7 @@ from . import approx, cpwl, riesz
 from .compiler import (compile_fourier_sum, compile_spline, fourier_atom,
                        fourier_oracle, takagi_network)
 from .errors import ResourceError, Spline2ReluError
-from .network import extract_cpwl, read_network, write_network
+from .network import extract_cpwl, read_network, values_at, write_network
 
 DEFAULT_SEED = 42
 
@@ -120,7 +120,7 @@ def _run_verify(args):
 def _run_eval(args):
     net = read_network(args.network)
     xs = np.linspace(0.0, 1.0, args.grid_n)
-    _emit("x,value\n" + cpwl._format_rows(np.column_stack([xs, net.forward(xs)]), ","), args.out)
+    _emit("x,value\n" + cpwl._format_rows(np.column_stack([xs, values_at(net, xs)]), ","), args.out)
     return 0
 
 

@@ -103,20 +103,6 @@ def _hat_classes(coeffs: np.ndarray, q: int) -> np.ndarray:
     return np.where(coeffs > 0, 0, 3 * q) + (t % 3) * q + (t * q - k - 1)
 
 
-def partition_indices(coeffs: Sequence[float], q: int, width: int) -> list[list[int]]:
-    """Deterministic split of hat-expansion indices into width-2 classes (see
-    `_hat_classes`; 6q <= width-2 of them can be nonempty).  Zero coefficients
-    are left out.  Returned list always has width-2 entries."""
-    if q < 1 or width < 4 or 6 * q > width - 2:
-        raise DomainError("need 1 <= q and 6q <= width - 2")
-    coeffs = np.asarray(coeffs, dtype=float)
-    cls = _hat_classes(coeffs, q)
-    classes: list[list[int]] = [[] for _ in range(width - 2)]
-    for k in np.flatnonzero(coeffs):
-        classes[cls[k]].append(int(k))
-    return classes
-
-
 def _hat_coefficients(y: np.ndarray, s: np.ndarray, q: int) -> np.ndarray:
     """Hat-basis coefficients of every block by one forward substitution.
 

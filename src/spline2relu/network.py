@@ -244,6 +244,12 @@ def reset_layers(net: ReluNetwork) -> np.ndarray:
     return np.concatenate(([0], 1 + np.flatnonzero(reset)))
 
 
+def _all_reset(net: ReluNetwork) -> bool:
+    """A special network whose every layer is a reset (see `reset_layers`):
+    its function is read from the weights in closed form (`_depth_one`)."""
+    return net.special and reset_layers(net).size == net.depth
+
+
 def _depth_one(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and values of a special network whose every layer is a reset.
 
@@ -252,15 +258,15 @@ def _depth_one(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     is alpha x + beta + sum_i c_i relu(a_i x + b_i), read straight from the
     weights.  The kinks -b_i/a_i inside (0, 1) are sorted once; the slope
     changes c_i |a_i| are prefix-summed into slopes and the slopes integrated
-    into values from x = 0.
+    into values from x = 0.  Callers run it under np.errstate and check the
+    values: a zero a_i divides by zero, and large weights may overflow.
     """
     comp = slice(1, -1)
     a = np.concatenate([net.in_weights[None, comp], net.hidden_weights[:, comp, 0]]).ravel()
     b = np.concatenate([net.in_bias[None, comp], net.hidden_bias[:, comp]]).ravel()
     read = np.concatenate([net.hidden_weights[:, -1], net.out_weights[None]])
     c = read[:, comp].ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -b / a
+    t = -b / a
     live = np.where(a > 0.0, t <= 0.0, t > 0.0)  # active just right of 0
     value = np.concatenate([net.hidden_bias[:, -1], [net.out_bias], c * np.maximum(b, 0.0)]).sum()
     slope = np.concatenate([read[:, 0], (c * a)[live]]).sum()
@@ -289,15 +295,41 @@ def extract_cpwl(net: ReluNetwork, node_budget: int = cpwl.DEFAULT_NODE_BUDGET) 
     ResourceError is raised.  Values that are not finite raise DomainError
     naming the first layer that overflows (see `ReluNetwork.forward`).
     """
-    x, v = _extract(net, node_budget)
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-        raise net._not_finite(x[np.isfinite(x)])
-    return cpwl.CPwL(x, v)
+    # values that are not finite are checked here, so numpy need not warn
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, v = _extract(net, node_budget)
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise net._not_finite(x[np.isfinite(x)])
+        return cpwl.CPwL(x, v)
+
+
+def values_at(net: ReluNetwork, xs) -> np.ndarray:
+    """The network's values at the points xs, a 1-d array in [0, 1].
+
+    A special network whose every layer is a reset (see `reset_layers`) is
+    read from the (nodes, values) of its closed form (`_depth_one`, as in
+    `extract_cpwl`) by `np.interp`, as `CPwL.eval` reads a function.  The
+    closed form holds one node per unit, so no node budget applies.  Any
+    other network steps its layers (`ReluNetwork.forward`).  A value that is
+    not finite raises the DomainError of `extract_cpwl`, naming the first
+    layer that overflows.
+    """
+    xa = np.asarray(xs, dtype=float)
+    if not ((xa >= 0.0) & (xa <= 1.0)).all():
+        raise DomainError("evaluation point outside [0, 1]")
+    if not _all_reset(net):
+        return net.forward(xa)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, v = _depth_one(net)
+        out = np.interp(xa, x, v)
+    if not (np.isfinite(v).all() and np.isfinite(out).all()):
+        raise net._not_finite(x)
+    return out
 
 
 def _extract(net: ReluNetwork, node_budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and values of `extract_cpwl`, before the finiteness check."""
-    if net.special and reset_layers(net).size == net.depth:
+    if _all_reset(net):
         x, v = _depth_one(net)
         if x.size > node_budget:
             raise ResourceError(f"extraction grew past {node_budget} nodes")
@@ -355,11 +387,6 @@ def _courses(net: SpecialNetwork):
             step.prune()
 
 
-def collation_courses(net: SpecialNetwork) -> list[cpwl.CPwL]:
-    """Pre-ReLU collation-channel functions after each hidden layer 1..L-1."""
-    return [cpwl.CPwL(nodes, values) for nodes, values in _courses(net)]
-
-
 def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
     """Equivalent plain network on [0, 1].
 
@@ -367,7 +394,9 @@ def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
     lifted by the exact constant C_l = max(0, -min of its course at layer l),
     computed by partial extraction, and the total lift is removed at the output.
     """
-    lifts = [max(0.0, -float(values.min())) for _, values in _courses(net)]
+    # one errstate for the whole loop: `_courses` raises on a course that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifts = [max(0.0, -float(values.min())) for _, values in _courses(net)]
     hidden_bias = net.hidden_bias.copy()
     hidden_bias[:, -1] += lifts
     return ReluNetwork(net.in_weights, net.in_bias, net.hidden_weights, hidden_bias,

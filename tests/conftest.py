@@ -1,6 +1,7 @@
 """Shared random constructions used across the test modules."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -11,9 +12,11 @@ from spline2relu.errors import DomainError, ResourceError
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
+    _depth_one,
     _SharedGrid,
     hat_net,
     rail_layer,
+    reset_layers,
     special_to_standard,
 )
 
@@ -165,11 +168,40 @@ def reference_write_spline(f, path):
 
 
 def reference_eval_csv(net, grid_n):
-    """Per-row text of `spline2relu eval`, kept as a test-only reference."""
+    """Per-row text of `spline2relu eval`, kept as a test-only reference: a
+    special network whose every layer is a reset is read from its closed
+    form's nodes by np.interp, any other network by `forward`."""
     xs = np.linspace(0.0, 1.0, grid_n)
-    ys = net.forward(xs)
+    if net.special and reset_layers(net).size == net.depth:
+        ys = np.interp(xs, *_depth_one(net))
+    else:
+        ys = net.forward(xs)
     rows = ["x,value"] + ["%.17g,%.17g" % (x, y) for x, y in zip(xs, ys)]
     return "\n".join(rows) + "\n"
+
+
+def exact_values(net, xs):
+    """The network's own function at the points xs, as Fractions: every float
+    weight and point is a dyadic rational, so stepping the layers exactly
+    (zero weights skipped) separates the error of a float evaluation from the
+    rounding already in the weights."""
+    mask = _reference_mask(net).tolist()
+
+    def rows(weights, bias):
+        return [([(j, Fraction(w)) for j, w in enumerate(row) if w != 0.0], Fraction(b))
+                for row, b in zip(np.asarray(weights).tolist(), np.asarray(bias).tolist())]
+
+    layers = [rows(net.in_weights[:, None], net.in_bias)]
+    layers += [rows(w, b) for w, b in zip(net.hidden_weights, net.hidden_bias)]
+    (out, out_bias), = rows(net.out_weights[None], [net.out_bias])
+    values = []
+    for x in xs:
+        state = [Fraction(float(x))]
+        for layer in layers:
+            state = [sum((w * state[j] for j, w in row), b) for row, b in layer]
+            state = [max(s, 0) if relu else s for s, relu in zip(state, mask)]
+        values.append(sum((w * state[j] for j, w in out), out_bias))
+    return values
 
 
 def _reference_hat_coefficients(y, s, q, peaks):
@@ -303,6 +335,16 @@ def overflowing_net():
     odd = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 7.0, -12.0, 0.0, 2.0 ** 60, -1e-300])
     return ReluNetwork(odd[:3], odd[3:6], np.resize(odd, (2, 3, 3)),
                        np.resize(odd[::-1], (2, 3)), odd[6:], -0.0)
+
+
+def overflowing_reset_net():
+    """W=4, depth-2 special network whose every layer is a reset and whose
+    collation rail overflows in layer 1: it adds 1e308 relu(1e308 x)."""
+    weights = rail_layer(4)
+    weights[1:3, 0] = 1.0
+    weights[-1, 1] = 1e308
+    return SpecialNetwork([1.0, 1e308, 1.0, 0.0], np.zeros(4), [weights], np.zeros((1, 4)),
+                          [0.0, 0.0, 0.0, 1.0], 0.0)
 
 
 def slope_overflow_nets():

@@ -1,19 +1,23 @@
 """Command-line tests: every subcommand, file outputs, and error handling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import (
+    exact_values,
     overflowing_net,
+    overflowing_reset_net,
     random_spline,
     reference_eval_csv,
     slope_overflow_nets,
     text_io_networks,
 )
 from spline2relu import approx, cli, cpwl
-from spline2relu.compiler import takagi_network
+from spline2relu.compiler import compile_spline, takagi_network
 from spline2relu.errors import Spline2ReluError
-from spline2relu.network import read_network, write_network
+from spline2relu.network import extract_cpwl, read_network, reset_layers, write_network
 
 
 def _mask_wall(text):
@@ -66,8 +70,7 @@ def test_verify_fails_on_an_overflowing_slope(tmp_path, capsys):
     for k, net in enumerate(slope_overflow_nets()):
         npath = tmp_path / f"{k}.relu"
         write_network(net, npath)
-        with np.errstate(over="ignore"):
-            assert cli.main(["verify", str(npath), str(spath)]) == 1
+        assert cli.main(["verify", str(npath), str(spath)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("slope overflows, so a kink cannot be told from a "
@@ -297,6 +300,53 @@ def test_overflowing_network_fails_eval_and_verify(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: network value is not finite: layer 1 of 3 overflows\n")
+
+
+def test_overflowing_all_reset_network_fails_eval_as_verify(tmp_path, capsys):
+    """eval reads an all-reset network in closed form, and an overflow there
+    is the error verify prints."""
+    npath, spath = tmp_path / "hot.relu", tmp_path / "line.spline"
+    net = overflowing_reset_net()
+    assert reset_layers(net).size == net.depth
+    write_network(net, npath)
+    cpwl.write_spline(cpwl.line(0.0, 1.0), spath)
+    for argv in (["eval", str(npath)], ["verify", str(npath), str(spath)]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: network value is not finite: layer 1 of 2 overflows\n"
+
+
+def test_eval_reads_all_reset_networks_within_two_kappa_u(tmp_path):
+    """At 64 sampled points of the benchmark's 10001-point grid, eval prints
+    an all-reset network (W = 4..7) within 2 kappa u of the network's own
+    exact function, kappa u = (max|f| + max|f'|) 2^-52; forward reads further
+    off."""
+    rng = np.random.default_rng(71)
+    npath, csv, grid = tmp_path / "net.relu", tmp_path / "out.csv", 10001
+    worst_eval = worst_forward = 0.0
+    for width, n, scale in ((4, 500, 2.0), (5, 300, 1e4), (6, 200, 2.0), (7, 500, 1e4),
+                            (4, 120, 1e4), (7, 60, 2.0)):
+        net, _ = compile_spline(random_spline(rng, n, -scale, scale), width)
+        assert reset_layers(net).size == net.depth
+        write_network(net, npath)
+        assert cli.main(["eval", str(npath), "--grid", str(grid), "--out", str(csv)]) == 0
+        xs, printed = np.array([list(map(float, line.split(",")))
+                                for line in csv.read_text().splitlines()[1:]]).T
+        assert np.array_equal(xs, np.linspace(0.0, 1.0, grid))
+        f = extract_cpwl(net)
+        ku = (np.abs(f.values).max() + np.abs(np.diff(f.values) / np.diff(f.breakpoints)).max()) \
+            * 2.0 ** -52
+        pick = np.sort(rng.choice(grid, 64, replace=False))
+        exact = exact_values(net, xs[pick])
+
+        def error(ys):
+            return float(max(abs(Fraction(y) - e) for y, e in zip(ys.tolist(), exact)) / Fraction(ku))
+
+        worst_eval = max(worst_eval, error(printed[pick]))
+        worst_forward = max(worst_forward, error(net.forward(xs[pick])))
+        assert worst_eval <= 2.0, (width, n, scale)
+    assert worst_eval < worst_forward
 
 
 def test_main_reuses_its_parser_without_leaking_state(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import compose_chain, random_spline, reference_compile_wide, same_
 from spline2relu import cpwl
 from spline2relu.compiler import (
     CompileReport,
+    _hat_classes,
     block_size,
     compile_composition,
     compile_fourier_sum,
@@ -17,7 +18,6 @@ from spline2relu.compiler import (
     compile_sum_of_compositions,
     fourier_atom,
     fourier_oracle,
-    partition_indices,
     representative_chain,
     self_similar_oracle,
     spline_budget,
@@ -66,22 +66,24 @@ def test_compile_report_enforces_its_bound():
 
 
 def test_partition_indices_classes():
+    """`_hat_classes` puts every hat-expansion index in one of 6q <= W-2
+    classes whose nonzero members share a sign and sit at least three peaks
+    apart; a batch of blocks is classed row by row."""
     rng = np.random.default_rng(30)
     for q, width in ((1, 8), (2, 14), (3, 20)):
         coeffs = rng.uniform(-1.0, 1.0, 40)
         coeffs[rng.integers(0, 40, 6)] = 0.0
-        classes = partition_indices(coeffs, q, width)
-        assert len(classes) == width - 2
-        seen = [k for cls in classes for k in cls]
-        nonzero = [k for k, c in enumerate(coeffs) if c != 0.0]
-        assert sorted(seen) == sorted(nonzero)
-        for cls in classes:
-            signs = {coeffs[k] > 0 for k in cls}
-            assert len(signs) <= 1
-            peaks = sorted(k // q + 1 for k in cls)
-            assert all(b - a >= 3 for a, b in zip(peaks, peaks[1:]))
-    with pytest.raises(DomainError):
-        partition_indices([1.0], 2, 8)
+        cls = _hat_classes(coeffs, q)
+        assert cls.shape == coeffs.shape
+        assert 0 <= cls.min() and cls.max() < 6 * q <= width - 2
+        nonzero = np.flatnonzero(coeffs)
+        for c in range(6 * q):
+            members = nonzero[cls[nonzero] == c]
+            assert len({coeffs[k] > 0 for k in members}) <= 1
+            peaks = members // q + 1
+            assert (np.diff(peaks) >= 3).all()
+        batch = rng.uniform(-1.0, 1.0, (3, 12 * q))
+        assert np.array_equal(_hat_classes(batch, q), [_hat_classes(row, q) for row in batch])
 
 
 def test_compile_spline_exact_across_widths():

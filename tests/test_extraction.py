@@ -36,7 +36,6 @@ from spline2relu.errors import ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
     _courses,
-    collation_courses,
     extract_cpwl,
     hat_net,
     reset_layers,
@@ -116,12 +115,12 @@ def test_collation_courses_match_reference():
     rng = np.random.default_rng(113)
     for width in (4, 6, 8):
         net, _ = compile_spline(random_spline(rng, 30), width)
-        got, want = collation_courses(net), reference_courses(net)
+        got, want = list(_courses(net)), reference_courses(net)
         assert len(got) == len(want) == net.depth - 1
         for g, w in zip(got, want):
-            _assert_close(g, w)
+            _assert_close(cpwl.CPwL(*g), w)
     with pytest.raises(StructureError):
-        collation_courses(hat_net())
+        next(_courses(hat_net()))
 
 
 def test_special_to_standard_lifts_match_reference():
@@ -203,14 +202,14 @@ def test_layers_that_write_nothing_keep_their_course():
     writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
     assert 0 < writes.sum() < writes.size - 5
     courses = list(_courses(net))
-    assert len(courses) == len(collation_courses(net)) == net.depth - 1
+    assert len(courses) == net.depth - 1
     assert not writes[0]
     assert np.array_equal(courses[0][0], [0.0, 1.0]) and np.array_equal(courses[0][1], [0.0, 0.0])
     for previous, (nodes, values), wrote in zip(courses, courses[1:], writes[1:]):
         if not wrote:
             assert nodes is previous[0] and values is previous[1]
-    for got, want in zip(collation_courses(net), reference_courses(net)):
-        _assert_close(got, want)
+    for got, want in zip(courses, reference_courses(net)):
+        _assert_close(cpwl.CPwL(*got), want)
     assert same_lifts(special_to_standard(net), net)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     overflowing_net,
+    overflowing_reset_net,
     plain_net,
     random_spline,
     reference_write_network,
@@ -19,13 +20,15 @@ from spline2relu.errors import DomainError, ParseError, ResourceError, Structure
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
-    collation_courses,
+    _courses,
+    _depth_one,
     extract_cpwl,
     hat_net,
     param_count,
     rail_layer,
     read_network,
     special_to_standard,
+    values_at,
     write_network,
 )
 
@@ -117,8 +120,8 @@ def test_forward_matches_masked_loop():
 
 def test_overflow_is_an_error_naming_the_layer():
     """A value that is not finite raises DomainError naming the first layer
-    (0 the input layer, L the output) that overflows; forward, whose
-    arrays are large, does so without numpy warnings."""
+    (0 the input layer, L the output) that overflows; forward and
+    extract_cpwl do so without numpy warnings."""
     net = overflowing_net()
     # the output row alone overflows at x = 1: 1.2e308 + 0.6e308
     loud = ReluNetwork([1.0, 1.0], [0.0, -0.5], np.zeros((0, 2, 2)), np.zeros((0, 2)),
@@ -133,25 +136,43 @@ def test_overflow_is_an_error_naming_the_layer():
         assert loud.forward(0.5) == 1.2e308 * 0.5
         with pytest.raises(DomainError, match="x must be finite"):
             hat_net().forward([0.5, np.nan])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
         for bad, layer in ((net, "layer 1 of 3"), (loud, "layer 1 of 1")):
             with pytest.raises(DomainError, match=f"not finite: {layer} overflows"):
                 extract_cpwl(bad)
 
 
+def test_values_at_reads_all_reset_networks_in_closed_form(monkeypatch):
+    """values_at interpolates the closed form of an all-reset network, with no
+    node budget, and steps any other network through forward, to the bit."""
+    rng = np.random.default_rng(16)
+    xs = np.linspace(0.0, 1.0, 1001)
+    narrow = [compile_spline(random_spline(rng, 40), width)[0] for width in (4, 5)]
+    wide, _ = compile_spline(random_spline(rng, 40), 8)
+    stepped = [wide, special_to_standard(narrow[0])]
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 40)
+    for net in narrow:
+        with pytest.raises(ResourceError):
+            extract_cpwl(net, node_budget=40)
+        assert np.array_equal(values_at(net, xs), np.interp(xs, *_depth_one(net)))
+        assert np.abs(values_at(net, xs) - net.forward(xs)).max() <= 1e-12
+    for net in stepped:
+        assert np.array_equal(values_at(net, xs), net.forward(xs))
+    with pytest.raises(DomainError, match="outside"):
+        values_at(wide, [0.5, 1.5])
+    with pytest.raises(DomainError, match="not finite: layer 1 of 2 overflows"):
+        values_at(overflowing_reset_net(), xs)
+
+
 def test_slope_overflow_is_an_error():
     for net in slope_overflow_nets():
         assert net.forward(0.5) == 5e307 and net.forward(1.0) == 1.5e308
-        with np.errstate(over="ignore"):
-            with pytest.raises(DomainError, match="slope overflows"):
-                extract_cpwl(net)
+        with pytest.raises(DomainError, match="slope overflows"):
+            extract_cpwl(net, node_budget=40)
     # a layer whose values overflow is named, though its slopes overflow too
     hot = ReluNetwork([1.0, 1.0], [0.0, -0.5], [[[1.2e308, 1.2e308], [1.0, 0.0]]],
                       np.zeros((1, 2)), [1.0, 0.0], 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DomainError, match="not finite: layer 1 of 2 overflows"):
-            extract_cpwl(hot)
+    with pytest.raises(DomainError, match="not finite: layer 1 of 2 overflows"):
+        extract_cpwl(hot)
 
 
 def test_overflowing_collation_course_is_an_error():
@@ -160,9 +181,8 @@ def test_overflowing_collation_course_is_an_error():
     weights[-1, 1:3] = 1e308
     net = SpecialNetwork([1.0, 1.0, 1.0, 0.0], np.zeros(4), [weights], np.zeros((1, 4)),
                          [0.0, 0.0, 0.0, 1.0], 0.0)
-    with np.errstate(over="ignore"):
-        with pytest.raises(DomainError, match="course is not finite: layer 1 of 2 overflows"):
-            special_to_standard(net)
+    with pytest.raises(DomainError, match="course is not finite: layer 1 of 2 overflows"):
+        special_to_standard(net)
 
 
 def test_compile_shallow_exact():
@@ -243,11 +263,15 @@ def test_special_forward_matches_extraction():
 
 
 def test_collation_courses_shape():
+    """`_courses` yields one canonical (nodes, values) course per hidden layer
+    after the first."""
     rng = np.random.default_rng(14)
     net, _ = compile_spline(random_spline(rng, 8), 4)
-    courses = collation_courses(net)
+    courses = list(_courses(net))
     assert len(courses) == net.depth - 1
-    assert all(isinstance(c, cpwl.CPwL) for c in courses)
+    for nodes, values in courses:
+        course = cpwl.CPwL(nodes, values)
+        assert np.array_equal(course.breakpoints, nodes) and np.array_equal(course.values, values)
 
 
 def test_special_to_standard_equivalence():
