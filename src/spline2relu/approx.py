@@ -18,7 +18,6 @@ from .network import extract_cpwl
 ENDPOINT_TOL = 1e-9
 NODE_SLACK = 1e-9
 TIE_TOL = 1e-12
-DEFAULT_GRID = 10001
 
 
 class TargetFunction:
@@ -178,13 +177,16 @@ def pattern_resolution(m):
     return best
 
 
-def lip_alpha_approximant(f, alpha, m, width, grid_n=DEFAULT_GRID):
-    """Network approximating a unit Lipschitz-alpha target to 4*(k*m)**(-alpha).
+def lip_alpha_approximant(f, alpha, m, width):
+    """(net, bound): a network approximating a unit Lipschitz-alpha target,
+    and the sup error it guarantees, 4*(k*m)**(-alpha) with patterns at
+    resolution k, or m**(-alpha) for the interpolant alone.
 
     Interpolates f at i/m, quantizes each rescaled panel residual to a pattern
     at resolution k (the largest k with 3**k * k <= m), replicates each
     distinct nonzero pattern over its panels, and sums everything.  When m is
-    too small for k >= 2 the interpolant alone is returned.
+    too small for k >= 2 the interpolant alone is returned.  The network is
+    not measured here; `measure_sigma` and `rate_experiment` measure it.
     """
     if width < 8:
         raise DomainError("the approximant needs width >= 8")
@@ -192,41 +194,37 @@ def lip_alpha_approximant(f, alpha, m, width, grid_n=DEFAULT_GRID):
         raise DomainError("need at least two panels")
     if not isinstance(f, TargetFunction) or f.lip_alpha is None:
         raise ContractError("target must declare a Lipschitz exponent and bound")
-    decl_alpha, bound = f.lip_alpha
+    decl_alpha, seminorm = f.lip_alpha
     if abs(decl_alpha - alpha) > 1e-12:
         raise ContractError("declared exponent does not match alpha")
-    if bound > 1.0 + 1e-12:
+    if seminorm > 1.0 + 1e-12:
         raise ContractError("Lipschitz seminorm must be normalized to at most one")
 
-    start = time.perf_counter()
     nodes = np.arange(m + 1, dtype=float) / m
     vals = _evaluate(f, nodes)
     interpolant = cpwl.CPwL(nodes, vals)
     net, _ = compile_spline(interpolant, width)
 
     k = pattern_resolution(m)
-    if k is not None:
-        sub = np.arange(k + 1, dtype=float) / k
-        xs = ((np.arange(m, dtype=float)[:, None] + sub[None, :]) / m).ravel()
-        fv = _evaluate(f, xs).reshape(m, k + 1)
-        tv = np.interp(xs, nodes, vals).reshape(m, k + 1)
-        scale = 0.5 * float(m) ** alpha
-        groups = {}
-        for i in range(m):
-            pattern = _quantize_values(scale * (fv[i] - tv[i]), k, alpha)
-            if not pattern.is_zero():
-                groups.setdefault(pattern.levels, []).append(i)
-        terms = []
-        for levels, panels in groups.items():
-            shape = Pattern(levels).to_cpwl(alpha)
-            scaled = cpwl.combine([shape], [2.0 * float(m) ** (-alpha)])
-            intervals = [(i / m, (i + 1) / m) for i in panels]
-            terms.append(compile_self_similar(scaled, intervals, width)[0])
-        net = concat_sum(net, *terms)
-
-    error = measure_sigma(f, net, grid_n)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return net, ExperimentRecord(m, net.params, error, wall_ms)
+    if k is None:
+        return net, float(m) ** (-alpha)
+    sub = np.arange(k + 1, dtype=float) / k
+    xs = ((np.arange(m, dtype=float)[:, None] + sub[None, :]) / m).ravel()
+    fv = _evaluate(f, xs).reshape(m, k + 1)
+    tv = np.interp(xs, nodes, vals).reshape(m, k + 1)
+    scale = 0.5 * float(m) ** alpha
+    groups = {}
+    for i in range(m):
+        pattern = _quantize_values(scale * (fv[i] - tv[i]), k, alpha)
+        if not pattern.is_zero():
+            groups.setdefault(pattern.levels, []).append(i)
+    terms = []
+    for levels, panels in groups.items():
+        shape = Pattern(levels).to_cpwl(alpha)
+        scaled = cpwl.combine([shape], [2.0 * float(m) ** (-alpha)])
+        intervals = [(i / m, (i + 1) / m) for i in panels]
+        terms.append(compile_self_similar(scaled, intervals, width)[0])
+    return concat_sum(net, *terms), 4.0 * (k * m) ** (-alpha)
 
 
 class _PanelAntiderivative:

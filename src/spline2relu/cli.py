@@ -125,16 +125,10 @@ def _run_eval(args):
 
 
 def _rates_setup(args):
-    if args.family == "takagi":
-        f = approx.TargetFunction(_dyadic_sawtooth_sum(max(_parse_sizes(args.ms)) + 20))
-        builder = lambda m: takagi_network([2.0 ** -(i + 1) for i in range(m)])
-    elif args.family == "lip":
-        f = approx.TargetFunction(lambda x: np.abs(np.asarray(x, dtype=float) - 0.5),
-                                  lip_alpha=(args.alpha, 1.0))
-        builder = lambda m: approx.lip_alpha_approximant(f, args.alpha, m, args.width)[0]
-    else:
+    if args.family != "takagi":
         raise Spline2ReluError(f"unknown rate family {args.family!r}")
-    return f, builder
+    coeffs, f = _takagi(max(_parse_sizes(args.ms)))
+    return f, lambda m: takagi_network(coeffs[:m])
 
 
 def _run_rates(args):
@@ -192,10 +186,16 @@ def _dyadic_sawtooth_sum(order):
     return evaluate
 
 
+def _takagi(order):
+    """Coefficients 2^-(i+1), i < order, of the Takagi partial sum, and the
+    target it approximates: the dyadic sawtooth sum 20 terms further on."""
+    coeffs = [2.0 ** -(i + 1) for i in range(order)]
+    return coeffs, approx.TargetFunction(_dyadic_sawtooth_sum(order + 20))
+
+
 def _run_takagi(args):
-    coeffs = [2.0 ** -(i + 1) for i in range(args.order)]
+    coeffs, target = _takagi(args.order)
     net = takagi_network(coeffs)
-    target = approx.TargetFunction(_dyadic_sawtooth_sum(args.order + 20))
     error = approx.measure_sigma(target, net, args.grid_n)
     if args.out:
         write_network(net, args.out)
@@ -208,17 +208,16 @@ def _run_fourier(args):
     terms = _parse_terms(args.terms)
     if terms:
         net, report = compile_fourier_sum(terms, args.width)
-        target = fourier_oracle(terms)
-        error = cpwl.sup_diff(extract_cpwl(net), target)
-        print(_report_line(report) + f" sup_error={error:.17g}")
+        target, head = fourier_oracle(terms), _report_line(report)
     elif args.kind and args.index is not None:
         net = fourier_atom(args.kind, args.index)
         target = cpwl.basis_fn(args.kind, args.index)
-        error = cpwl.sup_diff(extract_cpwl(net), target)
-        print(f"kind={args.kind} index={args.index} width={net.width} "
-              f"depth={net.depth} params={net.params} sup_error={error:.17g}")
+        head = (f"kind={args.kind} index={args.index} width={net.width} "
+                f"depth={net.depth} params={net.params}")
     else:
         raise Spline2ReluError("give either --terms or both --kind and --index")
+    error = cpwl.sup_diff(extract_cpwl(net), target)
+    print(f"{head} sup_error={error:.17g}")
     if args.out:
         write_network(net, args.out)
     return 0
@@ -280,10 +279,9 @@ def _build_parser():
     flags(p, "grid", "out")
 
     p = sub.add_parser("rates", help="rate experiment CSV for a builder family")
-    p.add_argument("--family", choices=("takagi", "lip"), default="takagi")
+    p.add_argument("--family", choices=("takagi",), default="takagi")
     p.add_argument("--ms", default="1:12")
-    p.add_argument("--alpha", type=float, default=1.0)
-    flags(p, "width", "grid", "out", "svg", grid=4097)
+    flags(p, "grid", "out", "svg", grid=4097)
 
     p = sub.add_parser("riesz", help="frame bounds, operator gaps, double-sum checks")
     p.add_argument("--K", type=int, default=32)

@@ -35,8 +35,8 @@ def _rails(width: int, count: int) -> np.ndarray:
     return np.tile(rail_layer(width), (count, 1, 1))
 
 
-def _chain(parts, seams: np.ndarray) -> np.ndarray:
-    """Per-layer arrays `parts` joined along the layer axis, with one row of
+def _chain(parts, seams) -> np.ndarray:
+    """Per-layer arrays `parts` joined along the layer axis, with one entry of
     `seams` between each neighbouring pair."""
     joined = [parts[0]]
     for seam, part in zip(seams, parts[1:]):
@@ -96,15 +96,18 @@ def _fused(inner: ReluNetwork, outer: ReluNetwork) -> tuple[np.ndarray, np.ndarr
             outer.in_weights * inner.out_bias + outer.in_bias)
 
 
-def compose_nets(inner: ReluNetwork, outer: ReluNetwork) -> ReluNetwork:
-    """Depth L1 + L2 network computing outer(inner(x)) with a fused interface."""
-    _plain([inner, outer])
-    _common_width([inner, outer])
-    seam_w, seam_b = _fused(inner, outer)
-    return ReluNetwork(inner.in_weights, inner.in_bias,
-                       _chain([inner.hidden_weights, outer.hidden_weights], seam_w[None]),
-                       _chain([inner.hidden_bias, outer.hidden_bias], seam_b[None]),
-                       outer.out_weights, outer.out_bias)
+def compose_nets(*nets: ReluNetwork) -> ReluNetwork:
+    """Depth sum(L_i) network computing nets[-1](...nets[0](x)), with one fused
+    seam between each neighbouring pair."""
+    if not nets:
+        raise StructureError("need at least one network")
+    _plain(nets)
+    _common_width(nets)
+    seams = [_fused(inner, outer) for inner, outer in zip(nets, nets[1:])]
+    return ReluNetwork(nets[0].in_weights, nets[0].in_bias,
+                       _chain([n.hidden_weights for n in nets], [w for w, _ in seams]),
+                       _chain([n.hidden_bias for n in nets], [b for _, b in seams]),
+                       nets[-1].out_weights, nets[-1].out_bias)
 
 
 def _weights_vector(nets, weights) -> np.ndarray:

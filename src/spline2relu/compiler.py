@@ -343,10 +343,7 @@ def compile_composition(chain: Sequence[cpwl.CPwL], width: int
         if f.values.min() < -cpwl.EDGE_TOL or f.values.max() > 1.0 + cpwl.EDGE_TOL:
             raise DomainError("intermediate factor escapes [0, 1]")
     reps = representative_chain(chain)
-    nets = [special_to_standard(compile_spline(rep, width)[0]) for rep in reps]
-    net = nets[0]
-    for nxt in nets[1:]:
-        net = compose_nets(net, nxt)
+    net = compose_nets(*[special_to_standard(compile_spline(rep, width)[0]) for rep in reps])
     total_n = sum(rep.n_interior for rep in reps)
     k = len(chain)
     bound = 34 * total_n + 2 * k * (width * width + width)
@@ -422,14 +419,10 @@ def _similar_term(pattern: cpwl.CPwL, intervals: list[tuple[float, float]],
     """Plain width-(W-2) network for (pattern o T - pattern~ o That) on the
     given strictly separated intervals (pattern nonnegative)."""
     tent, tent_hat = _interval_hats(intervals)
-    mirrored = cpwl.reflect(pattern)
-    s_net = special_to_standard(compile_spline(pattern, width - 4)[0])
-    sh_net = special_to_standard(compile_spline(mirrored, width - 4)[0])
-    t_net = special_to_standard(compile_spline(tent, width - 4)[0])
-    th_net = special_to_standard(compile_spline(tent_hat, width - 4)[0])
-    st = compose_nets(t_net, s_net)
-    sh_th = compose_nets(th_net, sh_net)
-    return special_to_standard(stack_sum([st, sh_th], [1.0, -1.0]))
+    s_net, sh_net, t_net, th_net = [special_to_standard(compile_spline(g, width - 4)[0])
+                                    for g in (pattern, cpwl.reflect(pattern), tent, tent_hat)]
+    terms = [compose_nets(t_net, s_net), compose_nets(th_net, sh_net)]
+    return special_to_standard(stack_sum(terms, [1.0, -1.0]))
 
 
 def compile_self_similar(pattern: cpwl.CPwL,
@@ -466,17 +459,14 @@ def compile_self_similar(pattern: cpwl.CPwL,
     neg = cpwl.relu(cpwl.combine([pattern], [-1.0]))
     strictly_separated = all(b0 < a1 for (_, b0), (a1, _) in zip(iv, iv[1:]))
 
+    # intervals sharing an endpoint exist only when there are two or more,
+    # so both alternating groups are nonempty
+    groups = [iv] if strictly_separated else [iv[0::2], iv[1::2]]
     parts: list[tuple[cpwl.CPwL, list[tuple[float, float]], float]] = []
-    halves = [(pos, 1.0)] if neg.values.max() == 0.0 else [(pos, 1.0), (neg, -1.0)]
-    for half, sign in halves:
+    for half, sign in ((pos, 1.0), (neg, -1.0)):
         if half.values.max() == 0.0:
             continue
-        if strictly_separated:
-            parts.append((half, iv, sign))
-        else:
-            for group in (iv[0::2], iv[1::2]):
-                if group:
-                    parts.append((half, group, sign))
+        parts += [(half, group, sign) for group in groups]
 
     bound = SELF_SIMILAR_C1 * (k + m) + SELF_SIMILAR_C2 * width * width
     oracle_n = self_similar_oracle(pattern, iv).n_interior
@@ -508,10 +498,8 @@ def fourier_atom(kind: str, j: int) -> ReluNetwork:
     flip = _depth_one([1.0, 1.0], [0.0, -0.5], [-4.0, 8.0], 1.0)  # 1 - 2*hat
     if halvings == 0:
         return flip
-    net = _depth_one([scale, scale], [shift, shift - 0.5], [2.0, -4.0], 0.0)
-    for _ in range(halvings - 1):
-        net = compose_nets(net, hat_net())
-    return compose_nets(net, flip)
+    first = _depth_one([scale, scale], [shift, shift - 0.5], [2.0, -4.0], 0.0)
+    return compose_nets(first, *[hat_net()] * (halvings - 1), flip)
 
 
 def fourier_oracle(terms: Sequence[tuple[int, float, float]]) -> cpwl.CPwL:

@@ -115,10 +115,9 @@ def test_lip_approximant_contract_checks():
 
 def test_lip_approximant_small_m_is_pure_interpolation():
     f = approx.TargetFunction(np.sqrt, lip_alpha=(0.5, 1.0))
-    net, record = approx.lip_alpha_approximant(f, 0.5, 8, 8)
-    assert record.m == 8
-    assert record.params == net.params
-    assert record.sup_error <= 4.0 * 8.0 ** -0.5
+    net, bound = approx.lip_alpha_approximant(f, 0.5, 8, 8)
+    assert bound == 8.0 ** -0.5
+    assert approx.measure_sigma(f, net, 10001) <= 4.0 * 8.0 ** -0.5
     nodes = np.arange(9) / 8.0
     interp = cpwl.CPwL(nodes, np.sqrt(nodes))
     assert cpwl.sup_diff(extract_cpwl(net), interp) <= 1e-10
@@ -126,27 +125,47 @@ def test_lip_approximant_small_m_is_pure_interpolation():
 
 def test_lip_approximant_sqrt_full_path():
     f = approx.TargetFunction(np.sqrt, lip_alpha=(0.5, 1.0))
-    net, record = approx.lip_alpha_approximant(f, 0.5, 36, 8)
+    net, bound = approx.lip_alpha_approximant(f, 0.5, 36, 8)
     k = approx.pattern_resolution(36)
     assert k == 2
-    assert record.sup_error <= 4.0 * (k * 36.0) ** -0.5
+    assert bound == 4.0 * (k * 36) ** -0.5
+    assert approx.measure_sigma(f, net, 10001) <= 4.0 * (k * 36.0) ** -0.5
     assert net.width == 8
 
 
 def test_lip_approximant_recovers_planted_patterns():
     rng = np.random.default_rng(41)
     f, pats = pattern_rich_target(rng, 36, 2, 1.0)
-    net, record = approx.lip_alpha_approximant(f, 1.0, 36, 8)
-    assert record.sup_error <= 4.0 / (2 * 36.0)
+    net, bound = approx.lip_alpha_approximant(f, 1.0, 36, 8)
+    assert bound == 4.0 / (2 * 36)
+    assert approx.measure_sigma(f, net, 10001) <= 4.0 / (2 * 36.0)
     assert any(not p.is_zero() for p in pats)
-    assert record.params == net.params
 
 
 def test_lip_approximant_exact_on_linear_targets():
     f = approx.TargetFunction(lambda x: 0.25 * np.asarray(x, dtype=float) + 0.1,
                               lip_alpha=(1.0, 0.25))
-    _, record = approx.lip_alpha_approximant(f, 1.0, 24, 8)
-    assert record.sup_error <= 1e-10
+    net, _ = approx.lip_alpha_approximant(f, 1.0, 24, 8)
+    assert approx.measure_sigma(f, net, 10001) <= 1e-10
+
+
+def test_lip_approximant_builds_and_rate_experiment_measures(monkeypatch):
+    """The builder never measures; rate_experiment measures each row once."""
+    grids = []
+    measure = approx.measure_sigma
+
+    def counting(f, net, grid_n):
+        grids.append(grid_n)
+        return measure(f, net, grid_n)
+
+    monkeypatch.setattr(approx, "measure_sigma", counting)
+    f = approx.TargetFunction(np.sqrt, lip_alpha=(0.5, 1.0))
+    approx.lip_alpha_approximant(f, 0.5, 36, 8)
+    assert grids == []
+    records = approx.rate_experiment(
+        f, lambda m: approx.lip_alpha_approximant(f, 0.5, m, 8)[0], [8, 36], grid_n=513)
+    assert grids == [513, 513]
+    assert [r.reason for r in records] == ["", ""]
 
 
 def test_sobolev_split_validation():

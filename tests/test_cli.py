@@ -132,17 +132,6 @@ def test_rates_reports_failed_rows_on_stderr(capsys, monkeypatch):
     assert err.splitlines() == ["rates: m=2 failed: Spline2ReluError: no network for m=2"]
 
 
-def test_rates_lip_family(tmp_path, capsys):
-    out = tmp_path / "lip.csv"
-    assert cli.main(["rates", "--family", "lip", "--alpha", "1.0",
-                     "--ms", "8,16", "--grid", "513", "--out", str(out)]) == 0
-    capsys.readouterr()
-    rows = out.read_text().splitlines()
-    assert len(rows) == 3
-    for row in rows[1:]:
-        assert float(row.split(",")[2]) <= 0.5
-
-
 def test_riesz_subcommand(tmp_path, capsys):
     out = tmp_path / "riesz.csv"
     assert cli.main(["riesz", "--K", "4", "--gap-k", "8", "--trials", "5",
@@ -237,7 +226,7 @@ def test_unknown_family_raises_through_run():
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     takes = {"compile": {"--width", "--out"}, "verify": set(), "eval": {"--grid", "--out"},
-             "rates": {"--width", "--grid", "--out", "--svg"}, "riesz": {"--seed", "--out"},
+             "rates": {"--grid", "--out", "--svg"}, "riesz": {"--seed", "--out"},
              "takagi": {"--grid", "--out"}, "fourier": {"--width", "--out"}}
     positional = {"compile": ["f.spl"], "verify": ["f.net", "f.spl"], "eval": ["f.net"]}
     parser = cli._build_parser()
@@ -250,7 +239,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
                 with pytest.raises(SystemExit):
                     parser.parse_args(argv)
     for argv in (["verify", "f.net", "f.spl", "--width", "8"], ["compile", "f.spl", "--grid", "5"],
-                 ["riesz", "--svg", "x"]):
+                 ["riesz", "--svg", "x"], ["rates", "--alpha", "1.0"],
+                 ["rates", "--family", "lip"]):
         with pytest.raises(SystemExit):
             cli.main(argv)
     assert "unrecognized arguments" in capsys.readouterr().err

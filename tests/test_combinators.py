@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import compose_chain, gentle_unit_spline, plain_net, random_spline
+from conftest import compose_chain, gentle_unit_spline, plain_net, random_spline, same_weights
 from spline2relu import cpwl
 from spline2relu.combinators import (
     compose_nets,
@@ -257,5 +257,9 @@ def test_compose_chain_helper_matches_network_chain():
     chain = [random_spline(rng, 2, 0.0, 1.0), random_spline(rng, 2, 0.0, 1.0),
              random_spline(rng, 2)]
     nets = [plain_net(f, 6) for f in chain]
-    net = compose_nets(compose_nets(nets[0], nets[1]), nets[2])
+    net = compose_nets(*nets)
     assert cpwl.sup_diff(extract_cpwl(net), compose_chain(chain)) <= 1e-10
+    assert same_weights(net, compose_nets(compose_nets(nets[0], nets[1]), nets[2]))
+    assert same_weights(compose_nets(nets[0]), nets[0])
+    with pytest.raises(StructureError):
+        compose_nets()
