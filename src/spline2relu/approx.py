@@ -18,6 +18,7 @@ from .network import extract_cpwl
 ENDPOINT_TOL = 1e-9
 NODE_SLACK = 1e-9
 TIE_TOL = 1e-12
+SPLIT_PANELS = 1024
 
 
 class TargetFunction:
@@ -104,7 +105,7 @@ class ExperimentRecord:
     """One row of a rate experiment: grid error of a size-m network build.
 
     A row whose build or measurement raised carries a NaN error, params = 0
-    and `reason` = "<ExceptionClass>: <message>"; the CSV leaves it out.
+    and `reason` = "<ExceptionClass>: <message>"; its CSV row is m,0,nan,wall_ms.
     """
 
     m: int
@@ -266,26 +267,24 @@ class SplitResult:
         yield self.f1
 
 
-def sobolev_split(fprime, p, t, anchor=0.0, panels=1024):
+def sobolev_split(fprime, p, t, anchor=0.0):
     """Split a function by clamping its derivative at t**(-1/p) * ||f'||_p.
 
-    All integrals use the composite midpoint rule on the given panel count;
+    All integrals use the composite midpoint rule on SPLIT_PANELS panels;
     quad_tol reports the change in ||f'||_p when the panel count doubles.
     """
     if not 1.0 < p < math.inf:
         raise DomainError("need 1 < p < infinity")
     if t <= 0.0:
         raise DomainError("need t > 0")
-    if panels < 2:
-        raise DomainError("need at least two quadrature panels")
 
     def lp_midpoint(n):
         mids = (np.arange(n, dtype=float) + 0.5) / n
         fp = _evaluate(fprime, mids)
         return fp, float(np.mean(np.abs(fp) ** p) ** (1.0 / p))
 
-    fp, lp_norm = lp_midpoint(panels)
-    _, lp_fine = lp_midpoint(2 * panels)
+    fp, lp_norm = lp_midpoint(SPLIT_PANELS)
+    _, lp_fine = lp_midpoint(2 * SPLIT_PANELS)
     quad_tol = abs(lp_fine - lp_norm)
 
     lam = t ** (-1.0 / p) * lp_norm

@@ -33,6 +33,7 @@ from .errors import (
 from .network import (
     ReluNetwork,
     SpecialNetwork,
+    _shallow,
     hat_net,
     param_count,
     rail_layer,
@@ -285,13 +286,6 @@ def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, Compi
     return net, _report(net, spline_budget(width, n), n, note)
 
 
-def _depth_one(first, first_bias, out, out_bias) -> ReluNetwork:
-    """Network with one hidden layer and no hidden-to-hidden maps."""
-    width = len(first)
-    return ReluNetwork(first, first_bias, np.zeros((0, width, width)), np.zeros((0, width)),
-                       out, out_bias)
-
-
 def compile_shallow(target: cpwl.CPwL) -> ReluNetwork:
     """One-hidden-layer network with width n+1 computing the target directly."""
     x, v = target.breakpoints, target.values
@@ -300,7 +294,7 @@ def compile_shallow(target: cpwl.CPwL) -> ReluNetwork:
     first = np.ones(w)
     fb = np.concatenate(([0.0], -x[1:-1]))
     out = np.concatenate(([slopes[0]], np.diff(slopes)))
-    return _depth_one(first, fb, out, float(v[0]))
+    return _shallow(first, fb, out, float(v[0]))
 
 
 def representative_chain(chain: Sequence[cpwl.CPwL]) -> list[cpwl.CPwL]:
@@ -495,10 +489,10 @@ def fourier_atom(kind: str, j: int) -> ReluNetwork:
         raise DomainError("kind must be 'cosine' or 'sine'")
     scale = j / float(2 ** halvings)
     shift = 0.75 / float(2 ** halvings) if kind == "sine" else 0.0
-    flip = _depth_one([1.0, 1.0], [0.0, -0.5], [-4.0, 8.0], 1.0)  # 1 - 2*hat
+    flip = _shallow([1.0, 1.0], [0.0, -0.5], [-4.0, 8.0], 1.0)  # 1 - 2*hat
     if halvings == 0:
         return flip
-    first = _depth_one([scale, scale], [shift, shift - 0.5], [2.0, -4.0], 0.0)
+    first = _shallow([scale, scale], [shift, shift - 0.5], [2.0, -4.0], 0.0)
     return compose_nets(first, *[hat_net()] * (halvings - 1), flip)
 
 

@@ -21,6 +21,7 @@ SLOPE_TOL = 1e-10
 CROSSING_SNAP = 1e-14
 # eval/compose tolerate this much float overshoot outside [0, 1]
 EDGE_TOL = 1e-12
+# most nodes an extraction, sawtooth or CLI grid may hold; read at call time
 DEFAULT_NODE_BUDGET = 1 << 21
 SLOPE_OVERFLOW = "a slope overflows, so a kink cannot be told from a straight node"
 
@@ -245,11 +246,11 @@ def sup_diff(f: CPwL, g: CPwL) -> float:
     return deviation(f, g)[0]
 
 
-def hat_iterate(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> CPwL:
+def hat_iterate(k: int) -> CPwL:
     """The k-fold self-composition of the hat (sawtooth with 2^k - 1 teeth nodes)."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    if (1 << k) + 1 > node_budget:
+    if (1 << k) + 1 > DEFAULT_NODE_BUDGET:
         raise ResourceError(f"sawtooth of order {k} exceeds the node budget")
     out = hat()
     for _ in range(k - 1):
@@ -257,13 +258,13 @@ def hat_iterate(k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> CPwL:
     return out
 
 
-def takagi_partial(coeffs: Sequence[float], node_budget: int = DEFAULT_NODE_BUDGET) -> CPwL:
+def takagi_partial(coeffs: Sequence[float]) -> CPwL:
     """Exact partial sum sum_k coeffs[k-1] * H^(k) of hat self-compositions."""
     coeffs = list(coeffs)
     m = len(coeffs)
     if m == 0:
         return line(0.0, 0.0)
-    if (1 << m) + 1 > node_budget:
+    if (1 << m) + 1 > DEFAULT_NODE_BUDGET:
         raise ResourceError(f"order {m} needs {(1 << m) + 1} nodes, over the budget")
     terms = [hat()]
     for _ in range(m - 1):

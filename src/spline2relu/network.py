@@ -174,14 +174,13 @@ class _SharedGrid:
     `held` counts nodes the caller keeps outside the grid, for the budget.
     """
 
-    def __init__(self, net: ReluNetwork, node_budget: int):
+    def __init__(self, net: ReluNetwork):
         self.special = net.special
         self.rows = slice(1, net.width - 1) if net.special else slice(None)
-        self.node_budget = node_budget
         self.held = 0
         self.grid = np.array([0.0, 1.0])
         self.vals = net.in_weights[self.rows, None] * self.grid + net.in_bias[self.rows, None]
-        self.relu()
+        self._relu()
 
     def readout(self, weights: np.ndarray, bias: float) -> np.ndarray:
         """Values on the grid of the affine row weights . state + bias, without
@@ -192,32 +191,32 @@ class _SharedGrid:
         out += bias
         return out
 
-    def affine(self, weights: np.ndarray, bias: np.ndarray) -> None:
-        """Pre-activation of the live rows: one matmul on the grid."""
-        vals = weights[self.rows, self.rows] @ self.vals
+    def step(self, weights: np.ndarray, bias: np.ndarray) -> bool:
+        """Advance the live rows through one hidden layer: one matmul on the
+        grid, the ReLU (`_relu`), then a joint prune that drops the nodes
+        where no row kinks (`cpwl._prune`, the CPwL canonical form applied to
+        all rows at once).  True when the prune dropped some node."""
+        # no local name: it would keep the pre-ReLU rows alive through the prune
+        self.vals = weights[self.rows, self.rows] @ self.vals
         if self.special:
-            vals += np.multiply.outer(weights[self.rows, 0], self.grid)
-        vals += bias[self.rows, None]
-        self.vals = vals
+            self.vals += np.multiply.outer(weights[self.rows, 0], self.grid)
+        self.vals += bias[self.rows, None]
+        self._relu()
+        size = self.grid.size
+        self.grid, self.vals = cpwl._prune(self.grid, self.vals)
+        return self.grid.size < size
 
-    def relu(self) -> None:
+    def _relu(self) -> None:
         """Insert every row's zero crossings into the grid (`cpwl._crossings`),
         then clamp at 0.  Every row is evaluated at the new nodes by its own
         linear segment (`cpwl._insert`), so a crossing row holds its clamped
         value at the rounded crossing, not the forced 0 of `cpwl.relu`.
         """
         new = cpwl._crossings(self.grid, self.vals)
-        if self.grid.size + new.size + self.held > self.node_budget:
-            raise ResourceError(f"extraction grew past {self.node_budget} nodes")
+        if self.grid.size + new.size + self.held > cpwl.DEFAULT_NODE_BUDGET:
+            raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
         self.grid, v, _ = cpwl._insert(self.grid, self.vals, new)
         self.vals = np.maximum(v, 0.0, out=v)
-
-    def prune(self) -> bool:
-        """Drop the nodes where no row kinks (`cpwl._prune`, the CPwL canonical
-        form applied to all rows at once); True when some node was dropped."""
-        size = self.grid.size
-        self.grid, self.vals = cpwl._prune(self.grid, self.vals)
-        return self.grid.size < size
 
 
 def _sum_parts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -279,25 +278,25 @@ def _depth_one(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     return x, np.cumsum(np.concatenate(([value], slopes * np.diff(x))))
 
 
-def extract_cpwl(net: ReluNetwork, node_budget: int = cpwl.DEFAULT_NODE_BUDGET) -> cpwl.CPwL:
+def extract_cpwl(net: ReluNetwork) -> cpwl.CPwL:
     """Exact symbolic function computed by the network on [0, 1].
 
     A special network whose every layer is a reset (see `reset_layers`) is
     summed in closed form (`_depth_one`).  Any other network steps one hidden
-    layer at a time on a shared grid (see `_SharedGrid`): a matmul, a ReLU
+    layer at a time on a shared grid (`_SharedGrid.step`): a matmul, a ReLU
     that inserts zero crossings, and a joint prune.  The collation rail of a
     special network is summed on the grid while the grid only grows; when the
     prune drops nodes the partial sum is set aside, and all set-aside parts
     are summed pairwise once at the end.
 
-    `node_budget` bounds the distinct nodes held at any time: the shared grid
-    plus the set-aside collation nodes, or the closed form's nodes.  Past it,
-    ResourceError is raised.  Values that are not finite raise DomainError
+    `cpwl.DEFAULT_NODE_BUDGET` bounds the distinct nodes held at any time:
+    the shared grid plus the set-aside collation nodes, or the closed form's
+    nodes.  Past it, ResourceError is raised.  Values that are not finite raise DomainError
     naming the first layer that overflows (see `ReluNetwork.forward`).
     """
     # values that are not finite are checked here, so numpy need not warn
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, v = _extract(net, node_budget)
+        x, v = _extract(net)
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise net._not_finite(x[np.isfinite(x)])
         return cpwl.CPwL(x, v)
@@ -327,30 +326,28 @@ def values_at(net: ReluNetwork, xs) -> np.ndarray:
     return out
 
 
-def _extract(net: ReluNetwork, node_budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _extract(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and values of `extract_cpwl`, before the finiteness check."""
     if _all_reset(net):
         x, v = _depth_one(net)
-        if x.size > node_budget:
-            raise ResourceError(f"extraction grew past {node_budget} nodes")
+        if x.size > cpwl.DEFAULT_NODE_BUDGET:
+            raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
         return x, v
-    step = _SharedGrid(net, node_budget)
+    shared = _SharedGrid(net)
     parts = []
-    rail_grid, rail = step.grid, np.zeros(step.grid.size)
+    rail_grid, rail = shared.grid, np.zeros(shared.grid.size)
     for weights, bias in zip(net.hidden_weights, net.hidden_bias):
-        if step.special:
-            if rail_grid is not step.grid:
-                rail_grid, rail = step.grid, np.interp(step.grid, rail_grid, rail)
-            rail += step.readout(weights[-1], bias[-1])
-        step.affine(weights, bias)
-        step.relu()
-        if step.prune() and step.special:
+        if shared.special:
+            if rail_grid is not shared.grid:
+                rail_grid, rail = shared.grid, np.interp(shared.grid, rail_grid, rail)
+            rail += shared.readout(weights[-1], bias[-1])
+        if shared.step(weights, bias) and shared.special:
             parts.append((rail_grid, rail))
-            step.held += rail.size
-            rail_grid, rail = step.grid, np.zeros(step.grid.size)
-    out = step.readout(net.out_weights, net.out_bias)
-    out += np.interp(step.grid, rail_grid, rail)
-    parts.append((step.grid, out))
+            shared.held += rail.size
+            rail_grid, rail = shared.grid, np.zeros(shared.grid.size)
+    out = shared.readout(net.out_weights, net.out_bias)
+    out += np.interp(shared.grid, rail_grid, rail)
+    parts.append((shared.grid, out))
     return _sum_parts(parts)
 
 
@@ -368,23 +365,21 @@ def _courses(net: SpecialNetwork):
         raise StructureError("expected a special network")
     writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
     last = np.flatnonzero(writes).max(initial=0)
-    step = _SharedGrid(net, cpwl.DEFAULT_NODE_BUDGET)
+    shared = _SharedGrid(net)
     nodes, values = np.array([0.0, 1.0]), np.zeros(2)
     for layer, (weights, bias) in enumerate(zip(net.hidden_weights, net.hidden_bias)):
         if writes[layer]:
-            inc = step.readout(weights[-1], bias[-1])
-            grid, (vals, inc) = cpwl._merge((nodes, values), (step.grid, inc))
+            inc = shared.readout(weights[-1], bias[-1])
+            grid, (vals, inc) = cpwl._merge((nodes, values), (shared.grid, inc))
             vals += inc
             if not np.isfinite(vals).all():
                 raise DomainError(f"collation course is not finite: layer {layer + 1} of "
                                   f"{net.depth} overflows")
             nodes, values = cpwl._prune(grid, vals)
-            step.held = nodes.size
+            shared.held = nodes.size
         yield nodes, values
         if layer < last:
-            step.affine(weights, bias)
-            step.relu()
-            step.prune()
+            shared.step(weights, bias)
 
 
 def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
@@ -412,10 +407,16 @@ def rail_layer(width: int) -> np.ndarray:
     return weights
 
 
+def _shallow(first, first_bias, out, out_bias) -> ReluNetwork:
+    """Network with one hidden layer and no hidden-to-hidden maps."""
+    width = len(first)
+    return ReluNetwork(first, first_bias, np.zeros((0, width, width)), np.zeros((0, width)),
+                       out, out_bias)
+
+
 def hat_net() -> ReluNetwork:
     """Width-2, depth-1 network computing the unit hat: 2(x)_+ - 4(x - 1/2)_+."""
-    return ReluNetwork([1.0, 1.0], [0.0, -0.5], np.zeros((0, 2, 2)), np.zeros((0, 2)),
-                       [2.0, -4.0], 0.0)
+    return _shallow([1.0, 1.0], [0.0, -0.5], [2.0, -4.0], 0.0)
 
 
 def write_network(net: ReluNetwork, path) -> None:

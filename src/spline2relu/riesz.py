@@ -54,10 +54,10 @@ def odd_square_tail(M):
     return 1.0 / (2.0 * (2 * M + 1))
 
 
-def _odd_multiplier_sum(k, ell, cap, signed):
-    """Sum over m,n <= cap of (2m+1)**-2 (2n+1)**-2 on (2m+1)k = (2n+1)ell,
-    with the alternating sign (-1)**(m+n) when signed."""
-    ms = np.arange(cap + 1)
+def _odd_multiplier_sum(k, ell, signed):
+    """Sum over m,n <= ODD_SUM_CAP of (2m+1)**-2 (2n+1)**-2 on (2m+1)k =
+    (2n+1)ell, with the alternating sign (-1)**(m+n) when signed."""
+    ms = np.arange(ODD_SUM_CAP + 1)
     p = (2 * ms + 1) * k
     hit = p % ell == 0
     if not hit.any():
@@ -67,7 +67,7 @@ def _odd_multiplier_sum(k, ell, cap, signed):
     q = q[odd]
     mm = ms[hit][odd]
     ns = (q - 1) // 2
-    keep = ns <= cap
+    keep = ns <= ODD_SUM_CAP
     q = q[keep]
     mm = mm[keep]
     terms = 1.0 / ((2 * mm + 1).astype(float) ** 2 * q.astype(float) ** 2)
@@ -76,7 +76,7 @@ def _odd_multiplier_sum(k, ell, cap, signed):
     return float(terms.sum())
 
 
-def lemsum_lhs(u, M=ODD_SUM_CAP):
+def lemsum_lhs(u):
     """Truncated double sum over distinct index pairs of a nonnegative
     sequence, weighted by the odd-multiplier coincidence kernel."""
     u = np.asarray(u, dtype=float)
@@ -92,7 +92,7 @@ def lemsum_lhs(u, M=ODD_SUM_CAP):
         for b in range(n):
             if a == b or u[b] == 0.0:
                 continue
-            total += u[a] * u[b] * _odd_multiplier_sum(a + 1, b + 1, M, False)
+            total += u[a] * u[b] * _odd_multiplier_sum(a + 1, b + 1, False)
     return total
 
 
@@ -113,13 +113,13 @@ def _odd_divisor_sum(k, ell, signed):
     return total
 
 
-def operator_gap(kind, K, adjoint=False, cap=ODD_SUM_CAP):
+def operator_gap(kind, K, adjoint=False):
     """Spectral norm of the truncated synthesis-operator deviation from the
     identity.
 
     The base form uses the K x K matrix with entries
     mu^2 * sum (2m+1)**-2 (2n+1)**-2 over coincidences (2m+1)k = (2n+1)l,
-    truncated at cap; the adjoint form uses the exact common-divisor sums.
+    truncated at ODD_SUM_CAP; the adjoint form uses the exact common-divisor sums.
     The sine system carries the alternating (-1)**m coefficient signs.
     """
     if kind not in ("cosine", "sine"):
@@ -133,7 +133,7 @@ def operator_gap(kind, K, adjoint=False, cap=ODD_SUM_CAP):
             if adjoint:
                 v = MU_SQUARED * _odd_divisor_sum(i + 1, j + 1, signed)
             else:
-                v = MU_SQUARED * _odd_multiplier_sum(i + 1, j + 1, cap, signed)
+                v = MU_SQUARED * _odd_multiplier_sum(i + 1, j + 1, signed)
             mat[i, j] = v
             mat[j, i] = v
     eigs = np.linalg.eigvalsh(mat - np.eye(K))

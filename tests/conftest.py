@@ -78,7 +78,7 @@ def _reference_affine(states, weights, bias):
     return out
 
 
-def reference_extract(net, node_budget=cpwl.DEFAULT_NODE_BUDGET):
+def reference_extract(net):
     """Per-channel extraction kept as a test-only reference.
 
     Propagates one canonical CPwL per channel: affine layers are nodal
@@ -88,8 +88,8 @@ def reference_extract(net, node_budget=cpwl.DEFAULT_NODE_BUDGET):
 
     def clamp(states):
         total = sum(s.breakpoints.size for s in states)
-        if total > node_budget:
-            raise ResourceError(f"extraction grew past {node_budget} nodes")
+        if total > cpwl.DEFAULT_NODE_BUDGET:
+            raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
         return [reference_relu(s) if mask[i] else s for i, s in enumerate(states)]
 
     states = [cpwl.line(w, b) for w, b in zip(net.in_weights, net.in_bias)]
@@ -116,20 +116,18 @@ def reference_lifts(net):
     """Collation lifts of special_to_standard kept as a test-only reference:
     one canonical CPwL course built at every hidden layer, on a shared grid
     that steps through the whole network."""
-    step = _SharedGrid(net, cpwl.DEFAULT_NODE_BUDGET)
+    shared = _SharedGrid(net)
     course = cpwl.line(0.0, 0.0)
     lifts = []
     for weights, bias in zip(net.hidden_weights, net.hidden_bias):
-        inc = step.readout(weights[-1], bias[-1])
-        grid = np.union1d(course.breakpoints, step.grid)
+        inc = shared.readout(weights[-1], bias[-1])
+        grid = np.union1d(course.breakpoints, shared.grid)
         vals = np.interp(grid, course.breakpoints, course.values)
-        vals += np.interp(grid, step.grid, inc)
+        vals += np.interp(grid, shared.grid, inc)
         course = cpwl.CPwL(grid, vals)
         lifts.append(max(0.0, -float(course.values.min())))
-        step.held = course.breakpoints.size
-        step.affine(weights, bias)
-        step.relu()
-        step.prune()
+        shared.held = course.breakpoints.size
+        shared.step(weights, bias)
     return lifts
 
 

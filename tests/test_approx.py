@@ -173,8 +173,6 @@ def test_sobolev_split_validation():
         approx.sobolev_split(lambda x: x, 1.0, 0.1)
     with pytest.raises(DomainError):
         approx.sobolev_split(lambda x: x, 2.0, 0.0)
-    with pytest.raises(DomainError):
-        approx.sobolev_split(lambda x: x, 2.0, 0.1, panels=1)
 
 
 def test_sobolev_split_constant_derivative():

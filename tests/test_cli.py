@@ -14,10 +14,11 @@ from conftest import (
     slope_overflow_nets,
     text_io_networks,
 )
-from spline2relu import approx, cli, cpwl
+from spline2relu import approx, cli, cpwl, riesz
 from spline2relu.compiler import compile_spline, takagi_network
 from spline2relu.errors import Spline2ReluError
-from spline2relu.network import extract_cpwl, read_network, reset_layers, write_network
+from spline2relu.network import (extract_cpwl, hat_net, read_network, reset_layers,
+                                 write_network)
 
 
 def _mask_wall(text):
@@ -132,6 +133,16 @@ def test_rates_reports_failed_rows_on_stderr(capsys, monkeypatch):
     assert err.splitlines() == ["rates: m=2 failed: Spline2ReluError: no network for m=2"]
 
 
+def test_rates_default_grid_holds_the_takagi_tail_peak(capsys):
+    # the order-m tail peaks at (2/3) 2^-m at x = 1/3, which the default
+    # 4099-point grid holds; on an all-dyadic grid it reads 0 from m = 12 on
+    assert cli.main(["rates", "--ms", "11:16"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(11, 17))
+    for m, _, error, _ in rows:
+        assert 0.5 <= float(error) / (2.0 / 3.0 * 2.0 ** -int(m)) <= 1.0 + 1e-6
+
+
 def test_riesz_subcommand(tmp_path, capsys):
     out = tmp_path / "riesz.csv"
     assert cli.main(["riesz", "--K", "4", "--gap-k", "8", "--trials", "5",
@@ -244,6 +255,21 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
         with pytest.raises(SystemExit):
             cli.main(argv)
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_retired_keyword_is_refused():
+    """The node budget, the odd-sum cap and the split's panel count are the
+    module constants cpwl.DEFAULT_NODE_BUDGET, riesz.ODD_SUM_CAP and
+    approx.SPLIT_PANELS; no function takes them as a keyword."""
+    calls = [(extract_cpwl, (hat_net(),), "node_budget"),
+             (cpwl.hat_iterate, (3,), "node_budget"),
+             (cpwl.takagi_partial, ([0.5],), "node_budget"),
+             (riesz.lemsum_lhs, ([1.0, 1.0],), "M"),
+             (riesz.operator_gap, ("cosine", 4), "cap"),
+             (approx.sobolev_split, (lambda x: x, 2.0, 0.1), "panels")]
+    for fn, args, keyword in calls:
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            fn(*args, **{keyword: 64})
 
 
 def test_argparse_rejects_unknown_subcommand():

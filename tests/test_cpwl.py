@@ -297,11 +297,12 @@ def test_hat_iterate_against_closed_form():
         assert np.abs(saw(grid) - cpwl.hat_iterate_value(k, grid)).max() <= 1e-12
 
 
-def test_hat_iterate_budget():
-    with pytest.raises(ResourceError):
-        cpwl.hat_iterate(8, node_budget=100)
+def test_hat_iterate_budget(monkeypatch):
     with pytest.raises(ResourceError):
         cpwl.hat_iterate(25)
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 100)
+    with pytest.raises(ResourceError):
+        cpwl.hat_iterate(8)
 
 
 def test_takagi_partial_values_and_budget():

@@ -213,15 +213,17 @@ def test_layers_that_write_nothing_keep_their_course():
     assert same_lifts(special_to_standard(net), net)
 
 
-def test_node_budget_counts_distinct_nodes():
+def test_node_budget_counts_distinct_nodes(monkeypatch):
     # 8 hats in sequence: 2^8 + 1 output nodes, but the shared grid peaks at
     # 641 nodes on the way (crossings of all four channels of a layer)
     deep = plain_net(cpwl.hat(), 4)
     for _ in range(7):
         deep = compose_nets(deep, plain_net(cpwl.hat(), 4))
-    assert extract_cpwl(deep, node_budget=641).n_interior == 255
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 641)
+    assert extract_cpwl(deep).n_interior == 255
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 640)
     with pytest.raises(ResourceError):
-        extract_cpwl(deep, node_budget=640)
+        extract_cpwl(deep)
 
 
 def test_reset_layer_counts_on_compiled_networks():
@@ -298,12 +300,15 @@ def test_all_reset_concatenations_match_reference(seed, kinds):
 
 
 @pytest.mark.parametrize("width, n", [(4, 200), (8, 200)])
-def test_segmented_network_respects_node_budget(width, n):
+def test_segmented_network_respects_node_budget(width, n, monkeypatch):
     net, _ = compile_spline(random_spline(np.random.default_rng(117), n), width)
     assert reset_layers(net).size > 1
-    _assert_identical(extract_cpwl(net, node_budget=10 * n), extract_cpwl(net))
+    full = extract_cpwl(net)
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 10 * n)
+    _assert_identical(extract_cpwl(net), full)
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", n // 2)
     with pytest.raises(ResourceError):
-        extract_cpwl(net, node_budget=n // 2)
+        extract_cpwl(net)
 
 
 def _kappa_u(f):

@@ -152,7 +152,7 @@ def test_values_at_reads_all_reset_networks_in_closed_form(monkeypatch):
     monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 40)
     for net in narrow:
         with pytest.raises(ResourceError):
-            extract_cpwl(net, node_budget=40)
+            extract_cpwl(net)
         assert np.array_equal(values_at(net, xs), np.interp(xs, *_depth_one(net)))
         assert np.abs(values_at(net, xs) - net.forward(xs)).max() <= 1e-12
     for net in stepped:
@@ -163,11 +163,12 @@ def test_values_at_reads_all_reset_networks_in_closed_form(monkeypatch):
         values_at(overflowing_reset_net(), xs)
 
 
-def test_slope_overflow_is_an_error():
+def test_slope_overflow_is_an_error(monkeypatch):
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 40)
     for net in slope_overflow_nets():
         assert net.forward(0.5) == 5e307 and net.forward(1.0) == 1.5e308
         with pytest.raises(DomainError, match="slope overflows"):
-            extract_cpwl(net, node_budget=40)
+            extract_cpwl(net)
     # a layer whose values overflow is named, though its slopes overflow too
     hot = ReluNetwork([1.0, 1.0], [0.0, -0.5], [[[1.2e308, 1.2e308], [1.0, 0.0]]],
                       np.zeros((1, 2)), [1.0, 0.0], 0.0)
@@ -194,13 +195,14 @@ def test_compile_shallow_exact():
         assert cpwl.sup_diff(extract_cpwl(net), f) <= 1e-12
 
 
-def test_extraction_node_budget():
+def test_extraction_node_budget(monkeypatch):
     deep = plain_net(cpwl.hat(), 4)
     from spline2relu.combinators import compose_nets
     for _ in range(7):
         deep = compose_nets(deep, plain_net(cpwl.hat(), 4))
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 64)
     with pytest.raises(ResourceError):
-        extract_cpwl(deep, node_budget=64)
+        extract_cpwl(deep)
 
 
 def test_special_structure_enforced():
