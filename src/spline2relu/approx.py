@@ -13,7 +13,7 @@ from . import cpwl
 from .combinators import concat_sum
 from .compiler import compile_self_similar, compile_spline
 from .errors import ContractError, DomainError, ResourceError, StructureError
-from .network import extract_cpwl
+from .network import extract_cpwl, values_at
 
 ENDPOINT_TOL = 1e-9
 NODE_SLACK = 1e-9
@@ -297,9 +297,9 @@ def sobolev_split(fprime, p, t, anchor=0.0):
 
 
 def measure_sigma(f, net, grid_n):
-    """Max deviation |f - net| over a uniform grid joined with the network's
-    breakpoints (and the target's own breakpoints when it is piecewise linear),
-    so piecewise-linear targets are measured exactly.
+    """Max deviation |f - net| (the network read by `values_at`) over a uniform
+    grid joined with the network's breakpoints (and the target's own breakpoints
+    when it is piecewise linear), so piecewise-linear targets are measured exactly.
 
     A network whose extraction outgrows the node budget is measured on the
     grid (and the target's breakpoints) alone, with a RuntimeWarning."""
@@ -314,7 +314,7 @@ def measure_sigma(f, net, grid_n):
     source = f.evaluator if isinstance(f, TargetFunction) else f
     if isinstance(source, cpwl.CPwL):
         pts = np.union1d(pts, source.breakpoints)
-    return float(np.abs(_evaluate(f, pts) - net.forward(pts)).max())
+    return float(np.abs(_evaluate(f, pts) - values_at(net, pts)).max())
 
 
 def rate_experiment(f, builder, ms, grid_n=4097):

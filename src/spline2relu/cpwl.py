@@ -113,8 +113,8 @@ class CPwL:
     __slots__ = ("breakpoints", "values")
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        x = np.asarray(breakpoints, dtype=float)
-        v = np.asarray(values, dtype=float)
+        x = np.array(breakpoints, dtype=float)
+        v = np.array(values, dtype=float)
         if x.ndim != 1 or x.shape != v.shape:
             raise DomainError("breakpoints and values must be 1-d arrays of equal length")
         if x.size < 2:
@@ -486,6 +486,6 @@ def read_spline(path) -> CPwL:
         if lines[i].strip():
             raise ParseError("trailing content after declared nodes", line=i + 1)
     try:
-        return CPwL(*flat.reshape(count, 2).T.copy())
+        return CPwL(*flat.reshape(count, 2).T)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc

@@ -385,17 +385,17 @@ def _courses(net: SpecialNetwork):
 def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
     """Equivalent plain network on [0, 1].
 
-    The source rail is nonnegative, so its ReLU is free.  The collation rail is
-    lifted by the exact constant C_l = max(0, -min of its course at layer l),
-    computed by partial extraction, and the total lift is removed at the output.
+    The source rail is nonnegative, so its ReLU is free.  The collation rail,
+    which carries itself forward, starts at one lift C = max(0, -min of all its
+    courses), and the output removes it; the hidden layers pass through as they are.
     """
     # one errstate for the whole loop: `_courses` raises on a course that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        lifts = [max(0.0, -float(values.min())) for _, values in _courses(net)]
-    hidden_bias = net.hidden_bias.copy()
-    hidden_bias[:, -1] += lifts
-    return ReluNetwork(net.in_weights, net.in_bias, net.hidden_weights, hidden_bias,
-                       net.out_weights, net.out_bias - sum(lifts))
+        lift = max(0.0, -min((float(values.min()) for _, values in _courses(net)), default=0.0))
+    in_bias = net.in_bias.copy()
+    in_bias[-1] = lift
+    return ReluNetwork(net.in_weights, in_bias, net.hidden_weights, net.hidden_bias,
+                       net.out_weights, net.out_bias - lift)
 
 
 def rail_layer(width: int) -> np.ndarray:

@@ -113,9 +113,10 @@ def reference_courses(net):
 
 
 def reference_lifts(net):
-    """Collation lifts of special_to_standard kept as a test-only reference:
-    one canonical CPwL course built at every hidden layer, on a shared grid
-    that steps through the whole network."""
+    """Per-layer collation floors max(0, -min course l) kept as a test-only
+    reference for special_to_standard, whose one lift is their max: one
+    canonical CPwL course built at every hidden layer, on a shared grid that
+    steps through the whole network."""
     shared = _SharedGrid(net)
     course = cpwl.line(0.0, 0.0)
     lifts = []
@@ -132,12 +133,13 @@ def reference_lifts(net):
 
 
 def same_lifts(std, net):
-    """std holds net's weights lifted by reference_lifts, to the bit."""
-    lifts = reference_lifts(net)
-    hidden_bias = net.hidden_bias.copy()
-    hidden_bias[:, -1] += lifts
-    want = ReluNetwork(net.in_weights, net.in_bias, net.hidden_weights, hidden_bias,
-                       net.out_weights, net.out_bias - sum(lifts))
+    """std is net to the bit, except that its collation rail starts at the one
+    lift max(reference_lifts(net)) (in_bias[-1]) and out_bias removes it."""
+    lift = max(reference_lifts(net), default=0.0)
+    in_bias = net.in_bias.copy()
+    in_bias[-1] = lift
+    want = ReluNetwork(net.in_weights, in_bias, net.hidden_weights, net.hidden_bias,
+                       net.out_weights, net.out_bias - lift)
     return same_weights(std, want)
 
 

@@ -9,7 +9,7 @@ from conftest import pattern_rich_target, sample_lip_ball
 from spline2relu import approx, cpwl
 from spline2relu.compiler import takagi_network
 from spline2relu.errors import ContractError, DomainError, ResourceError, StructureError
-from spline2relu.network import extract_cpwl
+from spline2relu.network import ReluNetwork, extract_cpwl
 
 
 def test_pattern_invariants():
@@ -219,6 +219,19 @@ def test_measure_sigma_exact_for_pwl_targets():
     assert approx.measure_sigma(target, net, 11) <= 1e-11
     with pytest.raises(DomainError):
         approx.measure_sigma(f, net, 1)
+
+
+def test_measure_sigma_reads_all_reset_networks_through_closed_form(monkeypatch):
+    from conftest import random_spline
+    from spline2relu.compiler import compile_spline
+    f = random_spline(np.random.default_rng(44), 30)
+    net, _ = compile_spline(f, 5)
+
+    def refuse(self, x):
+        raise AssertionError("forward is not the closed form")
+
+    monkeypatch.setattr(ReluNetwork, "forward", refuse)
+    assert approx.measure_sigma(f, net, 101) <= 1e-11
 
 
 def test_measure_sigma_against_black_box():

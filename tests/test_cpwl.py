@@ -253,19 +253,21 @@ def test_rules_match_references(xv):
 
 
 def test_cpwl_owns_its_arrays():
-    """Writing into the arrays a CPwL was built from raises or leaves the
-    function as it was, whether the canonical form drops nodes or not."""
+    """Writing into the arrays a CPwL was built from, or into the base of a
+    view it was built from, leaves the function as it was, whether the
+    canonical form drops nodes or not; the caller's arrays stay writeable."""
     grid = np.linspace(0.0, 1.0, 9)
     for x, v in (([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), ([0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 1.0, 0.0])):
         x, v = np.array(x), np.array(v)
         f = cpwl.CPwL(x, v)
         want = f(grid)
-        for arr in (v, x):
-            try:
-                arr[1] = 0.375
-            except ValueError:
-                pass
+        assert x.flags.writeable and v.flags.writeable
+        x[1] = v[1] = 0.375
         assert np.array_equal(f(grid), want)
+    base = np.array([0.0, 1.0, 0.0, 7.0])
+    f = cpwl.CPwL([0.0, 0.5, 1.0], base[:3])
+    base[1] = 5.0
+    assert f(0.5) == 1.0
 
 
 def test_reflect_and_restrict():

@@ -124,13 +124,15 @@ def test_collation_courses_match_reference():
 
 
 def test_special_to_standard_lifts_match_reference():
+    # one lift, the floor of every course, starts the collation rail
     rng = np.random.default_rng(114)
     net, _ = compile_spline(random_spline(rng, 20, -3.0, -1.0), 5)
-    lifts = [max(0.0, -float(c.values.min())) for c in reference_courses(net)]
+    lift = max(0.0, -min(float(c.values.min()) for c in reference_courses(net)))
     std = special_to_standard(net)
-    assert len(lifts) == len(std.hidden_bias)
-    for bias, ref, c in zip(std.hidden_bias, net.hidden_bias, lifts):
-        assert abs(bias[-1] - ref[-1] - c) <= 1e-12 * (1.0 + c)
+    assert lift > 0.0
+    assert abs(std.in_bias[-1] - lift) <= 1e-12 * (1.0 + lift)
+    assert std.out_bias == net.out_bias - std.in_bias[-1]
+    assert np.array_equal(std.hidden_bias, net.hidden_bias)
 
 
 def _fourier_pairs():
@@ -344,3 +346,15 @@ def test_fourier_canary_within_kappa_u():
     target = fourier_oracle(terms)
     assert _kappa_u(target) == pytest.approx(5.30e-11, rel=1e-3)
     assert cpwl.sup_diff(extract_cpwl(net), target) <= _kappa_u(target)
+
+
+def test_converted_narrow_splines_stay_within_16_kappa_u():
+    # the collation rail starts at one lift, the floor of every course, so its
+    # rounding stays at the scale of the courses
+    rng = np.random.default_rng(7)
+    for width in (4, 5, 6, 7):
+        for n in (200, 800):
+            for hi in (2.0, 1e4):
+                f = random_spline(rng, n, -hi, hi)
+                std = special_to_standard(compile_spline(f, width)[0])
+                assert cpwl.sup_diff(extract_cpwl(std), f) <= 16.0 * _kappa_u(f), (width, n, hi)
