@@ -26,20 +26,26 @@ DEFAULT_NODE_BUDGET = 1 << 21
 SLOPE_OVERFLOW = "a slope overflows, so a kink cannot be told from a straight node"
 
 
+def _cross(x0: np.ndarray, x1: np.ndarray, va: np.ndarray, vb: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Zero crossings x0 - va (x1 - x0) / (vb - va) of the segments from
+    (x0, va) to (x1, vb), whose end values have opposite signs, and the mask
+    of those farther than CROSSING_SNAP from both ends: the others reuse an
+    end node."""
+    cross = x0 - va * (x1 - x0) / (vb - va)
+    return cross, (np.abs(cross - x0) > CROSSING_SNAP) & (np.abs(cross - x1) > CROSSING_SNAP)
+
+
 def _crossings(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sorted, distinct zero crossings of the rows v (one row, or rows x G)
-    on the grid g: each segment whose end values have opposite signs crosses
-    at x0 - v0 (x1 - x0) / (v1 - v0).  A crossing within CROSSING_SNAP of
-    either end of its segment reuses that node and is left out."""
+    on the grid g (`_cross`).  A crossing within CROSSING_SNAP of either end
+    of its segment reuses that node and is left out."""
     a, b = v[..., :-1], v[..., 1:]
     hit = np.nonzero(a * b < 0.0)  # (segments,) or (rows, segments)
     seg = hit[-1]
     if not seg.size:
         return g[:0]
-    x0, x1 = g[seg], g[seg + 1]
-    va, vb = a[hit], b[hit]
-    cross = x0 - va * (x1 - x0) / (vb - va)
-    far = (np.abs(cross - x0) > CROSSING_SNAP) & (np.abs(cross - x1) > CROSSING_SNAP)
+    cross, far = _cross(g[seg], g[seg + 1], a[hit], b[hit])
     new = np.sort(cross[far])
     first = np.ones(new.size, dtype=bool)
     first[1:] = new[1:] != new[:-1]

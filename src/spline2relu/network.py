@@ -243,12 +243,6 @@ def reset_layers(net: ReluNetwork) -> np.ndarray:
     return np.concatenate(([0], 1 + np.flatnonzero(reset)))
 
 
-def _all_reset(net: ReluNetwork) -> bool:
-    """A special network whose every layer is a reset (see `reset_layers`):
-    its function is read from the weights in closed form (`_depth_one`)."""
-    return net.special and reset_layers(net).size == net.depth
-
-
 def _depth_one(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and values of a special network whose every layer is a reset.
 
@@ -278,12 +272,114 @@ def _depth_one(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     return x, np.cumsum(np.concatenate(([value], slopes * np.diff(x))))
 
 
+def _depth_two(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and values of a special network whose every segment (see
+    `reset_layers`) is two layers deep.
+
+    Segment j is the reset layer 2j, whose units relu(a x + b) read x alone,
+    and layer 2j+1, whose rows read those units and x.  Only the collation
+    rows of layers 2j+1 and 2j+2 (the output row after the last segment) read
+    them, so the network is alpha x + beta plus one part per segment.  All
+    segments are read at once, as arrays over (segments, rows, nodes): each
+    segment's grid is 0, 1 and its kinks -b/a, on which one batched matmul
+    gives layer 2j+1's rows pointwise.  Their zero crossings (`cpwl._cross`)
+    join the grid, and every row and the first collation read are
+    interpolated there on their interval with `cpwl._insert`'s arithmetic.
+    The parts are summed pairwise (`_sum_parts`).  Callers run it under
+    np.errstate and check the values, as for `_depth_one`.
+    """
+    comp = slice(1, -1)
+    hidden, bias = net.hidden_weights, net.hidden_bias
+    a = np.concatenate([net.in_weights[None, comp], hidden[1::2, comp, 0]])
+    b = np.concatenate([net.in_bias[None, comp], bias[1::2, comp]])
+    read = np.concatenate([hidden[:, -1, comp], net.out_weights[None, comp]])
+    segments, size = a.shape[0], a.shape[1] + 2
+    t = -b / a
+    grid = np.zeros((segments, size))
+    grid[:, 1:-1] = np.where((t > 0.0) & (t < 1.0), t, 0.0)  # the rest repeat node 0
+    grid[:, -1] = 1.0
+    grid.sort(axis=1)
+    units = a[..., None] * grid[:, None] + b[..., None]
+    np.maximum(units, 0.0, out=units)
+    first = (read[0::2, None] @ units)[:, 0]
+    rows = hidden[0::2, comp, comp] @ units
+    del units
+    rows += hidden[0::2, comp, 0, None] * grid[:, None]
+    rows += bias[0::2, comp, None]
+
+    # every row's crossings, sorted and made distinct within each segment
+    lo, hi = rows[..., :-1], rows[..., 1:]
+    hit = np.nonzero(lo * hi < 0.0)
+    seg, k = hit[0], hit[2]
+    cross, far = cpwl._cross(grid[seg, k], grid[seg, k + 1], lo[hit], hi[hit])
+    seg, k, cross = seg[far], k[far], cross[far]
+    order = np.lexsort((cross, seg))
+    seg, k, cross = seg[order], k[order], cross[order]
+    new = np.ones(cross.size, dtype=bool)
+    new[1:] = (cross[1:] != cross[:-1]) | (seg[1:] != seg[:-1])
+    seg, k, cross = seg[new], k[new], cross[new]
+
+    # rows and first read at the crossings, on their interval, in place
+    left = grid[seg, k]
+    span = grid[seg, k + 1] - left
+    cross_off = cross - left
+    below = rows[seg, :, k]
+    mid = rows[seg, :, k + 1]
+    mid -= below
+    mid /= span[:, None]
+    mid *= cross_off[:, None]
+    mid += below
+    del below
+    np.maximum(mid, 0.0, out=mid)
+    mid *= read[1::2][seg]
+    at_cross = mid.sum(axis=1)
+    del mid
+    below = first[seg, k]
+    at_cross += (first[seg, k + 1] - below) / span * cross_off + below
+    np.maximum(rows, 0.0, out=rows)
+    at_nodes = first + (read[1::2, None] @ rows)[:, 0]
+
+    # one (grid, values) part per segment: crossings inserted, repeats dropped
+    at = seg * size + k + 1 + np.arange(seg.size)
+    old = np.ones(segments * size + seg.size, dtype=bool)
+    old[at] = False
+    x = np.empty(old.size)
+    x[old] = grid.ravel()
+    x[at] = cross
+    v = np.empty(old.size)
+    v[old] = at_nodes.ravel()
+    v[at] = at_cross
+    start = np.zeros(old.size, dtype=bool)
+    start[np.arange(segments) * size + np.searchsorted(seg, np.arange(segments))] = True
+    keep = start.copy()
+    keep[1:] |= x[1:] != x[:-1]
+    bounds = np.flatnonzero(start[keep])[1:]
+    x, v = _sum_parts(list(zip(np.split(x[keep], bounds), np.split(v[keep], bounds))))
+    slope = np.append(hidden[:, -1, 0], net.out_weights[0]).sum()
+    value = np.append(bias[:, -1], net.out_bias).sum()
+    v += slope * x
+    v += value
+    return x, v
+
+
+def _closed_form(net: ReluNetwork):
+    """`_depth_one` for a special network whose every segment (see
+    `reset_layers`) is one layer deep, `_depth_two` when every segment is two
+    deep, None for any other network: one test of the segment depths."""
+    if net.special:
+        depths = np.unique(np.diff(reset_layers(net), append=net.depth))
+        if depths.size == 1:
+            return {1: _depth_one, 2: _depth_two}.get(int(depths[0]))
+    return None
+
+
 def extract_cpwl(net: ReluNetwork) -> cpwl.CPwL:
     """Exact symbolic function computed by the network on [0, 1].
 
-    A special network whose every layer is a reset (see `reset_layers`) is
-    summed in closed form (`_depth_one`).  Any other network steps one hidden
-    layer at a time on a shared grid (`_SharedGrid.step`): a matmul, a ReLU
+    A special network whose segments between resets (see `reset_layers`)
+    are all one layer deep or all two deep is read from its weights in
+    closed form (`_depth_one`, `_depth_two`).  Any other network steps one
+    hidden layer at a time on a shared grid (`_SharedGrid.step`): a matmul, a ReLU
     that inserts zero crossings, and a joint prune.  The collation rail of a
     special network is summed on the grid while the grid only grows; when the
     prune drops nodes the partial sum is set aside, and all set-aside parts
@@ -305,21 +401,25 @@ def extract_cpwl(net: ReluNetwork) -> cpwl.CPwL:
 def values_at(net: ReluNetwork, xs) -> np.ndarray:
     """The network's values at the points xs, a 1-d array in [0, 1].
 
-    A special network whose every layer is a reset (see `reset_layers`) is
-    read from the (nodes, values) of its closed form (`_depth_one`, as in
-    `extract_cpwl`) by `np.interp`, as `CPwL.eval` reads a function.  The
-    closed form holds one node per unit, so no node budget applies.  Any
-    other network steps its layers (`ReluNetwork.forward`).  A value that is
+    A special network whose segments between resets (see `reset_layers`)
+    are all one layer deep or all two deep is read from the (nodes, values)
+    of its closed form (`_depth_one`, `_depth_two`, as in `extract_cpwl`) by
+    `np.interp`, as `CPwL.eval` reads a function.  The closed form holds at
+    most one node per unit plus the crossings of each row between a
+    segment's nodes, a count bounded by the parameter count, so no node
+    budget applies.  Any other network steps its layers
+    (`ReluNetwork.forward`).  A value that is
     not finite raises the DomainError of `extract_cpwl`, naming the first
     layer that overflows.
     """
     xa = np.asarray(xs, dtype=float)
     if not ((xa >= 0.0) & (xa <= 1.0)).all():
         raise DomainError("evaluation point outside [0, 1]")
-    if not _all_reset(net):
+    closed = _closed_form(net)
+    if closed is None:
         return net.forward(xa)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, v = _depth_one(net)
+        x, v = closed(net)
         out = np.interp(xa, x, v)
     if not (np.isfinite(v).all() and np.isfinite(out).all()):
         raise net._not_finite(x)
@@ -328,8 +428,9 @@ def values_at(net: ReluNetwork, xs) -> np.ndarray:
 
 def _extract(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and values of `extract_cpwl`, before the finiteness check."""
-    if _all_reset(net):
-        x, v = _depth_one(net)
+    closed = _closed_form(net)
+    if closed is not None:
+        x, v = closed(net)
         if x.size > cpwl.DEFAULT_NODE_BUDGET:
             raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
         return x, v

@@ -13,6 +13,7 @@ from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
     _depth_one,
+    _depth_two,
     _SharedGrid,
     hat_net,
     rail_layer,
@@ -169,11 +170,15 @@ def reference_write_spline(f, path):
 
 def reference_eval_csv(net, grid_n):
     """Per-row text of `spline2relu eval`, kept as a test-only reference: a
-    special network whose every layer is a reset is read from its closed
+    special network whose segments between resets are all one layer deep
+    (`_depth_one`) or all two deep (`_depth_two`) is read from its closed
     form's nodes by np.interp, any other network by `forward`."""
     xs = np.linspace(0.0, 1.0, grid_n)
-    if net.special and reset_layers(net).size == net.depth:
+    depths = set(np.diff(np.append(reset_layers(net), net.depth)).tolist()) if net.special else ()
+    if depths == {1}:
         ys = np.interp(xs, *_depth_one(net))
+    elif depths == {2}:
+        ys = np.interp(xs, *_depth_two(net))
     else:
         ys = net.forward(xs)
     rows = ["x,value"] + ["%.17g,%.17g" % (x, y) for x, y in zip(xs, ys)]
@@ -184,23 +189,35 @@ def exact_values(net, xs):
     """The network's own function at the points xs, as Fractions: every float
     weight and point is a dyadic rational, so stepping the layers exactly
     (zero weights skipped) separates the error of a float evaluation from the
-    rounding already in the weights."""
+    rounding already in the weights.  Each state is held as integers over one
+    power of two: 2^1074 times any finite float is an integer, and after each
+    layer the common factors of two are shifted out."""
     mask = _reference_mask(net).tolist()
+    scale = 1074
+
+    def ints(a):
+        return [int(Fraction(v) * (1 << scale)) for v in np.asarray(a, dtype=float).ravel().tolist()]
 
     def rows(weights, bias):
-        return [([(j, Fraction(w)) for j, w in enumerate(row) if w != 0.0], Fraction(b))
-                for row, b in zip(np.asarray(weights).tolist(), np.asarray(bias).tolist())]
+        flat, cols = ints(weights), np.shape(weights)[1]
+        return [([(j, w) for j, w in enumerate(flat[i * cols:(i + 1) * cols]) if w], b)
+                for i, b in enumerate(ints(bias))]
 
     layers = [rows(net.in_weights[:, None], net.in_bias)]
     layers += [rows(w, b) for w, b in zip(net.hidden_weights, net.hidden_bias)]
-    (out, out_bias), = rows(net.out_weights[None], [net.out_bias])
+    layers.append(rows(net.out_weights[None], [net.out_bias]))
     values = []
     for x in xs:
-        state = [Fraction(float(x))]
-        for layer in layers:
-            state = [sum((w * state[j] for j, w in row), b) for row, b in layer]
-            state = [max(s, 0) if relu else s for s, relu in zip(state, mask)]
-        values.append(sum((w * state[j] for j, w in out), out_bias))
+        state, shift = ints([x]), scale  # the state is state[j] / 2^shift
+        for k, layer in enumerate(layers):
+            state = [sum((w * state[j] for j, w in row), b << shift) for row, b in layer]
+            shift += scale
+            if k < len(layers) - 1:
+                state = [max(s, 0) if relu else s for s, relu in zip(state, mask)]
+            low = min([(s & -s).bit_length() - 1 for s in state if s] + [shift])
+            state = [s >> low for s in state]
+            shift -= low
+        values.append(Fraction(state[0], 1 << shift))
     return values
 
 
@@ -335,6 +352,30 @@ def overflowing_net():
     odd = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, 7.0, -12.0, 0.0, 2.0 ** 60, -1e-300])
     return ReluNetwork(odd[:3], odd[3:6], np.resize(odd, (2, 3, 3)),
                        np.resize(odd[::-1], (2, 3)), odd[6:], -0.0)
+
+
+def two_deep_net(rng, width, segments):
+    """Random special network whose every segment between resets (see
+    `reset_layers`) is two layers deep: the units of each reset layer read x
+    alone, the layer after it reads them and x, and every collation row reads
+    x, the units before it and a bias.  About a third of the weights are
+    zero, the units' x weights included."""
+    comp = slice(1, -1)
+
+    def draw(*shape):
+        return rng.uniform(-2.0, 2.0, shape) * (rng.random(shape) < 0.7)
+
+    depth = 2 * segments
+    hidden = np.tile(rail_layer(width), (depth - 1, 1, 1))
+    bias = np.zeros((depth - 1, width))
+    hidden[:, comp, 0] = draw(depth - 1, width - 2)
+    hidden[0::2, comp, comp] = draw(segments, width - 2, width - 2)
+    # one weight that is never zero keeps the layer after each reset from being one
+    hidden[0::2, 1, 1] = rng.choice([-1.0, 1.0], segments) * rng.uniform(0.5, 2.0, segments)
+    hidden[:, -1, :-1] = draw(depth - 1, width - 1)
+    bias[:, 1:] = draw(depth - 1, width - 1)
+    return SpecialNetwork(np.r_[1.0, draw(width - 2), 0.0], np.r_[0.0, draw(width - 2), 0.0],
+                          hidden, bias, np.r_[draw(width - 1), 1.0], float(draw()))
 
 
 def overflowing_reset_net():

@@ -333,36 +333,55 @@ def test_overflowing_all_reset_network_fails_eval_as_verify(tmp_path, capsys):
         assert captured.err == "error: network value is not finite: layer 1 of 2 overflows\n"
 
 
+def _eval_errors(tmp_path, net, rng, points):
+    """The largest errors of eval and of forward at `points` points that rng
+    draws from the benchmark's 10001-point grid, against the network's own
+    exact function, in kappa u = (max|f| + max|f'|) 2^-52 of its extraction."""
+    npath, csv, grid = tmp_path / "net.relu", tmp_path / "out.csv", 10001
+    write_network(net, npath)
+    assert cli.main(["eval", str(npath), "--grid", str(grid), "--out", str(csv)]) == 0
+    xs, printed = np.array([list(map(float, line.split(",")))
+                            for line in csv.read_text().splitlines()[1:]]).T
+    assert np.array_equal(xs, np.linspace(0.0, 1.0, grid))
+    f = extract_cpwl(net)
+    ku = (np.abs(f.values).max() + np.abs(np.diff(f.values) / np.diff(f.breakpoints)).max()) \
+        * 2.0 ** -52
+    pick = np.sort(rng.choice(grid, points, replace=False))
+    exact = exact_values(net, xs[pick])
+
+    def error(ys):
+        return float(max(abs(Fraction(y) - e) for y, e in zip(ys.tolist(), exact)) / Fraction(ku))
+
+    return error(printed[pick]), error(net.forward(xs[pick]))
+
+
 def test_eval_reads_all_reset_networks_within_two_kappa_u(tmp_path):
     """At 64 sampled points of the benchmark's 10001-point grid, eval prints
     an all-reset network (W = 4..7) within 2 kappa u of the network's own
     exact function, kappa u = (max|f| + max|f'|) 2^-52; forward reads further
     off."""
     rng = np.random.default_rng(71)
-    npath, csv, grid = tmp_path / "net.relu", tmp_path / "out.csv", 10001
     worst_eval = worst_forward = 0.0
     for width, n, scale in ((4, 500, 2.0), (5, 300, 1e4), (6, 200, 2.0), (7, 500, 1e4),
                             (4, 120, 1e4), (7, 60, 2.0)):
         net, _ = compile_spline(random_spline(rng, n, -scale, scale), width)
         assert reset_layers(net).size == net.depth
-        write_network(net, npath)
-        assert cli.main(["eval", str(npath), "--grid", str(grid), "--out", str(csv)]) == 0
-        xs, printed = np.array([list(map(float, line.split(",")))
-                                for line in csv.read_text().splitlines()[1:]]).T
-        assert np.array_equal(xs, np.linspace(0.0, 1.0, grid))
-        f = extract_cpwl(net)
-        ku = (np.abs(f.values).max() + np.abs(np.diff(f.values) / np.diff(f.breakpoints)).max()) \
-            * 2.0 ** -52
-        pick = np.sort(rng.choice(grid, 64, replace=False))
-        exact = exact_values(net, xs[pick])
-
-        def error(ys):
-            return float(max(abs(Fraction(y) - e) for y, e in zip(ys.tolist(), exact)) / Fraction(ku))
-
-        worst_eval = max(worst_eval, error(printed[pick]))
-        worst_forward = max(worst_forward, error(net.forward(xs[pick])))
+        on_eval, on_forward = _eval_errors(tmp_path, net, rng, 64)
+        worst_eval, worst_forward = max(worst_eval, on_eval), max(worst_forward, on_forward)
         assert worst_eval <= 2.0, (width, n, scale)
     assert worst_eval < worst_forward
+
+
+def test_eval_reads_two_deep_networks_within_four_kappa_u(tmp_path):
+    """At 48 sampled points of the benchmark's 10001-point grid, eval prints
+    a compiled W >= 8 network, read through its two-deep closed form, within
+    4 kappa u of the network's own exact function."""
+    rng = np.random.default_rng(72)
+    for width, n, scale in ((8, 500, 2.0), (9, 300, 1e4), (13, 200, 2.0), (20, 400, 1e4),
+                            (26, 120, 1e4), (32, 800, 2.0)):
+        net, _ = compile_spline(random_spline(rng, n, -scale, scale), width)
+        assert np.array_equal(reset_layers(net), np.arange(0, net.depth, 2))
+        assert _eval_errors(tmp_path, net, rng, 48)[0] <= 4.0, (width, n, scale)
 
 
 def test_main_reuses_its_parser_without_leaking_state(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Shared-grid extraction against the per-channel reference in conftest."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    exact_values,
     plain_net,
     random_spline,
     reference_courses,
     reference_extract,
     same_lifts,
+    two_deep_net,
 )
-from spline2relu import approx, compiler, cpwl
+from spline2relu import approx, compiler, cpwl, network
 from spline2relu.combinators import (
     compose_nets,
     concat_sum,
@@ -311,6 +314,65 @@ def test_segmented_network_respects_node_budget(width, n, monkeypatch):
     monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", n // 2)
     with pytest.raises(ResourceError):
         extract_cpwl(net)
+
+
+def _stepped(net, monkeypatch):
+    """extract_cpwl of net through the layer stepper, as if it had no closed form."""
+    with monkeypatch.context() as patch:
+        patch.setattr(network, "_closed_form", lambda net: None)
+        return extract_cpwl(net)
+
+
+def _worst_error(f, net):
+    """Largest |f - net| at the nodes of f, against the network's exact function."""
+    exact = exact_values(net, f.breakpoints)
+    return float(max(abs(Fraction(v) - e) for v, e in zip(f.values.tolist(), exact)))
+
+
+@pytest.mark.parametrize("width", [8, 9, 13, 20, 26, 32])
+def test_two_deep_closed_form_within_four_kappa_u_or_the_stepper(width, monkeypatch):
+    """At its own nodes, the closed form (`_depth_two`) of a compiled W >= 8
+    spline is as close to the network's exact function as the larger of
+    4 kappa u of the target and the layer stepper's worst error at its nodes.
+    A few knots padded into one block sum hats far larger than the target,
+    which no float extraction reads within a few kappa u; the two extractors
+    sum a node's rows in different orders, which may cost one rounding of
+    the largest value (u max|f|; the stepper was ahead by at most 0.003
+    kappa u over 1296 such networks)."""
+    rng = np.random.default_rng(130 + width)
+    for n in (1, 7, 97):
+        for scale in (2.0, 1e4):
+            f = random_spline(rng, n, -scale, scale)
+            net, _ = compile_spline(f, width)
+            assert network._closed_form(net) is network._depth_two
+            stepped = _worst_error(_stepped(net, monkeypatch), net) + U * np.abs(f.values).max()
+            bound = max(4.0 * _kappa_u(f), stepped)
+            assert _worst_error(extract_cpwl(net), net) <= bound, (n, scale)
+
+
+def test_mixed_depth_networks_extract_as_stepped(monkeypatch):
+    """A W = 8 spline joined to a stack of one-layer networks (segments one and
+    two deep) and a Takagi network (one deep segment) have no closed form:
+    they extract through the layer stepper, to the bit."""
+    rng = np.random.default_rng(131)
+    shallow = [ReluNetwork(*rng.uniform(-2.0, 2.0, (2, 6)), np.zeros((0, 6, 6)), np.zeros((0, 6)),
+                           rng.uniform(-2.0, 2.0, 6), 0.5) for _ in range(2)]
+    mixed = concat_sum(compile_spline(random_spline(rng, 30), 8)[0],
+                       stack_sum(shallow, [1.0, -0.5]))
+    takagi = takagi_network([2.0 ** -k for k in range(1, 9)])
+    assert {1, 2} <= set(np.diff(reset_layers(mixed), append=mixed.depth))
+    for net in (mixed, takagi):
+        assert network._closed_form(net) is None
+        _assert_identical(extract_cpwl(net), _stepped(net, monkeypatch))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(4, 10), segments=st.integers(1, 4))
+def test_two_deep_networks_match_reference(seed, width, segments):
+    # random weights of both signs, zeros among them: not only compiled blocks
+    net = two_deep_net(np.random.default_rng(seed), width, segments)
+    assert network._closed_form(net) is network._depth_two
+    _assert_close(extract_cpwl(net), reference_extract(net))
 
 
 def _kappa_u(f):

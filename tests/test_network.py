@@ -1,5 +1,6 @@
 """Network representation tests: parameter counts, rails, extraction, file IO."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,13 +16,15 @@ from conftest import (
     text_io_networks,
 )
 from spline2relu import cpwl
-from spline2relu.compiler import compile_shallow, compile_spline
+from spline2relu.compiler import compile_shallow, compile_spline, takagi_network
 from spline2relu.errors import DomainError, ParseError, ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
+    _closed_form,
     _courses,
     _depth_one,
+    _depth_two,
     extract_cpwl,
     hat_net,
     param_count,
@@ -142,25 +145,60 @@ def test_overflow_is_an_error_naming_the_layer():
 
 
 def test_values_at_reads_all_reset_networks_in_closed_form(monkeypatch):
-    """values_at interpolates the closed form of an all-reset network, with no
-    node budget, and steps any other network through forward, to the bit."""
+    """values_at interpolates the closed form of a network whose segments are
+    all one layer deep (W = 4, 5) or all two deep (W = 8, 32), with no node
+    budget, and steps any other network through forward, to the bit."""
     rng = np.random.default_rng(16)
     xs = np.linspace(0.0, 1.0, 1001)
     narrow = [compile_spline(random_spline(rng, 40), width)[0] for width in (4, 5)]
-    wide, _ = compile_spline(random_spline(rng, 40), 8)
-    stepped = [wide, special_to_standard(narrow[0])]
+    wide = [compile_spline(random_spline(rng, 40), width)[0] for width in (8, 32)]
+    stepped = [takagi_network([2.0 ** -k for k in range(1, 6)]), special_to_standard(narrow[0])]
     monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 40)
-    for net in narrow:
+    for net, closed in [(net, _depth_one) for net in narrow] + [(net, _depth_two) for net in wide]:
         with pytest.raises(ResourceError):
             extract_cpwl(net)
-        assert np.array_equal(values_at(net, xs), np.interp(xs, *_depth_one(net)))
+        assert np.array_equal(values_at(net, xs), np.interp(xs, *closed(net)))
         assert np.abs(values_at(net, xs) - net.forward(xs)).max() <= 1e-12
     for net in stepped:
         assert np.array_equal(values_at(net, xs), net.forward(xs))
     with pytest.raises(DomainError, match="outside"):
-        values_at(wide, [0.5, 1.5])
+        values_at(wide[0], [0.5, 1.5])
     with pytest.raises(DomainError, match="not finite: layer 1 of 2 overflows"):
         values_at(overflowing_reset_net(), xs)
+
+
+def test_two_deep_overflow_is_an_error_naming_the_layer():
+    """A two-deep network (closed form `_depth_two`) whose rows overflow
+    raises the DomainError of forward in extract_cpwl and values_at, without
+    numpy warnings: layer 1 reads 1e308 relu(1e308 x)."""
+    weights = rail_layer(4)
+    weights[1:3, 1] = 1e308
+    net = SpecialNetwork([1.0, 1e308, 1.0, 0.0], np.zeros(4), [weights], np.zeros((1, 4)),
+                         [0.0, 1.0, 0.0, 1.0], 0.0)
+    assert _closed_form(net) is _depth_two
+    xs = np.linspace(0.0, 1.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: extract_cpwl(net), lambda: values_at(net, xs), lambda: net.forward(xs)):
+            with pytest.raises(DomainError, match="not finite: layer 1 of 2 overflows"):
+                call()
+
+
+def test_closed_form_peaks_below_forward():
+    """extract_cpwl and values_at of a compiled W = 32, n = 3200 spline (the
+    closed form `_depth_two`) allocate no more at their peak than forward on
+    the 10001-point grid of `spline2relu eval`."""
+    net, _ = compile_spline(random_spline(np.random.default_rng(17), 3200), 32)
+    xs = np.linspace(0.0, 1.0, 10001)
+    peaks = []
+    for call in (lambda: extract_cpwl(net), lambda: values_at(net, xs), lambda: net.forward(xs)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[:2]) <= peaks[2], peaks
 
 
 def test_slope_overflow_is_an_error(monkeypatch):
