@@ -72,7 +72,11 @@ def _report(net, bound: int, n: int, note: str = "") -> CompileReport:
 
 
 def block_size(width: int) -> int:
-    """Breakpoints absorbed per pair of layers at the given width."""
+    """Breakpoints absorbed per pair of layers by the paper's construction at
+    the given width: q*(W-2) hats with q = (W-2)//6 at W >= 8, 2*(W-2) ramps
+    at W = 4..7.  `spline_budget` counts these blocks, so it stays the
+    paper's guarantee; `compile_spline` takes the ramps also where q < 2
+    (W = 8..13), where they absorb twice a block per pair of layers."""
     if width >= 8:
         return ((width - 2) // 6) * (width - 2)
     if width >= 4:
@@ -195,8 +199,10 @@ def _pad_knots(knots: np.ndarray, total: int) -> np.ndarray:
 
 
 def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
-    """Width >= 8 pipeline: subtract the endpoint line, cut the knots into
-    blocks of q*(W-2) and build every block's hat sum at once.
+    """The paper's wide form, which `compile_spline` takes where q = (W-2)//6
+    is at least 2 (W >= 14): subtract the endpoint line, cut the knots into
+    blocks of q*(W-2) and build every block's hat sum at once.  It works at
+    every W >= 8; at q = 1 the ramps of `_compile_narrow` need half its layers.
 
     Layer 2j is block j: row r is class r-1's profile, read from x and the
     relu(x - xi_t).  Layer 2j+1 is a seam: it seeds block j+1's relu(x - xi_t)
@@ -244,7 +250,9 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
 
 
 def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
-    """Width 4..7 pipeline: ramp accumulation, width-2 knots per layer group."""
+    """The paper's narrow form, which `compile_spline` takes where q = (W-2)//6
+    is below 2 (W = 4..13): ramp accumulation, W-2 knots per layer, every
+    layer a reset."""
     x, v = target.breakpoints, target.values
     slopes = np.diff(v) / np.diff(x)
     knots = x[1:-1]
@@ -273,11 +281,18 @@ def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
 
 
 def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, CompileReport]:
-    """Exact special network for a piecewise-linear target at the given width."""
+    """Exact special network for a piecewise-linear target at the given width.
+
+    The ramps absorb 2(W-2) knots per two layers and the wide form q(W-2), so
+    the ramps take q = (W-2)//6 < 2 (W = 4..13) and the wide form q >= 2; at
+    the tie q = 2 the wide form reads closer to the target.  The report's
+    bound is `spline_budget`, the paper's guarantee, which counts the wide
+    form at every W >= 8.
+    """
     if width < 4:
         raise DomainError("width must be at least 4")
     n = target.n_interior
-    if width >= 8:
+    if (width - 2) // 6 >= 2:
         net = _compile_wide(target, width)
         note = ""
     else:

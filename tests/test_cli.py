@@ -15,7 +15,7 @@ from conftest import (
     text_io_networks,
 )
 from spline2relu import approx, cli, cpwl, riesz
-from spline2relu.compiler import compile_spline, takagi_network
+from spline2relu.compiler import _compile_wide, compile_spline, takagi_network
 from spline2relu.errors import Spline2ReluError
 from spline2relu.network import (extract_cpwl, hat_net, read_network, reset_layers,
                                  write_network)
@@ -97,6 +97,18 @@ def test_eval_csv(tmp_path, capsys):
     assert len(lines) == 6
     mid = lines[3].split(",")
     assert float(mid[0]) == 0.5 and abs(float(mid[1]) - 1.0) <= 1e-12
+
+
+def test_eval_prints_the_w8_hat_exactly(tmp_path, capsys):
+    # the ramps carry the hat's weights exactly, so eval prints 0.5 at 0.75
+    spath = tmp_path / "hat.spline"
+    npath = tmp_path / "hat8.relu"
+    cpwl.write_spline(cpwl.hat(), spath)
+    assert cli.main(["compile", str(spath), "--width", "8", "--out", str(npath)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", str(npath), "--grid", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["0,0", "0.25,0.5", "0.5,1", "0.75,0.5", "1,0"]
 
 
 def test_rates_takagi_deterministic_and_svg(tmp_path, capsys):
@@ -357,13 +369,14 @@ def _eval_errors(tmp_path, net, rng, points):
 
 def test_eval_reads_all_reset_networks_within_two_kappa_u(tmp_path):
     """At 64 sampled points of the benchmark's 10001-point grid, eval prints
-    an all-reset network (W = 4..7) within 2 kappa u of the network's own
+    an all-reset network (W = 4..13) within 2 kappa u of the network's own
     exact function, kappa u = (max|f| + max|f'|) 2^-52; forward reads further
     off."""
     rng = np.random.default_rng(71)
     worst_eval = worst_forward = 0.0
     for width, n, scale in ((4, 500, 2.0), (5, 300, 1e4), (6, 200, 2.0), (7, 500, 1e4),
-                            (4, 120, 1e4), (7, 60, 2.0)):
+                            (4, 120, 1e4), (7, 60, 2.0), (8, 500, 2.0), (8, 200, 1e4),
+                            (13, 300, 2.0), (13, 800, 1e4)):
         net, _ = compile_spline(random_spline(rng, n, -scale, scale), width)
         assert reset_layers(net).size == net.depth
         on_eval, on_forward = _eval_errors(tmp_path, net, rng, 64)
@@ -374,12 +387,12 @@ def test_eval_reads_all_reset_networks_within_two_kappa_u(tmp_path):
 
 def test_eval_reads_two_deep_networks_within_four_kappa_u(tmp_path):
     """At 48 sampled points of the benchmark's 10001-point grid, eval prints
-    a compiled W >= 8 network, read through its two-deep closed form, within
+    a wide-form W >= 8 network, read through its two-deep closed form, within
     4 kappa u of the network's own exact function."""
     rng = np.random.default_rng(72)
     for width, n, scale in ((8, 500, 2.0), (9, 300, 1e4), (13, 200, 2.0), (20, 400, 1e4),
                             (26, 120, 1e4), (32, 800, 2.0)):
-        net, _ = compile_spline(random_spline(rng, n, -scale, scale), width)
+        net = _compile_wide(random_spline(rng, n, -scale, scale), width)
         assert np.array_equal(reset_layers(net), np.arange(0, net.depth, 2))
         assert _eval_errors(tmp_path, net, rng, 48)[0] <= 4.0, (width, n, scale)
 

@@ -9,6 +9,7 @@ from conftest import compose_chain, random_spline, reference_compile_wide, same_
 from spline2relu import cpwl
 from spline2relu.compiler import (
     CompileReport,
+    _compile_wide,
     _hat_classes,
     block_size,
     compile_composition,
@@ -29,7 +30,7 @@ from spline2relu.errors import (
     DegenerateCompositionError,
     DomainError,
 )
-from spline2relu.network import extract_cpwl, param_count
+from spline2relu.network import _closed_form, _depth_one, _depth_two, extract_cpwl, param_count
 from spline2relu.riesz import basis_fn
 
 
@@ -113,6 +114,33 @@ def test_compile_spline_width_seven_notes_its_construction():
     assert report.note == ""
 
 
+def test_compile_spline_takes_the_ramps_below_two_hats_per_peak():
+    """q = (W-2)//6 < 2 compiles with the ramps, every layer a reset; q >= 2
+    with the wide form, every segment two deep.  At q = 1 the ramps take
+    2*ceil(B/2) layers for the wide form's 2B (B blocks of W-2 knots): half
+    its layers and params, plus one layer when B is odd."""
+    rng = np.random.default_rng(36)
+    for width in (8, 9, 13, 14, 19):
+        net, _ = compile_spline(random_spline(rng, 40), width)
+        assert _closed_form(net) is (_depth_one if width < 14 else _depth_two), width
+    for width in (8, 13):
+        for n in (1, 7, 200, 3200):
+            f = random_spline(rng, n)
+            net, _ = compile_spline(f, width)
+            wide = _compile_wide(f, width)
+            assert net.depth <= wide.depth // 2 + 1, (width, n)
+            assert net.params <= wide.params / 2 + width * (width + 1), (width, n)
+
+
+def test_ramps_stay_within_the_budget_at_w8_to_13():
+    # compile_spline's CompileReport raises BudgetError past spline_budget
+    rng = np.random.default_rng(37)
+    for width in range(8, 14):
+        for n in range(1, 261):
+            _, report = compile_spline(random_spline(rng, n), width)
+            assert report.params <= report.budget_bound == spline_budget(width, n)
+
+
 def test_compile_spline_rejects_small_width():
     with pytest.raises(DomainError):
         compile_spline(cpwl.hat(), 3)
@@ -167,9 +195,9 @@ def _wide_corpus():
 
 def test_compile_wide_matches_block_reference():
     for f, width in _wide_corpus():
-        net, _ = compile_spline(f, width)
+        net = _compile_wide(f, width)
         assert same_weights(net, reference_compile_wide(f, width)), (width, f.n_interior)
-    net, _ = compile_spline(_sparse_target(), 8)
+    net = _compile_wide(_sparse_target(), 8)
     assert _sparse_target().n_interior == 200
     assert (~net.hidden_weights[::2, 1:-1].any(axis=-1)).sum(axis=1).min() >= 3
 

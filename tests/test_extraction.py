@@ -236,7 +236,7 @@ def test_reset_layer_counts_on_compiled_networks():
     narrow, _ = compile_spline(random_spline(rng, 6400), 4)
     assert narrow.depth - 1 == 3199
     assert np.array_equal(reset_layers(narrow), np.arange(narrow.depth))
-    wide, _ = compile_spline(random_spline(rng, 400), 8)
+    wide = compiler._compile_wide(random_spline(rng, 400), 8)
     assert np.array_equal(reset_layers(wide), np.arange(0, wide.depth, 2))
     takagi = takagi_network([2.0 ** -k for k in range(1, 11)])
     assert np.array_equal(reset_layers(takagi), [0])
@@ -244,14 +244,14 @@ def test_reset_layer_counts_on_compiled_networks():
 
 
 def _mixed(rng, kinds):
-    """W=8 special networks of mixed segment depths, one per kind: a compiled
+    """W=8 special networks of mixed segment depths, one per kind: a wide-form
     spline (depth-2 segments), a zero network (depth-1 segments), a stack of
     one-layer W=6 networks with weights of both signs (depth-1 segments) and
     a stack of plain W=6 networks (deeper segments)."""
     nets = []
     for kind in kinds:
         if kind == 0:
-            nets.append(compile_spline(random_spline(rng, int(rng.integers(1, 40))), 8)[0])
+            nets.append(compiler._compile_wide(random_spline(rng, int(rng.integers(1, 40))), 8))
         elif kind == 1:
             nets.append(zero_special(8, int(rng.integers(1, 4))))
         elif kind == 2:
@@ -331,7 +331,7 @@ def _worst_error(f, net):
 
 @pytest.mark.parametrize("width", [8, 9, 13, 20, 26, 32])
 def test_two_deep_closed_form_within_four_kappa_u_or_the_stepper(width, monkeypatch):
-    """At its own nodes, the closed form (`_depth_two`) of a compiled W >= 8
+    """At its own nodes, the closed form (`_depth_two`) of a wide-form W >= 8
     spline is as close to the network's exact function as the larger of
     4 kappa u of the target and the layer stepper's worst error at its nodes.
     A few knots padded into one block sum hats far larger than the target,
@@ -343,7 +343,7 @@ def test_two_deep_closed_form_within_four_kappa_u_or_the_stepper(width, monkeypa
     for n in (1, 7, 97):
         for scale in (2.0, 1e4):
             f = random_spline(rng, n, -scale, scale)
-            net, _ = compile_spline(f, width)
+            net = compiler._compile_wide(f, width)
             assert network._closed_form(net) is network._depth_two
             stepped = _worst_error(_stepped(net, monkeypatch), net) + U * np.abs(f.values).max()
             bound = max(4.0 * _kappa_u(f), stepped)
@@ -351,13 +351,13 @@ def test_two_deep_closed_form_within_four_kappa_u_or_the_stepper(width, monkeypa
 
 
 def test_mixed_depth_networks_extract_as_stepped(monkeypatch):
-    """A W = 8 spline joined to a stack of one-layer networks (segments one and
-    two deep) and a Takagi network (one deep segment) have no closed form:
-    they extract through the layer stepper, to the bit."""
+    """A W = 8 wide-form spline joined to a stack of one-layer networks
+    (segments one and two deep) and a Takagi network (one deep segment) have
+    no closed form: they extract through the layer stepper, to the bit."""
     rng = np.random.default_rng(131)
     shallow = [ReluNetwork(*rng.uniform(-2.0, 2.0, (2, 6)), np.zeros((0, 6, 6)), np.zeros((0, 6)),
                            rng.uniform(-2.0, 2.0, 6), 0.5) for _ in range(2)]
-    mixed = concat_sum(compile_spline(random_spline(rng, 30), 8)[0],
+    mixed = concat_sum(compiler._compile_wide(random_spline(rng, 30), 8),
                        stack_sum(shallow, [1.0, -0.5]))
     takagi = takagi_network([2.0 ** -k for k in range(1, 9)])
     assert {1, 2} <= set(np.diff(reset_layers(mixed), append=mixed.depth))
@@ -397,6 +397,19 @@ def _large_values():
 def test_adversarial_narrow_splines_within_two_kappa_u(target, width):
     net, _ = compile_spline(target, width)
     assert cpwl.sup_diff(extract_cpwl(net), target) <= 2.0 * _kappa_u(target)
+
+
+def test_knots_1e13_apart_on_ramps_within_kappa_u():
+    """Three knots 1e-13 apart just below 0.95 among 20 random ones: the
+    ramps of W = 8 and 13 extract within kappa u of the target (the wide
+    form's hat solve divides by those gaps; it read 2.03 kappa u at W = 13)."""
+    rng = np.random.default_rng(3)
+    x = np.r_[0.0, np.sort(rng.uniform(0.0, 0.9, 20)), 0.95 - np.array([3e-13, 2e-13, 1e-13]), 1.0]
+    f = cpwl.CPwL(x, rng.uniform(-2.0, 2.0, x.size))
+    assert f.n_interior == 23
+    for width in (8, 13):
+        net, _ = compile_spline(f, width)
+        assert cpwl.sup_diff(extract_cpwl(net), f) <= _kappa_u(f), width
 
 
 def test_fourier_canary_within_kappa_u():

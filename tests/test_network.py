@@ -16,7 +16,7 @@ from conftest import (
     text_io_networks,
 )
 from spline2relu import cpwl
-from spline2relu.compiler import compile_shallow, compile_spline, takagi_network
+from spline2relu.compiler import _compile_wide, compile_shallow, compile_spline, takagi_network
 from spline2relu.errors import DomainError, ParseError, ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
@@ -146,12 +146,13 @@ def test_overflow_is_an_error_naming_the_layer():
 
 def test_values_at_reads_all_reset_networks_in_closed_form(monkeypatch):
     """values_at interpolates the closed form of a network whose segments are
-    all one layer deep (W = 4, 5) or all two deep (W = 8, 32), with no node
-    budget, and steps any other network through forward, to the bit."""
+    all one layer deep (W = 4, 5) or all two deep (wide form, W = 8, 32),
+    with no node budget, and steps any other network through forward, to the
+    bit."""
     rng = np.random.default_rng(16)
     xs = np.linspace(0.0, 1.0, 1001)
     narrow = [compile_spline(random_spline(rng, 40), width)[0] for width in (4, 5)]
-    wide = [compile_spline(random_spline(rng, 40), width)[0] for width in (8, 32)]
+    wide = [_compile_wide(random_spline(rng, 40), width) for width in (8, 32)]
     stepped = [takagi_network([2.0 ** -k for k in range(1, 6)]), special_to_standard(narrow[0])]
     monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 40)
     for net, closed in [(net, _depth_one) for net in narrow] + [(net, _depth_two) for net in wide]:

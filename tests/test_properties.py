@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import reference_compile_wide, reference_extract, same_lifts, same_weights
 from spline2relu import cpwl
-from spline2relu.compiler import compile_spline
+from spline2relu.compiler import _compile_wide, compile_spline
 from spline2relu.network import extract_cpwl, special_to_standard
 
 
@@ -43,7 +43,7 @@ def test_compile_extract_round_trip(f, width):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(f=splines(1e3), width=st.integers(8, 38))
 def test_compile_wide_matches_block_reference(f, width):
-    assert same_weights(compile_spline(f, width)[0], reference_compile_wide(f, width))
+    assert same_weights(_compile_wide(f, width), reference_compile_wide(f, width))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
