@@ -84,11 +84,8 @@ def _svg_loglog(path, series):
 
 
 def _report_line(report):
-    text = (f"width={report.width} depth={report.depth} params={report.params} "
+    return (f"width={report.width} depth={report.depth} params={report.params} "
             f"budget={report.budget_bound} breakpoints={report.target_breakpoints}")
-    if report.note:
-        text += f" note={report.note}"
-    return text
 
 
 def _emit(text, path):

@@ -49,26 +49,26 @@ _DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CompileReport:
-    """Size accounting for one compiled network."""
+    """Size accounting for one compiled network: `params` follows from the
+    width and depth by `param_count`, and a count past `budget_bound` raises
+    BudgetError."""
 
     width: int
     depth: int
-    params: int
+    params: int = field(init=False)
     budget_bound: int
     target_breakpoints: int
-    note: str = ""
 
     def __post_init__(self):
-        if self.params != param_count(self.width, self.depth):
-            raise BudgetError("parameter count does not match width and depth")
+        object.__setattr__(self, "params", param_count(self.width, self.depth))
         if self.params > self.budget_bound:
             raise BudgetError(
                 f"{self.params} parameters exceed the guaranteed bound {self.budget_bound}"
             )
 
 
-def _report(net, bound: int, n: int, note: str = "") -> CompileReport:
-    return CompileReport(net.width, net.depth, net.params, int(bound), n, note)
+def _report(net, bound: int, n: int) -> CompileReport:
+    return CompileReport(net.width, net.depth, int(bound), n)
 
 
 def block_size(width: int) -> int:
@@ -85,15 +85,12 @@ def block_size(width: int) -> int:
 
 
 def spline_budget(width: int, n: int) -> int:
-    """Guaranteed parameter bound for compiling an n-breakpoint target."""
-    small = width * width + 4 * width + 1
-    if width >= 8:
-        return 61 * n if n >= block_size(width) else small
-    if width == 4:
-        return 19 * n if n >= 4 else small
-    if width in (5, 6, 7):
-        return 25 * n if n >= 2 * (width - 2) else small
-    raise DomainError("width must be at least 4")
+    """Guaranteed parameter bound for compiling an n-breakpoint target:
+    W^2 + 4W + 1 below one block of `block_size(width)` knots, and 61n
+    (W >= 8), 19n (W = 4) or 25n (W = 5..7) from one block on."""
+    if n < block_size(width):
+        return width * width + 4 * width + 1
+    return (61 if width >= 8 else 19 if width == 4 else 25) * n
 
 
 def _hat_classes(coeffs: np.ndarray, q: int) -> np.ndarray:
@@ -287,18 +284,13 @@ def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, Compi
     the ramps take q = (W-2)//6 < 2 (W = 4..13) and the wide form q >= 2; at
     the tie q = 2 the wide form reads closer to the target.  The report's
     bound is `spline_budget`, the paper's guarantee, which counts the wide
-    form at every W >= 8.
+    form at every W >= 8; it is computed first, so W < 4 raises DomainError
+    before anything is built.
     """
-    if width < 4:
-        raise DomainError("width must be at least 4")
     n = target.n_interior
-    if (width - 2) // 6 >= 2:
-        net = _compile_wide(target, width)
-        note = ""
-    else:
-        net = _compile_narrow(target, width)
-        note = "width 7 uses the narrow ramp construction (q=2)" if width == 7 else ""
-    return net, _report(net, spline_budget(width, n), n, note)
+    bound = spline_budget(width, n)
+    net = (_compile_wide if (width - 2) // 6 >= 2 else _compile_narrow)(target, width)
+    return net, _report(net, bound, n)
 
 
 def compile_shallow(target: cpwl.CPwL) -> ReluNetwork:
@@ -554,7 +546,7 @@ def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
         block = parallel_sum(pairs[g:g + group_size])
         blocks.append(pad_width(block, width - 2))
     net = stack_sum(blocks)
-    depth_bound = 2 * math.ceil(len(terms) / group_size) * (max(0, math.ceil(math.log2(lam))) + 2)
+    depth_bound = math.ceil(len(terms) / group_size) * p
     oracle_n = fourier_oracle(terms).n_interior
     return net, _report(net, param_count(width, depth_bound), oracle_n)
 

@@ -85,6 +85,18 @@ def test_compile_hat_width4_reports_33_params(tmp_path, capsys):
     assert "params=33" in capsys.readouterr().out
 
 
+def test_compile_prints_the_same_five_fields_at_every_width(tmp_path, capsys):
+    spath = tmp_path / "f.spline"
+    f = random_spline(np.random.default_rng(65), 25)
+    cpwl.write_spline(f, spath)
+    for width in range(4, 15):
+        assert cli.main(["compile", str(spath), "--width", str(width)]) == 0
+        _, report = compile_spline(cpwl.read_spline(spath), width)
+        assert capsys.readouterr().out == (
+            f"width={width} depth={report.depth} params={report.params} "
+            f"budget={report.budget_bound} breakpoints={report.target_breakpoints}\n"), width
+
+
 def test_eval_csv(tmp_path, capsys):
     spath = tmp_path / "hat.spline"
     npath = tmp_path / "hat.relu"

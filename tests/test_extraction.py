@@ -350,6 +350,19 @@ def test_two_deep_closed_form_within_four_kappa_u_or_the_stepper(width, monkeypa
             assert _worst_error(extract_cpwl(net), net) <= bound, (n, scale)
 
 
+@pytest.mark.parametrize("width, blocks", [(14, 267), (20, 119)])
+def test_many_block_wide_splines_within_four_kappa_u(width, blocks):
+    """`compile_spline`'s largest wide forms: n = 6400 knots fill 267 blocks
+    at W = 14 and 119 at W = 20, and the closed form still reads the target
+    within the two-deep bound of 4 kappa u (0.64-1.54 kappa u measured)."""
+    assert math.ceil(6400 / compiler.block_size(width)) == blocks
+    for seed in (1, 2, 3):
+        f = random_spline(np.random.default_rng(seed), 6400)
+        net, _ = compile_spline(f, width)
+        assert network._closed_form(net) is network._depth_two
+        assert cpwl.sup_diff(extract_cpwl(net), f) <= 4.0 * _kappa_u(f), seed
+
+
 def test_mixed_depth_networks_extract_as_stepped(monkeypatch):
     """A W = 8 wide-form spline joined to a stack of one-layer networks
     (segments one and two deep) and a Takagi network (one deep segment) have
