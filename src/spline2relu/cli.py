@@ -244,6 +244,8 @@ def run(args):
         raise ResourceError(f"--grid must be at most {cpwl.DEFAULT_NODE_BUDGET}")
     if width < 4:
         raise Spline2ReluError("--width must be at least 4")
+    if getattr(args, "trials", 1) < 1:
+        raise Spline2ReluError("--trials must be at least 1")
     return _DISPATCH[args.command](args)
 
 

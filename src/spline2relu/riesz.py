@@ -11,6 +11,26 @@ from .errors import ContractError, DomainError
 
 MU_SQUARED = 96.0 / math.pi ** 4
 ODD_SUM_CAP = 500
+_GRAM_BLOCK = 4096  # pieces per block; bounds the value arrays at O(K) per piece
+
+
+def _gram(fns):
+    """Exact integrals over [0, 1] of every product of two piecewise-linear
+    fns, as one exactly symmetric matrix.
+
+    Every function is linear on each piece of the merged grid, so with A and
+    B the left and right values and w = dx/6 the closed form is
+    (A*w)(2A + B)^T + (B*w)(A + 2B)^T, summed _GRAM_BLOCK pieces at a time.
+    """
+    grid, _ = _merge(*((f.breakpoints, None) for f in fns))
+    gram = np.zeros((len(fns), len(fns)))
+    for i in range(0, grid.size - 1, _GRAM_BLOCK):
+        x = grid[i:i + _GRAM_BLOCK + 1]
+        vals = np.array([np.interp(x, f.breakpoints, f.values) for f in fns])
+        a, b = vals[:, :-1], vals[:, 1:]
+        w = np.diff(x) / 6.0
+        gram += (a * w) @ (2.0 * a + b).T + (b * w) @ (a + 2.0 * b).T
+    return 0.5 * (gram + gram.T)
 
 
 def inner_product(f, g):
@@ -19,11 +39,7 @@ def inner_product(f, g):
     On each piece of the merged grid the product is quadratic, so the
     two-point closed form (dx/6) * (f0*(2*g0 + g1) + f1*(g0 + 2*g1)) is exact.
     """
-    grid, (fv, gv) = _merge((f.breakpoints, f.values), (g.breakpoints, g.values))
-    dx = np.diff(grid)
-    f0, f1 = fv[:-1], fv[1:]
-    g0, g1 = gv[:-1], gv[1:]
-    return float(np.sum(dx / 6.0 * (f0 * (2.0 * g0 + g1) + f1 * (g0 + 2.0 * g1))))
+    return float(_gram([f, g])[0, 1])
 
 
 def gram_matrix(K):
@@ -34,13 +50,7 @@ def gram_matrix(K):
     """
     if K < 1:
         raise DomainError("need K >= 1")
-    fns = [basis_fn(kind, k) for kind in ("cosine", "sine") for k in range(1, K + 1)]
-    n = 2 * K
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = inner_product(fns[i], fns[j])
-    return gram
+    return _gram([basis_fn(kind, k) for kind in ("cosine", "sine") for k in range(1, K + 1)])
 
 
 def frame_bounds(K):
@@ -54,26 +64,29 @@ def odd_square_tail(M):
     return 1.0 / (2.0 * (2 * M + 1))
 
 
-def _odd_multiplier_sum(k, ell, signed):
-    """Sum over m,n <= ODD_SUM_CAP of (2m+1)**-2 (2n+1)**-2 on (2m+1)k =
-    (2n+1)ell, with the alternating sign (-1)**(m+n) when signed."""
-    ms = np.arange(ODD_SUM_CAP + 1)
-    p = (2 * ms + 1) * k
-    hit = p % ell == 0
-    if not hit.any():
-        return 0.0
-    q = p[hit] // ell
-    odd = q % 2 == 1
-    q = q[odd]
-    mm = ms[hit][odd]
-    ns = (q - 1) // 2
-    keep = ns <= ODD_SUM_CAP
-    q = q[keep]
-    mm = mm[keep]
-    terms = 1.0 / ((2 * mm + 1).astype(float) ** 2 * q.astype(float) ** 2)
-    if signed:
-        terms = terms * np.where((mm + ns[keep]) % 2 == 0, 1.0, -1.0)
-    return float(terms.sum())
+def _kernel(K, signed, adjoint):
+    """The K x K coincidence kernel: entry (k, l) sums (2m+1)**-2 (2n+1)**-2
+    over (2m+1)k = (2n+1)l, with the sign (-1)**(m+n) when signed.
+
+    With g = gcd(k, l), a = k/g and b = l/g, the coincidences are 2m+1 = tb,
+    2n+1 = ta for odd t, so a and b must be odd; each term is (ab)**-2 t**-4
+    and its sign (-1)**((a+b)/2 - 1) does not depend on t.  The base form
+    caps m, n at ODD_SUM_CAP, so t <= (2*ODD_SUM_CAP + 1) // max(a, b); the
+    adjoint form sums t over the odd divisors of g.
+    """
+    k = np.arange(1, K + 1)
+    g = np.gcd.outer(k, k)
+    a, b = k[:, None] // g, k // g
+    if adjoint:
+        t = np.arange(1, K + 1, 2)
+        sums = np.concatenate([[0.0], (k[:, None] % t == 0) @ t ** -4.0])[g]
+    else:
+        # prefix[i] sums t**-4 over the first i odd t; a pair past the cap reads 0
+        t = np.arange(1, 2 * ODD_SUM_CAP + 2, 2)
+        prefix = np.concatenate([[0.0], np.cumsum(t ** -4.0)])
+        sums = prefix[(t[-1] // np.maximum(a, b) + 1) // 2]
+    sign = np.where(signed & ((a + b) // 2 % 2 == 0), -1.0, 1.0)
+    return np.where(a * b % 2 == 1, sign * sums / (a * b).astype(float) ** 2, 0.0)
 
 
 def lemsum_lhs(u):
@@ -82,35 +95,13 @@ def lemsum_lhs(u):
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or len(u) == 0:
         raise DomainError("need a one-dimensional sequence")
+    if not np.isfinite(u).all():
+        raise DomainError("sequence entries must be finite")
     if (u < 0).any():
         raise ContractError("sequence entries must be nonnegative")
-    total = 0.0
-    n = len(u)
-    for a in range(n):
-        if u[a] == 0.0:
-            continue
-        for b in range(n):
-            if a == b or u[b] == 0.0:
-                continue
-            total += u[a] * u[b] * _odd_multiplier_sum(a + 1, b + 1, False)
-    return total
-
-
-def _odd_divisor_sum(k, ell, signed):
-    """Exact sum over common divisors j of k and ell with odd quotients of
-    (k/j)**-2 (ell/j)**-2, with alternating quotient signs when signed."""
-    total = 0.0
-    for j in range(1, min(k, ell) + 1):
-        if k % j or ell % j:
-            continue
-        a, b = k // j, ell // j
-        if a % 2 == 0 or b % 2 == 0:
-            continue
-        term = 1.0 / (a * a * b * b)
-        if signed and ((a - 1) // 2 + (b - 1) // 2) % 2 == 1:
-            term = -term
-        total += term
-    return total
+    kernel = _kernel(len(u), False, False)
+    np.fill_diagonal(kernel, 0.0)
+    return float(u @ kernel @ u)
 
 
 def operator_gap(kind, K, adjoint=False):
@@ -126,15 +117,6 @@ def operator_gap(kind, K, adjoint=False):
         raise DomainError("kind must be 'cosine' or 'sine'")
     if K < 1:
         raise DomainError("need K >= 1")
-    signed = kind == "sine"
-    mat = np.empty((K, K))
-    for i in range(K):
-        for j in range(i, K):
-            if adjoint:
-                v = MU_SQUARED * _odd_divisor_sum(i + 1, j + 1, signed)
-            else:
-                v = MU_SQUARED * _odd_multiplier_sum(i + 1, j + 1, signed)
-            mat[i, j] = v
-            mat[j, i] = v
+    mat = MU_SQUARED * _kernel(K, kind == "sine", adjoint)
     eigs = np.linalg.eigvalsh(mat - np.eye(K))
     return float(np.abs(eigs).max())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from spline2relu import approx, cpwl
+from spline2relu import approx, cpwl, riesz
 from spline2relu.combinators import concat_sum
 from spline2relu.compiler import _pad_knots, block_size, compile_spline
 from spline2relu.errors import DomainError, ResourceError
@@ -517,3 +517,74 @@ def pattern_rich_target(rng, m, k, alpha, theta=0.9):
                 vs[-1] = amp * bv
     f = cpwl.CPwL(xs, vs)
     return approx.TargetFunction(f, lip_alpha=(alpha, 1.0)), pats
+
+
+def reference_odd_multiplier_sum(k, ell, signed):
+    """Enumeration kept as a test-only reference for riesz._kernel's base
+    form: sum over m,n <= ODD_SUM_CAP of (2m+1)**-2 (2n+1)**-2 on
+    (2m+1)k = (2n+1)ell, with the alternating sign (-1)**(m+n) when signed."""
+    ms = np.arange(riesz.ODD_SUM_CAP + 1)
+    p = (2 * ms + 1) * k
+    hit = p % ell == 0
+    if not hit.any():
+        return 0.0
+    q = p[hit] // ell
+    odd = q % 2 == 1
+    q = q[odd]
+    mm = ms[hit][odd]
+    ns = (q - 1) // 2
+    keep = ns <= riesz.ODD_SUM_CAP
+    q = q[keep]
+    mm = mm[keep]
+    terms = 1.0 / ((2 * mm + 1).astype(float) ** 2 * q.astype(float) ** 2)
+    if signed:
+        terms = terms * np.where((mm + ns[keep]) % 2 == 0, 1.0, -1.0)
+    return float(terms.sum())
+
+
+def reference_odd_divisor_sum(k, ell, signed):
+    """Divisor loop kept as a test-only reference for riesz._kernel's adjoint
+    form: sum over common divisors j of k and ell with odd quotients of
+    (k/j)**-2 (ell/j)**-2, with alternating quotient signs when signed."""
+    total = 0.0
+    for j in range(1, min(k, ell) + 1):
+        if k % j or ell % j:
+            continue
+        a, b = k // j, ell // j
+        if a % 2 == 0 or b % 2 == 0:
+            continue
+        term = 1.0 / (a * a * b * b)
+        if signed and ((a - 1) // 2 + (b - 1) // 2) % 2 == 1:
+            term = -term
+        total += term
+    return total
+
+
+def reference_kernel(K, signed, adjoint):
+    """riesz._kernel entry by entry from the two references above."""
+    entry = reference_odd_divisor_sum if adjoint else reference_odd_multiplier_sum
+    return np.array([[entry(k, ell, signed) for ell in range(1, K + 1)]
+                     for k in range(1, K + 1)])
+
+
+def reference_inner_product(f, g):
+    """Two-function closed form on the pair's own merged grid, kept as a
+    test-only reference for riesz's one-grid Gram sum."""
+    grid = np.union1d(f.breakpoints, g.breakpoints)
+    fv = np.interp(grid, f.breakpoints, f.values)
+    gv = np.interp(grid, g.breakpoints, g.values)
+    dx = np.diff(grid)
+    f0, f1 = fv[:-1], fv[1:]
+    g0, g1 = gv[:-1], gv[1:]
+    return float(np.sum(dx / 6.0 * (f0 * (2.0 * g0 + g1) + f1 * (g0 + 2.0 * g1))))
+
+
+def reference_gram_matrix(K):
+    """Pairwise Gram matrix of C_1..C_K, S_1..S_K from reference_inner_product."""
+    fns = [cpwl.basis_fn(kind, k) for kind in ("cosine", "sine") for k in range(1, K + 1)]
+    n = 2 * K
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = reference_inner_product(fns[i], fns[j])
+    return gram

@@ -186,6 +186,14 @@ def test_riesz_subcommand(tmp_path, capsys):
     assert out.read_text() == again.read_text()
 
 
+def test_riesz_refuses_fewer_than_one_trial(capsys):
+    for trials in ("0", "-3"):
+        assert cli.main(["riesz", "--K", "4", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be at least 1\n"
+
+
 def test_takagi_subcommand(tmp_path, capsys):
     npath = tmp_path / "t.relu"
     assert cli.main(["takagi", "--order", "8", "--grid", "2049",

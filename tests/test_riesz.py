@@ -1,11 +1,17 @@
 """Sawtooth-system numerics: inner products, Gram spectra, operator gaps."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_spline
+from conftest import (
+    random_spline,
+    reference_gram_matrix,
+    reference_kernel,
+)
 from spline2relu import riesz
 from spline2relu.errors import ContractError, DomainError
 
@@ -185,3 +191,54 @@ def test_mu_squared_normalizes_the_odd_fourth_power_sum():
     ms = np.arange(0, 200000)
     partial = float(np.sum(1.0 / (2.0 * ms + 1.0) ** 4))
     assert riesz.MU_SQUARED * partial == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kernel_matches_the_enumerations():
+    for signed, adjoint in itertools.product((False, True), repeat=2):
+        got = riesz._kernel(64, signed, adjoint)
+        want = reference_kernel(64, signed, adjoint)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+        assert np.array_equal(got, got.T)
+
+
+def test_kernel_reads_zero_past_the_odd_sum_cap():
+    # k = 1 against l = 2*ODD_SUM_CAP + 1 has the one coincidence m = 1000,
+    # n = 0; one index further needs m past the cap
+    kernel = riesz._kernel(1003, False, False)
+    assert kernel[0, 1000] == kernel[1000, 0] == 1.0 / 1001 ** 2
+    assert kernel[0, 1002] == kernel[1002, 0] == 0.0
+
+
+def test_gram_matches_the_pairwise_sum():
+    for K in (1, 4, 32, 64):
+        got = riesz.gram_matrix(K)
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - reference_gram_matrix(K)).max() <= 1e-15
+    # K = 64 spans more than one block of pieces
+    fns = [riesz.basis_fn(kind, k) for kind in ("cosine", "sine") for k in range(1, 65)]
+    assert np.unique(np.concatenate([f.breakpoints for f in fns])).size - 1 > riesz._GRAM_BLOCK
+
+
+def test_gram_memory_stays_blocked():
+    tracemalloc.start()
+    try:
+        riesz.gram_matrix(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+def test_sizes_must_be_integers():
+    with pytest.raises(TypeError):
+        riesz.gram_matrix(2.5)
+    for adjoint in (False, True):
+        with pytest.raises(TypeError):
+            riesz.operator_gap("cosine", 2.5, adjoint=adjoint)
+
+
+def test_lemsum_refuses_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            riesz.lemsum_lhs([bad, 1.0])
