@@ -172,20 +172,34 @@ def _run_riesz(args):
 
 
 def _dyadic_sawtooth_sum(order):
-    """Pointwise evaluator of the order-m dyadic sawtooth sum via the closed
-    form, usable at depths where the explicit node list would not fit."""
+    """Pointwise evaluator of the order-m dyadic sawtooth sum
+    sum_{i < m} 2^-(i+1) H^(i+1)(x), usable at depths where the explicit node
+    list would not fit.
+
+    Term i reads t, the fractional part of 2^i x, as min(t, 1 - t) 2^-i; t is
+    carried by the doubling map (double, then subtract 1 where it reached 1).
+    For x >= 0, so on [0, 1] where the target is defined, np.mod, doubling
+    and t - 1 for t in [1, 2) are exact, so t and every term equal those of
+    `cpwl.hat_iterate_value` to the bit.  For negative x np.mod rounds the
+    fractional part and doubling carries that rounding into later terms, so
+    the result can differ from that closed form in its last bits.
+    """
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
+        t = np.mod(xs, 1.0)
         total = np.zeros_like(xs)
         for i in range(order):
-            total = total + 2.0 ** -(i + 1) * cpwl.hat_iterate_value(i + 1, xs)
+            total = total + np.minimum(t, 1.0 - t) * 2.0 ** -i
+            t = t + t
+            t = t - (t >= 1.0)
         return total
     return evaluate
 
 
 def _takagi(order):
     """Coefficients 2^-(i+1), i < order, of the Takagi partial sum, and the
-    target it approximates: the dyadic sawtooth sum 20 terms further on."""
+    target it approximates: the dyadic sawtooth sum of order m + 20, with
+    m = order."""
     coeffs = [2.0 ** -(i + 1) for i in range(order)]
     return coeffs, approx.TargetFunction(_dyadic_sawtooth_sum(order + 20))
 

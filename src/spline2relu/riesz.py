@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
+from . import cpwl
 from .cpwl import _merge, basis_fn
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, ResourceError
 
 MU_SQUARED = 96.0 / math.pi ** 4
 ODD_SUM_CAP = 500
@@ -42,6 +43,15 @@ def inner_product(f, g):
     return float(_gram([f, g])[0, 1])
 
 
+def _check_size(K):
+    """Refuse K with K * K past cpwl.DEFAULT_NODE_BUDGET (K > 1448 at the
+    default) before anything is allocated: _kernel holds about eight K x K
+    arrays and the Gram matrix is 2K x 2K."""
+    if K * K > cpwl.DEFAULT_NODE_BUDGET:
+        raise ResourceError(f"K = {K} needs {K * K} matrix entries, over the budget "
+                            f"of {cpwl.DEFAULT_NODE_BUDGET}")
+
+
 def gram_matrix(K):
     """Gram matrix of C_1..C_K, S_1..S_K: exact pairwise inner products.
 
@@ -50,6 +60,7 @@ def gram_matrix(K):
     """
     if K < 1:
         raise DomainError("need K >= 1")
+    _check_size(K)
     return _gram([basis_fn(kind, k) for kind in ("cosine", "sine") for k in range(1, K + 1)])
 
 
@@ -74,6 +85,7 @@ def _kernel(K, signed, adjoint):
     caps m, n at ODD_SUM_CAP, so t <= (2*ODD_SUM_CAP + 1) // max(a, b); the
     adjoint form sums t over the odd divisors of g.
     """
+    _check_size(K)
     k = np.arange(1, K + 1)
     g = np.gcd.outer(k, k)
     a, b = k[:, None] // g, k // g

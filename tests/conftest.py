@@ -519,6 +519,19 @@ def pattern_rich_target(rng, m, k, alpha, theta=0.9):
     return approx.TargetFunction(f, lip_alpha=(alpha, 1.0)), pats
 
 
+def reference_dyadic_sawtooth_sum(order):
+    """Term-by-term closed form kept as a test-only reference for
+    cli._dyadic_sawtooth_sum: term i is 2^-(i+1) H^(i+1)(x), each read by
+    cpwl.hat_iterate_value's np.mod of x 2^i."""
+    def evaluate(x):
+        xs = np.asarray(x, dtype=float)
+        total = np.zeros_like(xs)
+        for i in range(order):
+            total = total + 2.0 ** -(i + 1) * cpwl.hat_iterate_value(i + 1, xs)
+        return total
+    return evaluate
+
+
 def reference_odd_multiplier_sum(k, ell, signed):
     """Enumeration kept as a test-only reference for riesz._kernel's base
     form: sum over m,n <= ODD_SUM_CAP of (2m+1)**-2 (2n+1)**-2 on

@@ -10,6 +10,7 @@ from conftest import (
     overflowing_net,
     overflowing_reset_net,
     random_spline,
+    reference_dyadic_sawtooth_sum,
     reference_eval_csv,
     slope_overflow_nets,
     text_io_networks,
@@ -212,6 +213,62 @@ def test_takagi_past_the_node_budget_measures_on_the_grid(capsys):
     fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
     assert fields["order"] == "21" and fields["depth"] == "21"
     assert 0.0 < float(fields["sup_error"]) <= 2.0 ** -21
+
+
+def test_dyadic_sawtooth_sum_matches_the_term_by_term_closed_form():
+    # the doubling map carries the fractional part exactly on [0, 1], so the
+    # Takagi target equals the per-term np.mod of x 2^i to the bit
+    nodes = extract_cpwl(takagi_network([2.0 ** -(i + 1) for i in range(16)])).breakpoints
+    points = [np.linspace(0.0, 1.0, 4099), np.linspace(0.0, 1.0, 10001), nodes,
+              np.array([0.0, 1.0 / 3.0, 1.0]),
+              np.random.default_rng(19).uniform(0.0, 1.0, 20000)]
+    for order in (1, 2, 3, 14, 16, 36, 40, 60):
+        new, ref = cli._dyadic_sawtooth_sum(order), reference_dyadic_sawtooth_sum(order)
+        for xs in points:
+            assert np.array_equal(new(xs), ref(xs))
+        assert new(1.0 / 3.0) == ref(1.0 / 3.0)
+
+
+def test_takagi_and_rates_print_the_pinned_errors(capsys):
+    # strings printed with the target of reference_dyadic_sawtooth_sum; every
+    # error digit depends on the target, so a change in its arithmetic shows
+    assert cli.main(["takagi", "--order", "14"]) == 0
+    assert capsys.readouterr().out == (
+        "order=14 width=4 depth=14 params=273 sup_error=4.0690065361559391e-05\n")
+    assert cli.main(["rates", "--ms", "1:16"]) == 0
+    assert _mask_wall(capsys.readouterr().out) == [
+        "m,params,sup_error",
+        "1,13,0.33333333332363213",
+        "2,33,0.16666666665696539",
+        "3,53,0.083333333323632131",
+        "4,73,0.04166666665696539",
+        "5,93,0.020833333323632131",
+        "6,113,0.01041666665696539",
+        "7,133,0.0052083333236321305",
+        "8,153,0.0026041666569653898",
+        "9,173,0.0013020833236321305",
+        "10,193,0.00065104165696538985",
+        "11,213,0.00032552082363213053",
+        "12,233,0.00016276040696538985",
+        "13,253,8.1380198632130529e-05",
+        "14,273,4.0690094465389848e-05",
+        "15,293,2.0345042382130529e-05",
+        "16,313,1.0172516340389848e-05",
+    ]
+
+
+def test_riesz_sizes_past_the_node_budget_are_refused(capsys, monkeypatch):
+    """--K and --gap-k with K * K past cpwl.DEFAULT_NODE_BUDGET exit 1 before
+    any K x K array is built; the budget is read at call time."""
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 100)
+    for flags in (["--K", "11"], ["--K", "4", "--gap-k", "11"]):
+        assert cli.main(["riesz", *flags, "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: K = 11 needs 121 matrix entries, "
+                                "over the budget of 100\n")
+    assert cli.main(["riesz", "--K", "10", "--gap-k", "10", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.startswith("frame_K,10\n")
 
 
 def test_fourier_atom_subcommand(capsys):

@@ -12,8 +12,8 @@ from conftest import (
     reference_gram_matrix,
     reference_kernel,
 )
-from spline2relu import riesz
-from spline2relu.errors import ContractError, DomainError
+from spline2relu import cpwl, riesz
+from spline2relu.errors import ContractError, DomainError, ResourceError
 
 
 def test_basis_shapes():
@@ -242,3 +242,19 @@ def test_lemsum_refuses_non_finite_entries():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="finite"):
             riesz.lemsum_lhs([bad, 1.0])
+
+
+def test_sizes_past_the_node_budget_are_refused(monkeypatch):
+    # the default budget 2^21 caps K at 1448; checked without building anything
+    riesz._check_size(1448)
+    with pytest.raises(ResourceError, match="K = 1449 needs 2099601 matrix entries"):
+        riesz._check_size(1449)
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 100)
+    for call in (lambda: riesz.gram_matrix(11), lambda: riesz.frame_bounds(11),
+                 lambda: riesz.operator_gap("cosine", 11),
+                 lambda: riesz.operator_gap("sine", 11, adjoint=True),
+                 lambda: riesz.lemsum_lhs(np.ones(11))):
+        with pytest.raises(ResourceError, match="K = 11 needs 121"):
+            call()
+    assert riesz.gram_matrix(10).shape == (20, 20)
+    assert riesz.operator_gap("sine", 10, adjoint=True) >= 0.0
