@@ -130,6 +130,8 @@ def _quantize_values(vals, k, alpha):
     """Quantize sampled node values to a Pattern, ties resolved toward the
     previously chosen level."""
     h_alpha = (1.0 / k) ** alpha
+    if not np.isfinite(vals).all():
+        raise ContractError("sampled values must be finite")
     if abs(vals[0]) > ENDPOINT_TOL or abs(vals[-1]) > ENDPOINT_TOL:
         raise ContractError("function must vanish at 0 and 1")
     steps = np.abs(np.diff(vals))
@@ -223,25 +225,9 @@ def lip_alpha_approximant(f, alpha, m, width):
     for levels, panels in groups.items():
         shape = Pattern(levels).to_cpwl(alpha)
         scaled = cpwl.combine([shape], [2.0 * float(m) ** (-alpha)])
-        intervals = [(i / m, (i + 1) / m) for i in panels]
+        intervals = np.column_stack([panels, np.add(panels, 1)]) / m
         terms.append(compile_self_similar(scaled, intervals, width)[0])
     return concat_sum(net, *terms), 4.0 * (k * m) ** (-alpha)
-
-
-class _PanelAntiderivative:
-    """Antiderivative of a piecewise-constant panel surrogate of a derivative."""
-
-    def __init__(self, panel_values, anchor):
-        self.panel_values = np.asarray(panel_values, dtype=float)
-        self.panels = len(self.panel_values)
-        self.edges = np.concatenate(([0.0], np.cumsum(self.panel_values) / self.panels))
-        self.anchor = float(anchor)
-
-    def __call__(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.clip(np.floor(xs * self.panels).astype(int), 0, self.panels - 1)
-        out = self.anchor + self.edges[idx] + (xs - idx / self.panels) * self.panel_values[idx]
-        return out if np.ndim(x) else float(out[0])
 
 
 @dataclass
@@ -272,26 +258,30 @@ def sobolev_split(fprime, p, t, anchor=0.0):
 
     All integrals use the composite midpoint rule on SPLIT_PANELS panels;
     quad_tol reports the change in ||f'||_p when the panel count doubles.
+    f0 and f1 wrap the CPwL antiderivatives of the clamped panel derivative
+    and of its remainder, so they evaluate on [0, 1] only.  A derivative that
+    is not finite at a midpoint of either rule raises DomainError.
     """
     if not 1.0 < p < math.inf:
         raise DomainError("need 1 < p < infinity")
     if t <= 0.0:
         raise DomainError("need t > 0")
 
-    def lp_midpoint(n):
-        mids = (np.arange(n, dtype=float) + 0.5) / n
-        fp = _evaluate(fprime, mids)
-        return fp, float(np.mean(np.abs(fp) ** p) ** (1.0 / p))
-
-    fp, lp_norm = lp_midpoint(SPLIT_PANELS)
-    _, lp_fine = lp_midpoint(2 * SPLIT_PANELS)
+    fp, fine = [_evaluate(fprime, (np.arange(n, dtype=float) + 0.5) / n)
+                for n in (SPLIT_PANELS, 2 * SPLIT_PANELS)]
+    if not (np.isfinite(fp).all() and np.isfinite(fine).all()):
+        raise DomainError("the derivative must be finite on [0, 1]")
+    lp_norm, lp_fine = [float(np.mean(np.abs(v) ** p) ** (1.0 / p)) for v in (fp, fine)]
     quad_tol = abs(lp_fine - lp_norm)
 
     lam = t ** (-1.0 / p) * lp_norm
     low = np.clip(fp, -lam, lam)
     high = fp - low
-    f0 = TargetFunction(_PanelAntiderivative(low, anchor), lip_alpha=(1.0, lam))
-    f1 = TargetFunction(_PanelAntiderivative(high, 0.0))
+    # the antiderivative of a panel-constant derivative is linear on each panel
+    edges = np.arange(SPLIT_PANELS + 1) / SPLIT_PANELS
+    f0 = TargetFunction(cpwl.CPwL(edges, anchor + np.r_[0.0, np.cumsum(low)] / SPLIT_PANELS),
+                        lip_alpha=(1.0, lam))
+    f1 = TargetFunction(cpwl.CPwL(edges, np.r_[0.0, np.cumsum(high)] / SPLIT_PANELS))
     return SplitResult(f0, f1, lam, lp_norm, quad_tol,
                        float(np.mean(np.abs(high))), float(np.abs(low).max()))
 

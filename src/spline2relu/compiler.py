@@ -367,56 +367,42 @@ def compile_sum_of_compositions(terms: Sequence[tuple[float, Sequence[cpwl.CPwL]
     return net, _report(net, bound, total_n)
 
 
-def _interval_hats(intervals: list[tuple[float, float]]) -> tuple[cpwl.CPwL, cpwl.CPwL]:
-    """Tent systems for pattern replication over strictly separated intervals.
+def _left_to_right(xs: np.ndarray, vs: np.ndarray) -> cpwl.CPwL:
+    """CPwL through the candidate nodes (0, 0), (xs, vs), (1, 0) in that
+    order, keeping each node that lies right of every earlier one."""
+    xs = np.r_[0.0, xs, 1.0]
+    keep = np.r_[True, xs[1:] > np.maximum.accumulate(xs)[:-1]]
+    return cpwl.CPwL(xs[keep], np.r_[0.0, vs, 0.0][keep])
+
+
+def _interval_hats(intervals: np.ndarray) -> tuple[cpwl.CPwL, cpwl.CPwL]:
+    """Tent systems for pattern replication over strictly separated intervals
+    (an (m, 2) array of rows a_i, b_i).
 
     The first tent rises over each interval [a_i, b_i] and returns to zero at
     the midpoint c_i of the following gap; the second rises from b_i to c_i and
     returns to zero at the next interval's start.  An interval reaching x = 1
-    ends in a plain ramp with no second tent.
+    ends in a plain ramp with no second tent: it is the last, so its c_i and
+    next start are 1 and add no node.
     """
-    m = len(intervals)
-    xs_t, vs_t = [0.0], [0.0]
-    xs_h, vs_h = [0.0], [0.0]
-
-    def push(xs, vs, x, v):
-        if x > xs[-1]:
-            xs.append(x)
-            vs.append(v)
-
-    for i, (a, b) in enumerate(intervals):
-        nxt = intervals[i + 1][0] if i + 1 < m else 1.0
-        push(xs_t, vs_t, a, 0.0)
-        push(xs_t, vs_t, b, 1.0)
-        if b < 1.0:
-            c = 0.5 * (b + nxt)
-            push(xs_t, vs_t, c, 0.0)
-            push(xs_h, vs_h, b, 0.0)
-            push(xs_h, vs_h, c, 1.0)
-            push(xs_h, vs_h, nxt, 0.0)
-    push(xs_t, vs_t, 1.0, 0.0)
-    push(xs_h, vs_h, 1.0, 0.0)
-    return cpwl.CPwL(xs_t, vs_t), cpwl.CPwL(xs_h, vs_h)
+    a, b = intervals.T
+    nxt = np.r_[a[1:], 1.0]
+    c = 0.5 * (b + nxt)
+    levels = np.tile([0.0, 1.0, 0.0], len(a))
+    return (_left_to_right(np.column_stack([a, b, c]).ravel(), levels),
+            _left_to_right(np.column_stack([b, c, nxt]).ravel(), levels))
 
 
 def self_similar_oracle(pattern: cpwl.CPwL,
                         intervals: Sequence[tuple[float, float]]) -> cpwl.CPwL:
-    """Exact CPwL of sum_i pattern(h_i (x - a_i)) over the given intervals."""
-    xs, vs = [0.0], [0.0]
-    for a, b in intervals:
-        px = a + (b - a) * pattern.breakpoints
-        for x, v in zip(px, pattern.values):
-            if x > xs[-1]:
-                xs.append(float(x))
-                vs.append(float(v))
-    if xs[-1] < 1.0:
-        xs.append(1.0)
-        vs.append(0.0)
-    return cpwl.CPwL(xs, vs)
+    """Exact CPwL of sum_i pattern(h_i (x - a_i)) over the given intervals
+    (an (m, 2) array or a sequence of (a, b) pairs)."""
+    a, b = np.reshape(np.asarray(intervals, dtype=float), (len(intervals), 2)).T[:, :, None]
+    return _left_to_right((a + (b - a) * pattern.breakpoints).ravel(),
+                          np.tile(pattern.values, len(a)))
 
 
-def _similar_term(pattern: cpwl.CPwL, intervals: list[tuple[float, float]],
-                  width: int) -> ReluNetwork:
+def _similar_term(pattern: cpwl.CPwL, intervals: np.ndarray, width: int) -> ReluNetwork:
     """Plain width-(W-2) network for (pattern o T - pattern~ o That) on the
     given strictly separated intervals (pattern nonnegative)."""
     tent, tent_hat = _interval_hats(intervals)
@@ -431,22 +417,27 @@ def compile_self_similar(pattern: cpwl.CPwL,
                          width: int) -> tuple[SpecialNetwork, CompileReport]:
     """Special network replicating a pattern over disjoint intervals.
 
-    The pattern must vanish at 0 and 1.  Interval interiors must be disjoint;
-    shared endpoints are handled by splitting the list into odd and even
+    The pattern must vanish at 0 and 1.  The intervals are an (m, 2) array or
+    a sequence of (a, b) pairs; any other shape raises DomainError.  Interval
+    interiors must be disjoint; shared endpoints are handled by splitting the list into odd and even
     positions, and sign changes by splitting the pattern into its positive and
     negative parts, each replicated through a rectified tent composition.
     """
     if width < 8:
         raise DomainError("self-similar compilation needs width >= 8")
-    iv = [(float(a), float(b)) for a, b in intervals]
-    if not iv:
+    try:
+        iv = np.asarray(intervals, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("intervals must be (a, b) pairs") from None
+    if not iv.size:
         raise DomainError("need at least one interval")
-    for a, b in iv:
-        if not (0.0 <= a < b <= 1.0):
-            raise DomainError("intervals must be nondegenerate inside [0, 1]")
-    for (a0, b0), (a1, b1) in zip(iv, iv[1:]):
-        if b0 > a1:
-            raise DomainError("interval interiors must be disjoint and sorted")
+    if iv.ndim != 2 or iv.shape[1] != 2:
+        raise DomainError("intervals must be (a, b) pairs")
+    a, b = iv.T
+    if not ((0.0 <= a) & (a < b) & (b <= 1.0)).all():
+        raise DomainError("intervals must be nondegenerate inside [0, 1]")
+    if (b[:-1] > a[1:]).any():
+        raise DomainError("interval interiors must be disjoint and sorted")
     if abs(pattern.eval(0.0)) > _DEGENERATE_TOL or abs(pattern.eval(1.0)) > _DEGENERATE_TOL:
         raise ContractError("pattern must vanish at both endpoints")
     fixed = pattern.values.copy()
@@ -458,12 +449,12 @@ def compile_self_similar(pattern: cpwl.CPwL,
     m = len(iv)
     pos = cpwl.relu(pattern)
     neg = cpwl.relu(cpwl.combine([pattern], [-1.0]))
-    strictly_separated = all(b0 < a1 for (_, b0), (a1, _) in zip(iv, iv[1:]))
+    strictly_separated = (b[:-1] < a[1:]).all()
 
     # intervals sharing an endpoint exist only when there are two or more,
     # so both alternating groups are nonempty
     groups = [iv] if strictly_separated else [iv[0::2], iv[1::2]]
-    parts: list[tuple[cpwl.CPwL, list[tuple[float, float]], float]] = []
+    parts: list[tuple[cpwl.CPwL, np.ndarray, float]] = []
     for half, sign in ((pos, 1.0), (neg, -1.0)):
         if half.values.max() == 0.0:
             continue

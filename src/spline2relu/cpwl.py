@@ -253,29 +253,23 @@ def sup_diff(f: CPwL, g: CPwL) -> float:
 
 
 def hat_iterate(k: int) -> CPwL:
-    """The k-fold self-composition of the hat (sawtooth with 2^k - 1 teeth nodes)."""
+    """The k-fold self-composition of the hat (sawtooth with 2^k - 1 teeth
+    nodes), built from its nodes i/2^k with values i mod 2."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if (1 << k) + 1 > DEFAULT_NODE_BUDGET:
         raise ResourceError(f"sawtooth of order {k} exceeds the node budget")
-    out = hat()
-    for _ in range(k - 1):
-        out = compose(hat(), out)
-    return out
+    i = np.arange((1 << k) + 1)
+    return CPwL(i / float(1 << k), i % 2)
 
 
 def takagi_partial(coeffs: Sequence[float]) -> CPwL:
     """Exact partial sum sum_k coeffs[k-1] * H^(k) of hat self-compositions."""
     coeffs = list(coeffs)
     m = len(coeffs)
-    if m == 0:
-        return line(0.0, 0.0)
     if (1 << m) + 1 > DEFAULT_NODE_BUDGET:
         raise ResourceError(f"order {m} needs {(1 << m) + 1} nodes, over the budget")
-    terms = [hat()]
-    for _ in range(m - 1):
-        terms.append(compose(hat(), terms[-1]))
-    return combine(terms, coeffs)
+    return combine([hat_iterate(k) for k in range(1, m + 1)], coeffs)
 
 
 def hat_iterate_value(k: int, x) -> np.ndarray | float:
@@ -309,14 +303,9 @@ def _cosine_cpwl(k: int) -> CPwL:
 
 
 def _sine_cpwl(k: int) -> CPwL:
-    xs = [0.0]
-    vs = [0.0]
-    for ell in range(k):
-        xs.extend([(ell + 0.25) / k, (ell + 0.75) / k])
-        vs.extend([1.0, -1.0])
-    xs.append(1.0)
-    vs.append(0.0)
-    return CPwL(xs, vs)
+    ell = np.arange(k)[:, None]
+    xs = ((ell + np.array([0.25, 0.75])) / k).ravel()
+    return CPwL(np.r_[0.0, xs, 1.0], np.r_[0.0, np.tile([1.0, -1.0], k), 0.0])
 
 
 def _numbers(lines: list[str], linenos, counts: list[int], count_error: str) -> np.ndarray:

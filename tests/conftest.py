@@ -337,6 +337,11 @@ def reference_compile_wide(target, width):
                           out, net.out_bias + offset)
 
 
+def same_cpwl(f, g):
+    """Two CPwL functions hold the same breakpoints and values."""
+    return np.array_equal(f.breakpoints, g.breakpoints) and np.array_equal(f.values, g.values)
+
+
 def same_weights(a, b):
     """The six arrays of two networks hold the same numbers, signs of zeros
     included."""
@@ -517,6 +522,120 @@ def pattern_rich_target(rng, m, k, alpha, theta=0.9):
                 vs[-1] = amp * bv
     f = cpwl.CPwL(xs, vs)
     return approx.TargetFunction(f, lip_alpha=(alpha, 1.0)), pats
+
+
+def reference_hat_iterate(k):
+    """Composition chain kept as a test-only reference for cpwl.hat_iterate:
+    the hat composed with itself k - 1 times."""
+    out = cpwl.hat()
+    for _ in range(k - 1):
+        out = cpwl.compose(cpwl.hat(), out)
+    return out
+
+
+def reference_takagi_partial(coeffs):
+    """Composition chain kept as a test-only reference for cpwl.takagi_partial."""
+    coeffs = list(coeffs)
+    if not coeffs:
+        return cpwl.line(0.0, 0.0)
+    terms = [cpwl.hat()]
+    for _ in range(len(coeffs) - 1):
+        terms.append(cpwl.compose(cpwl.hat(), terms[-1]))
+    return cpwl.combine(terms, coeffs)
+
+
+def reference_sine_cpwl(k):
+    """Node-by-node loop kept as a test-only reference for basis_fn("sine", k)."""
+    xs, vs = [0.0], [0.0]
+    for ell in range(k):
+        xs.extend([(ell + 0.25) / k, (ell + 0.75) / k])
+        vs.extend([1.0, -1.0])
+    xs.append(1.0)
+    vs.append(0.0)
+    return cpwl.CPwL(xs, vs)
+
+
+def reference_interval_hats(intervals):
+    """Node-appending loop kept as a test-only reference for
+    compiler._interval_hats, over a list of (a, b) pairs."""
+    m = len(intervals)
+    xs_t, vs_t = [0.0], [0.0]
+    xs_h, vs_h = [0.0], [0.0]
+
+    def push(xs, vs, x, v):
+        if x > xs[-1]:
+            xs.append(x)
+            vs.append(v)
+
+    for i, (a, b) in enumerate(intervals):
+        nxt = intervals[i + 1][0] if i + 1 < m else 1.0
+        push(xs_t, vs_t, a, 0.0)
+        push(xs_t, vs_t, b, 1.0)
+        if b < 1.0:
+            c = 0.5 * (b + nxt)
+            push(xs_t, vs_t, c, 0.0)
+            push(xs_h, vs_h, b, 0.0)
+            push(xs_h, vs_h, c, 1.0)
+            push(xs_h, vs_h, nxt, 0.0)
+    push(xs_t, vs_t, 1.0, 0.0)
+    push(xs_h, vs_h, 1.0, 0.0)
+    return cpwl.CPwL(xs_t, vs_t), cpwl.CPwL(xs_h, vs_h)
+
+
+def reference_self_similar_oracle(pattern, intervals):
+    """Node-appending loop kept as a test-only reference for
+    compiler.self_similar_oracle."""
+    xs, vs = [0.0], [0.0]
+    for a, b in intervals:
+        px = a + (b - a) * pattern.breakpoints
+        for x, v in zip(px, pattern.values):
+            if x > xs[-1]:
+                xs.append(float(x))
+                vs.append(float(v))
+    if xs[-1] < 1.0:
+        xs.append(1.0)
+        vs.append(0.0)
+    return cpwl.CPwL(xs, vs)
+
+
+def reference_panel_antiderivative(panel_values, anchor, x):
+    """Panel-by-panel evaluator kept as a test-only reference for
+    approx.sobolev_split's parts: anchor plus the integral from 0 to x of the
+    function equal to panel_values[i] on the i-th of len(panel_values)
+    uniform panels, the last panel extended to x = 1."""
+    panel_values = np.asarray(panel_values, dtype=float)
+    panels = len(panel_values)
+    edges = np.concatenate(([0.0], np.cumsum(panel_values) / panels))
+    xs = np.asarray(x, dtype=float)
+    idx = np.clip(np.floor(xs * panels).astype(int), 0, panels - 1)
+    return anchor + edges[idx] + (xs - idx / panels) * panel_values[idx]
+
+
+def interval_sets(rng, count):
+    """Seeded (m, 2) interval arrays for the self-similar builders, in turn:
+    a partition of [0, 1] into m touching intervals, strictly separated
+    intervals from a = 0 to b = 1, a single interval, separated intervals on
+    a grid with about half of them touching the one before, and separated
+    intervals drawn uniformly."""
+    for t in range(count):
+        m = int(rng.integers(1, 12))
+        kind = t % 5
+        if kind == 0:
+            inner = np.sort(rng.choice(np.arange(1, 64), m - 1, replace=False)) / 64.0
+            edges = np.concatenate(([0.0], inner, [1.0]))
+            iv = np.column_stack([edges[:-1], edges[1:]])
+        elif kind == 2:
+            iv = np.sort(rng.uniform(0.0, 1.0, 2))[None, :]
+        elif kind == 3:
+            iv = (np.sort(rng.choice(np.arange(97), 2 * m, replace=False)) / 96.0).reshape(m, 2)
+            for i in range(1, m):
+                if rng.random() < 0.5:
+                    iv[i, 0] = iv[i - 1, 1]
+        else:
+            iv = np.sort(rng.uniform(0.0, 1.0, 2 * m)).reshape(m, 2)
+            if kind == 1:
+                iv[0, 0], iv[-1, 1] = 0.0, 1.0
+        yield iv
 
 
 def reference_dyadic_sawtooth_sum(order):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pattern_rich_target, sample_lip_ball
+from conftest import pattern_rich_target, reference_panel_antiderivative, sample_lip_ball
 from spline2relu import approx, cpwl
 from spline2relu.compiler import takagi_network
 from spline2relu.errors import ContractError, DomainError, ResourceError, StructureError
@@ -113,6 +113,19 @@ def test_lip_approximant_contract_checks():
         approx.lip_alpha_approximant(loud, 0.5, 20, 8)
 
 
+def test_quantization_refuses_non_finite_samples():
+    """A NaN sample passes both contract checks (NaN compares False); it is
+    refused before math.floor sees it, through both entry points."""
+    hole = lambda x: np.where((x > 0.0) & (x < 1.0), np.nan, 0.0)
+    with pytest.raises(ContractError, match="sampled values must be finite"):
+        approx.quantize_pattern(hole, 4, 1.0)
+    # finite at the nodes i/36, NaN at the panel midpoints the patterns sample
+    f = approx.TargetFunction(lambda x: np.where(np.abs(x * 36.0 % 1.0 - 0.5) < 1e-9, np.nan, 0.0),
+                              lip_alpha=(0.5, 1.0))
+    with pytest.raises(ContractError, match="sampled values must be finite"):
+        approx.lip_alpha_approximant(f, 0.5, 36, 8)
+
+
 def test_lip_approximant_small_m_is_pure_interpolation():
     f = approx.TargetFunction(np.sqrt, lip_alpha=(0.5, 1.0))
     net, bound = approx.lip_alpha_approximant(f, 0.5, 8, 8)
@@ -206,6 +219,36 @@ def test_sobolev_split_power_law():
     got = split.f0(xs) + split.f1(xs)
     assert np.abs(got - want).max() <= 1e-8
     assert split.sup_low <= split.threshold * (1.0 + 1e-12)
+
+
+def test_sobolev_split_parts_match_panel_formula():
+    """The CPwL-backed parts stay within 4 ulp (of each part's largest
+    magnitude) of the panel-by-panel antiderivative on [0, 1]."""
+    panels = approx.SPLIT_PANELS
+    mids = (np.arange(panels) + 0.5) / panels
+    xs = np.concatenate((np.linspace(0.0, 1.0, 100001), np.arange(panels + 1) / panels,
+                         np.random.default_rng(22).uniform(0.0, 1.0, 10000)))
+    cases = [(lambda x: np.asarray(x) ** (-1.0 / 3.0), 2.0, 0.1, 0.0),
+             (lambda x: 7.0 * np.cos(40.0 * np.asarray(x)), 3.0, 0.5, 0.25),
+             (lambda x: np.abs(np.asarray(x) - 0.3) ** -0.4, 1.5, 0.02, -1.0),
+             (lambda x: 1e3 * np.sin(3.0 * np.asarray(x)), 2.0, 0.3, 5.0)]
+    for fprime, p, t, anchor in cases:
+        split = approx.sobolev_split(fprime, p, t, anchor)
+        fp = fprime(mids)
+        low = np.clip(fp, -split.threshold, split.threshold)
+        for part, panel_values, at_zero in ((split.f0, low, anchor), (split.f1, fp - low, 0.0)):
+            want = reference_panel_antiderivative(panel_values, at_zero, xs)
+            assert np.abs(part(xs) - want).max() <= 4 * np.spacing(np.abs(want).max())
+
+
+def test_sobolev_split_refuses_a_derivative_that_is_not_finite():
+    """NaN or inf on part of [0, 1]: on half of it, and right of every
+    midpoint of the coarse rule, so that only the doubled rule sees it."""
+    for bad in (np.nan, np.inf):
+        for cut in (0.5, 1.0 - 0.375 / approx.SPLIT_PANELS):
+            fprime = lambda x: np.where(np.asarray(x) > cut, bad, 1.0)
+            with pytest.raises(DomainError, match="the derivative must be finite on"):
+                approx.sobolev_split(fprime, 2.0, 0.1)
 
 
 def test_measure_sigma_exact_for_pwl_targets():

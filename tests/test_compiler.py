@@ -5,12 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import compose_chain, random_spline, reference_compile_wide, same_weights
+from conftest import (
+    compose_chain,
+    interval_sets,
+    random_spline,
+    reference_compile_wide,
+    reference_interval_hats,
+    reference_self_similar_oracle,
+    same_cpwl,
+    same_weights,
+)
 from spline2relu import cpwl
 from spline2relu.compiler import (
     CompileReport,
     _compile_wide,
     _hat_classes,
+    _interval_hats,
     block_size,
     compile_composition,
     compile_fourier_sum,
@@ -349,6 +359,33 @@ def test_compile_self_similar_validation():
     lifted = cpwl.CPwL([0.0, 0.5, 1.0], [0.2, 1.0, 0.0])
     with pytest.raises(ContractError):
         compile_self_similar(lifted, [(0.2, 0.4)], 8)
+
+
+def test_self_similar_builders_identical_to_node_loops():
+    """The tents and the oracle, built in one pass over the candidate nodes,
+    hold the node-appending loops' breakpoints and values to the bit, on
+    interval sets that touch, start at 0, end at 1 or hold one interval."""
+    rng = np.random.default_rng(21)
+    for iv in interval_sets(rng, 300):
+        pairs = [(float(a), float(b)) for a, b in iv]
+        k = int(rng.integers(1, 6))
+        inner = np.sort(rng.uniform(0.05, 0.95, k))
+        pattern = cpwl.CPwL(np.concatenate(([0.0], inner, [1.0])),
+                            np.concatenate((rng.uniform(-1.0, 1.0, k + 1), [0.0])))
+        assert same_cpwl(self_similar_oracle(pattern, iv),
+                         reference_self_similar_oracle(pattern, pairs))
+        if (iv[1:, 0] > iv[:-1, 1]).all():
+            for got, want in zip(_interval_hats(iv), reference_interval_hats(pairs)):
+                assert same_cpwl(got, want)
+
+
+def test_compile_self_similar_needs_pairs():
+    """Intervals that are not an m x 2 table are refused, not reshaped."""
+    pattern = _bump([(0.5, 1.0)])
+    for intervals in ([0.2, 0.4, 0.6, 0.8], [(0.1, 0.2), (0.3,)],
+                      np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])):
+        with pytest.raises(DomainError, match=r"intervals must be \(a, b\) pairs"):
+            compile_self_similar(pattern, intervals, 8)
 
 
 def test_fourier_atoms_match_direct_constructions():

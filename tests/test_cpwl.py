@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spline, reference_canonical, reference_relu, reference_write_spline
+from conftest import (
+    random_spline,
+    reference_canonical,
+    reference_hat_iterate,
+    reference_relu,
+    reference_sine_cpwl,
+    reference_takagi_partial,
+    reference_write_spline,
+    same_cpwl,
+)
 from spline2relu import cpwl
 from spline2relu.errors import DomainError, ParseError, ResourceError
 
@@ -317,6 +326,22 @@ def test_takagi_partial_values_and_budget():
     assert np.abs(t(grid) - want).max() <= 1e-12
     with pytest.raises(ResourceError):
         cpwl.takagi_partial(np.ones(25))
+
+
+def test_sawtooth_builders_identical_to_composition_chains():
+    """hat_iterate and takagi_partial, built from the sawtooth's nodes, hold
+    the composition chain's breakpoints and values to the bit."""
+    for k in range(1, 17):
+        assert same_cpwl(cpwl.hat_iterate(k), reference_hat_iterate(k)), k
+    rng = np.random.default_rng(20)
+    for m in range(15):
+        for coeffs in ([2.0 ** -(i + 1) for i in range(m)], rng.uniform(-1.0, 1.0, m), [0.0] * m):
+            assert same_cpwl(cpwl.takagi_partial(coeffs), reference_takagi_partial(coeffs)), m
+
+
+def test_sine_basis_identical_to_node_loop():
+    for k in range(1, 401):
+        assert same_cpwl(cpwl.basis_fn("sine", k), reference_sine_cpwl(k)), k
 
 
 def test_spline_file_roundtrip(tmp_path):
