@@ -2,6 +2,7 @@
 interpolation-plus-pattern approximants, derivative-truncation splits, and
 grid-based error measurement harnesses."""
 
+import functools
 import math
 import time
 import warnings
@@ -287,24 +288,29 @@ def sobolev_split(fprime, p, t, anchor=0.0):
 
 
 def measure_sigma(f, net, grid_n):
-    """Max deviation |f - net| (the network read by `values_at`) over a uniform
-    grid joined with the network's breakpoints (and the target's own breakpoints
-    when it is piecewise linear), so piecewise-linear targets are measured exactly.
+    """Max deviation |f - net| over a uniform grid joined with the network's
+    breakpoints (and the target's own breakpoints when it is piecewise
+    linear), so piecewise-linear targets are measured exactly.  The network
+    is read through its own extraction (`extract_cpwl`), once.
 
-    A network whose extraction outgrows the node budget is measured on the
-    grid (and the target's breakpoints) alone, with a RuntimeWarning."""
+    A network whose extraction outgrows the node budget is read by
+    `values_at` on the grid (and the target's breakpoints) alone, with a
+    RuntimeWarning."""
     if grid_n < 2:
         raise DomainError("need at least two grid points")
     pts = np.linspace(0.0, 1.0, grid_n)
     try:
-        pts = np.union1d(pts, extract_cpwl(net).breakpoints)
+        read = extract_cpwl(net)
     except ResourceError as exc:
         warnings.warn(f"{exc}, the node budget; measuring on the {grid_n}-point grid "
                       "without the network's breakpoints", RuntimeWarning, stacklevel=2)
+        read = functools.partial(values_at, net)
+    else:
+        pts = np.union1d(pts, read.breakpoints)
     source = f.evaluator if isinstance(f, TargetFunction) else f
     if isinstance(source, cpwl.CPwL):
         pts = np.union1d(pts, source.breakpoints)
-    return float(np.abs(_evaluate(f, pts) - values_at(net, pts)).max())
+    return float(np.abs(_evaluate(f, pts) - read(pts)).max())
 
 
 def rate_experiment(f, builder, ms, grid_n=4097):

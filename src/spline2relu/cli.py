@@ -9,8 +9,7 @@ import sys
 import numpy as np
 
 from . import approx, cpwl, riesz
-from .compiler import (compile_fourier_sum, compile_spline, fourier_atom,
-                       fourier_oracle, takagi_network)
+from .compiler import _compile_fourier_sum, compile_spline, fourier_atom, takagi_network
 from .errors import ResourceError, Spline2ReluError
 from .network import extract_cpwl, read_network, values_at, write_network
 
@@ -182,16 +181,22 @@ def _dyadic_sawtooth_sum(order):
     and t - 1 for t in [1, 2) are exact, so t and every term equal those of
     `cpwl.hat_iterate_value` to the bit.  For negative x np.mod rounds the
     fractional part and doubling carries that rounding into later terms, so
-    the result can differ from that closed form in its last bits.
+    the result can differ from that closed form in its last bits.  Every
+    step runs in place on t and one term buffer.
     """
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
-        t = np.mod(xs, 1.0)
+        # np.mod of a 0-d input is a numpy scalar, which takes no out=
+        t = np.array(np.mod(xs, 1.0))
         total = np.zeros_like(xs)
+        term = np.empty_like(t)
         for i in range(order):
-            total = total + np.minimum(t, 1.0 - t) * 2.0 ** -i
-            t = t + t
-            t = t - (t >= 1.0)
+            np.subtract(1.0, t, out=term)
+            np.minimum(t, term, out=term)
+            term *= 2.0 ** -i
+            total += term
+            t += t
+            np.subtract(t, 1.0, out=t, where=t >= 1.0)
         return total
     return evaluate
 
@@ -218,8 +223,8 @@ def _run_takagi(args):
 def _run_fourier(args):
     terms = _parse_terms(args.terms)
     if terms:
-        net, report = compile_fourier_sum(terms, args.width)
-        target, head = fourier_oracle(terms), _report_line(report)
+        net, report, target = _compile_fourier_sum(terms, args.width)
+        head = _report_line(report)
     elif args.kind and args.index is not None:
         net = fourier_atom(args.kind, args.index)
         target = cpwl.basis_fn(args.kind, args.index)

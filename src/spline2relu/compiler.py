@@ -393,11 +393,33 @@ def _interval_hats(intervals: np.ndarray) -> tuple[cpwl.CPwL, cpwl.CPwL]:
             _left_to_right(np.column_stack([b, c, nxt]).ravel(), levels))
 
 
+def _interval_pairs(intervals: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The intervals as an (m, 2) array of rows a_i < b_i inside [0, 1],
+    sorted, with disjoint interiors (shared endpoints allowed); any other
+    input raises DomainError."""
+    try:
+        iv = np.asarray(intervals, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("intervals must be (a, b) pairs") from None
+    if not iv.size:
+        raise DomainError("need at least one interval")
+    if iv.ndim != 2 or iv.shape[1] != 2:
+        raise DomainError("intervals must be (a, b) pairs")
+    a, b = iv.T
+    if not ((0.0 <= a) & (a < b) & (b <= 1.0)).all():
+        raise DomainError("intervals must be nondegenerate inside [0, 1]")
+    if (b[:-1] > a[1:]).any():
+        raise DomainError("interval interiors must be disjoint and sorted")
+    return iv
+
+
 def self_similar_oracle(pattern: cpwl.CPwL,
                         intervals: Sequence[tuple[float, float]]) -> cpwl.CPwL:
     """Exact CPwL of sum_i pattern(h_i (x - a_i)) over the given intervals
-    (an (m, 2) array or a sequence of (a, b) pairs)."""
-    a, b = np.reshape(np.asarray(intervals, dtype=float), (len(intervals), 2)).T[:, :, None]
+    (an (m, 2) array or a sequence of (a, b) pairs), checked as in
+    `compile_self_similar`: nondegenerate inside [0, 1], sorted, with
+    disjoint interiors, or DomainError."""
+    a, b = _interval_pairs(intervals).T[:, :, None]
     return _left_to_right((a + (b - a) * pattern.breakpoints).ravel(),
                           np.tile(pattern.values, len(a)))
 
@@ -425,19 +447,8 @@ def compile_self_similar(pattern: cpwl.CPwL,
     """
     if width < 8:
         raise DomainError("self-similar compilation needs width >= 8")
-    try:
-        iv = np.asarray(intervals, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("intervals must be (a, b) pairs") from None
-    if not iv.size:
-        raise DomainError("need at least one interval")
-    if iv.ndim != 2 or iv.shape[1] != 2:
-        raise DomainError("intervals must be (a, b) pairs")
+    iv = _interval_pairs(intervals)
     a, b = iv.T
-    if not ((0.0 <= a) & (a < b) & (b <= 1.0)).all():
-        raise DomainError("intervals must be nondegenerate inside [0, 1]")
-    if (b[:-1] > a[1:]).any():
-        raise DomainError("interval interiors must be disjoint and sorted")
     if abs(pattern.eval(0.0)) > _DEGENERATE_TOL or abs(pattern.eval(1.0)) > _DEGENERATE_TOL:
         raise ContractError("pattern must vanish at both endpoints")
     fixed = pattern.values.copy()
@@ -516,6 +527,14 @@ def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
     are padded to one common depth and run side by side, and the groups are
     summed sequentially.
     """
+    net, report, _ = _compile_fourier_sum(terms, width)
+    return net, report
+
+
+def _compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
+                         ) -> tuple[SpecialNetwork, CompileReport, cpwl.CPwL]:
+    """`compile_fourier_sum` and the `fourier_oracle` its report counts, built
+    once for a caller that also measures the network against it."""
     if width < 6:
         raise DomainError("trigonometric sums need width >= 6")
     if not terms:
@@ -538,8 +557,8 @@ def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
         blocks.append(pad_width(block, width - 2))
     net = stack_sum(blocks)
     depth_bound = math.ceil(len(terms) / group_size) * p
-    oracle_n = fourier_oracle(terms).n_interior
-    return net, _report(net, param_count(width, depth_bound), oracle_n)
+    oracle = fourier_oracle(terms)
+    return net, _report(net, param_count(width, depth_bound), oracle.n_interior), oracle
 
 
 def takagi_network(coeffs: Sequence[float]) -> SpecialNetwork:

@@ -36,31 +36,37 @@ def _cross(x0: np.ndarray, x1: np.ndarray, va: np.ndarray, vb: np.ndarray
     return cross, (np.abs(cross - x0) > CROSSING_SNAP) & (np.abs(cross - x1) > CROSSING_SNAP)
 
 
-def _crossings(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _crossings(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted, distinct zero crossings of the rows v (one row, or rows x G)
-    on the grid g (`_cross`).  A crossing within CROSSING_SNAP of either end
-    of its segment reuses that node and is left out."""
+    on the grid g (`_cross`), and the index in g of each crossing's right
+    node.  A crossing within CROSSING_SNAP of either end of its segment
+    reuses that node and is left out, so every one kept lies inside its
+    segment and `right` is where `np.searchsorted(g, new)` would put it."""
     a, b = v[..., :-1], v[..., 1:]
     hit = np.nonzero(a * b < 0.0)  # (segments,) or (rows, segments)
     seg = hit[-1]
     if not seg.size:
-        return g[:0]
+        return g[:0], seg
     cross, far = _cross(g[seg], g[seg + 1], a[hit], b[hit])
-    new = np.sort(cross[far])
+    new, right = cross[far], seg[far] + 1
+    if v.ndim > 1:  # one row's crossings already rise with their segments
+        order = np.argsort(new)
+        new, right = new[order], right[order]
+    # equal crossings lie in one segment, so either one's right node serves
     first = np.ones(new.size, dtype=bool)
     first[1:] = new[1:] != new[:-1]
-    return new[first]
+    return new[first], right[first]
 
 
-def _insert(g: np.ndarray, v: np.ndarray, new: np.ndarray
+def _insert(g: np.ndarray, v: np.ndarray, new: np.ndarray, right: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid g grown by the sorted, distinct nodes `new` (none of them in
-    g), the rows v on it and the positions of the new nodes.  Each row is
-    evaluated at a new node on its own segment with np.interp's arithmetic.
-    With nothing to insert, g and v come back as they are."""
+    g), the rows v on it and the positions of the new nodes.  `right` is the
+    index in g of each new node's right neighbour (`_crossings`).  Each row
+    is evaluated at a new node on its own segment with np.interp's
+    arithmetic.  With nothing to insert, g and v come back as they are."""
     if not new.size:
         return g, v, np.empty(0, dtype=np.intp)
-    right = np.searchsorted(g, new)
     at = right + np.arange(new.size)
     left = right - 1
     gl, vl = g[left], v[..., left]
@@ -215,7 +221,7 @@ def compose(f: CPwL, g: CPwL) -> CPwL:
 def relu(f: CPwL) -> CPwL:
     """max(f, 0) with exact zero-crossing nodes inserted."""
     x, v = f.breakpoints, f.values
-    grid, vals, at = _insert(x, v, _crossings(x, v))
+    grid, vals, at = _insert(x, v, *_crossings(x, v))
     vals = np.maximum(vals, 0.0)
     vals[at] = 0.0  # crossings carry exact zeros, not the interpolated value
     return CPwL(grid, vals)

@@ -207,15 +207,16 @@ class _SharedGrid:
         return self.grid.size < size
 
     def _relu(self) -> None:
-        """Insert every row's zero crossings into the grid (`cpwl._crossings`),
-        then clamp at 0.  Every row is evaluated at the new nodes by its own
-        linear segment (`cpwl._insert`), so a crossing row holds its clamped
-        value at the rounded crossing, not the forced 0 of `cpwl.relu`.
+        """Insert every row's zero crossings into the grid (`cpwl._crossings`,
+        which also gives each crossing's segment), then clamp at 0.  Every row
+        is evaluated at the new nodes by its own linear segment
+        (`cpwl._insert`), so a crossing row holds its clamped value at the
+        rounded crossing, not the forced 0 of `cpwl.relu`.
         """
-        new = cpwl._crossings(self.grid, self.vals)
+        new, right = cpwl._crossings(self.grid, self.vals)
         if self.grid.size + new.size + self.held > cpwl.DEFAULT_NODE_BUDGET:
             raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
-        self.grid, v, _ = cpwl._insert(self.grid, self.vals, new)
+        self.grid, v, _ = cpwl._insert(self.grid, self.vals, new, right)
         self.vals = np.maximum(v, 0.0, out=v)
 
 

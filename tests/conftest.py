@@ -71,6 +71,29 @@ def reference_relu(f):
     return cpwl.CPwL(grid, np.maximum(vals, 0.0))
 
 
+def reference_crossings(g, v):
+    """Sorted, distinct zero crossings of the rows v on the grid g, kept as a
+    test-only reference for cpwl._crossings: np.unique in place of carrying
+    each crossing's segment through the sort."""
+    a, b = v[..., :-1], v[..., 1:]
+    hit = np.nonzero(a * b < 0.0)
+    seg = hit[-1]
+    cross, far = cpwl._cross(g[seg], g[seg + 1], a[hit], b[hit])
+    return np.unique(cross[far])
+
+
+def reference_shared_relu(shared):
+    """_SharedGrid._relu with the crossings of reference_crossings, each
+    placed by np.searchsorted, kept as a test-only reference for crossings
+    that carry their segment."""
+    new = reference_crossings(shared.grid, shared.vals)
+    if shared.grid.size + new.size + shared.held > cpwl.DEFAULT_NODE_BUDGET:
+        raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
+    shared.grid, v, _ = cpwl._insert(shared.grid, shared.vals, new,
+                                     np.searchsorted(shared.grid, new))
+    shared.vals = np.maximum(v, 0.0, out=v)
+
+
 def _reference_affine(states, weights, bias):
     out = []
     for i in range(weights.shape[0]):

@@ -9,7 +9,7 @@ from conftest import pattern_rich_target, reference_panel_antiderivative, sample
 from spline2relu import approx, cpwl
 from spline2relu.compiler import takagi_network
 from spline2relu.errors import ContractError, DomainError, ResourceError, StructureError
-from spline2relu.network import ReluNetwork, extract_cpwl
+from spline2relu.network import ReluNetwork, extract_cpwl, values_at
 
 
 def test_pattern_invariants():
@@ -277,18 +277,46 @@ def test_measure_sigma_reads_all_reset_networks_through_closed_form(monkeypatch)
     assert approx.measure_sigma(f, net, 101) <= 1e-11
 
 
+def _sawtooth_target(order):
+    """TargetFunction of sum_{i < order} 2^-(i+1) H^(i+1), a black box."""
+    def evaluate(x):
+        xs = np.asarray(x, dtype=float)
+        total = np.zeros_like(xs)
+        for i in range(order):
+            total += 2.0 ** -(i + 1) * cpwl.hat_iterate_value(i + 1, xs)
+        return total
+    return approx.TargetFunction(evaluate)
+
+
+def test_measure_sigma_reads_stepped_networks_through_their_extraction(monkeypatch):
+    net = takagi_network([2.0 ** -(i + 1) for i in range(10)])
+    f = _sawtooth_target(30)
+    g = extract_cpwl(net)
+    pts = np.union1d(np.linspace(0.0, 1.0, 4097), g.breakpoints)
+    want = float(np.abs(f(pts) - g(pts)).max())
+
+    def refuse(self, x):
+        raise AssertionError("forward reads the network a second time")
+
+    monkeypatch.setattr(ReluNetwork, "forward", refuse)
+    assert approx.measure_sigma(f, net, 4097) == want
+
+
+def test_measure_sigma_past_the_node_budget_reads_values_at(monkeypatch):
+    net = takagi_network([2.0 ** -(i + 1) for i in range(10)])
+    f = _sawtooth_target(30)
+    pts = np.linspace(0.0, 1.0, 4097)
+    want = float(np.abs(f(pts) - values_at(net, pts)).max())
+    monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 64)
+    with pytest.warns(RuntimeWarning, match="64 nodes, the node budget"):
+        got = approx.measure_sigma(f, net, 4097)
+    assert math.isfinite(got) and got == want
+
+
 def test_measure_sigma_against_black_box():
     coeffs = [2.0 ** -(k + 1) for k in range(10)]
     net = takagi_network(coeffs)
-
-    def deep_sum(x):
-        xs = np.asarray(x, dtype=float)
-        total = np.zeros_like(xs)
-        for i in range(30):
-            total += 2.0 ** -(i + 1) * cpwl.hat_iterate_value(i + 1, xs)
-        return total
-
-    err = approx.measure_sigma(approx.TargetFunction(deep_sum), net, 4097)
+    err = approx.measure_sigma(_sawtooth_target(30), net, 4097)
     assert err <= 2.0 ** -10
 
 

@@ -230,11 +230,12 @@ def test_dyadic_sawtooth_sum_matches_the_term_by_term_closed_form():
 
 
 def test_takagi_and_rates_print_the_pinned_errors(capsys):
-    # strings printed with the target of reference_dyadic_sawtooth_sum; every
-    # error digit depends on the target, so a change in its arithmetic shows
+    # strings printed with the target of reference_dyadic_sawtooth_sum and the
+    # network read through its extraction; every error digit depends on both,
+    # so a change in the arithmetic of either shows
     assert cli.main(["takagi", "--order", "14"]) == 0
     assert capsys.readouterr().out == (
-        "order=14 width=4 depth=14 params=273 sup_error=4.0690065361559391e-05\n")
+        "order=14 width=4 depth=14 params=273 sup_error=4.0690065361670413e-05\n")
     assert cli.main(["rates", "--ms", "1:16"]) == 0
     assert _mask_wall(capsys.readouterr().out) == [
         "m,params,sup_error",

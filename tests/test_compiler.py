@@ -388,6 +388,24 @@ def test_compile_self_similar_needs_pairs():
             compile_self_similar(pattern, intervals, 8)
 
 
+def test_self_similar_oracle_checks_its_intervals():
+    """Both self-similar entry points refuse the same intervals with the same
+    message.  Unsorted intervals would put a node left of an earlier one,
+    which the oracle's left-to-right build drops, so it would read 0 at
+    x = 0.125 instead of 1."""
+    with pytest.raises(DomainError, match="interval interiors must be disjoint and sorted"):
+        self_similar_oracle(cpwl.hat(), [(0.5, 0.75), (0.0, 0.25)])
+    assert self_similar_oracle(cpwl.hat(), [(0.0, 0.25), (0.5, 0.75)]).eval(0.125) == 1.0
+    for intervals in ([], [0.2, 0.4, 0.6, 0.8], [(0.1, 0.2), (0.3,)], [[0.1, 0.2, 0.3]],
+                      [(0.3, 0.3)], [(0.4, 0.2)], [(-0.1, 0.2)], [(0.5, 1.5)],
+                      [(0.1, 0.5), (0.4, 0.6)], [(0.5, 0.75), (0.0, 0.25)]):
+        with pytest.raises(DomainError) as oracle_error:
+            self_similar_oracle(cpwl.hat(), intervals)
+        with pytest.raises(DomainError) as compile_error:
+            compile_self_similar(cpwl.hat(), intervals, 8)
+        assert str(oracle_error.value) == str(compile_error.value)
+
+
 def test_fourier_atoms_match_direct_constructions():
     for j in (1, 2, 3, 5, 8, 16, 33):
         for kind in ("cosine", "sine"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     random_spline,
     reference_canonical,
+    reference_crossings,
     reference_hat_iterate,
     reference_relu,
     reference_sine_cpwl,
@@ -145,6 +146,25 @@ def test_compose_rejects_escaping_inner():
     big = cpwl.line(2.0, -0.5)
     with pytest.raises(DomainError):
         cpwl.compose(cpwl.hat(), big)
+
+
+def test_crossings_carry_their_right_node():
+    """Each crossing comes with the index of its segment's right node, the
+    place np.searchsorted finds for it, on one row and on several, with
+    nodes crowded within CROSSING_SNAP and values of mixed scales."""
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        g = np.r_[0.0, rng.uniform(0.0, 1.0, int(rng.integers(0, 60))), 1.0]
+        if trial % 3 == 0:
+            crowd = g[1:-1] + rng.uniform(0.0, 2.0, g.size - 2) * cpwl.CROSSING_SNAP
+            g = np.r_[g, np.minimum(crowd, 1.0)]
+        g = np.unique(g)
+        shape = g.shape if trial % 2 else (int(rng.integers(1, 6)), g.size)
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 3, shape)
+        v[rng.random(shape) < 0.1] = 0.0
+        new, right = cpwl._crossings(g, v)
+        assert np.array_equal(new, reference_crossings(g, v))
+        assert np.array_equal(right, np.searchsorted(g, new))
 
 
 def test_relu_inserts_exact_crossings():

@@ -14,6 +14,8 @@ from conftest import (
     random_spline,
     reference_courses,
     reference_extract,
+    reference_shared_relu,
+    same_cpwl,
     same_lifts,
     two_deep_net,
 )
@@ -39,6 +41,7 @@ from spline2relu.errors import ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
     _courses,
+    _SharedGrid,
     extract_cpwl,
     hat_net,
     reset_layers,
@@ -446,3 +449,20 @@ def test_converted_narrow_splines_stay_within_16_kappa_u():
                 f = random_spline(rng, n, -hi, hi)
                 std = special_to_standard(compile_spline(f, width)[0])
                 assert cpwl.sup_diff(extract_cpwl(std), f) <= 16.0 * _kappa_u(f), (width, n, hi)
+
+
+def test_extraction_identical_with_searched_crossings(monkeypatch):
+    """Crossings that carry their segment give the extraction that sorted
+    crossings placed by np.searchsorted give, bit for bit: Takagi orders
+    1..16 and 30 seeded trigonometric sums."""
+    rng = np.random.default_rng(29)
+    nets = [takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 17)]
+    for _ in range(30):
+        js = rng.choice(np.arange(1, 25), int(rng.integers(1, 4)), replace=False)
+        terms = [(int(j), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
+                 for j in js]
+        nets.append(compile_fourier_sum(terms, int(rng.integers(6, 12)))[0])
+    got = [extract_cpwl(net) for net in nets]
+    monkeypatch.setattr(_SharedGrid, "_relu", reference_shared_relu)
+    for net, f in zip(nets, got):
+        assert same_cpwl(f, extract_cpwl(net))
