@@ -9,7 +9,8 @@ import sys
 import numpy as np
 
 from . import approx, cpwl, riesz
-from .compiler import _compile_fourier_sum, compile_spline, fourier_atom, takagi_network
+from .compiler import (compile_fourier_sum, compile_spline, fourier_atom,
+                       fourier_oracle, takagi_network)
 from .errors import ResourceError, Spline2ReluError
 from .network import extract_cpwl, read_network, values_at, write_network
 
@@ -223,8 +224,8 @@ def _run_takagi(args):
 def _run_fourier(args):
     terms = _parse_terms(args.terms)
     if terms:
-        net, report, target = _compile_fourier_sum(terms, args.width)
-        head = _report_line(report)
+        net, report = compile_fourier_sum(terms, args.width)
+        target, head = fourier_oracle(terms), _report_line(report)
     elif args.kind and args.index is not None:
         net = fourier_atom(args.kind, args.index)
         target = cpwl.basis_fn(args.kind, args.index)

@@ -527,14 +527,6 @@ def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
     are padded to one common depth and run side by side, and the groups are
     summed sequentially.
     """
-    net, report, _ = _compile_fourier_sum(terms, width)
-    return net, report
-
-
-def _compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
-                         ) -> tuple[SpecialNetwork, CompileReport, cpwl.CPwL]:
-    """`compile_fourier_sum` and the `fourier_oracle` its report counts, built
-    once for a caller that also measures the network against it."""
     if width < 6:
         raise DomainError("trigonometric sums need width >= 6")
     if not terms:
@@ -557,8 +549,8 @@ def _compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
         blocks.append(pad_width(block, width - 2))
     net = stack_sum(blocks)
     depth_bound = math.ceil(len(terms) / group_size) * p
-    oracle = fourier_oracle(terms)
-    return net, _report(net, param_count(width, depth_bound), oracle.n_interior), oracle
+    oracle_n = fourier_oracle(terms).n_interior
+    return net, _report(net, param_count(width, depth_bound), oracle_n)
 
 
 def takagi_network(coeffs: Sequence[float]) -> SpecialNetwork:

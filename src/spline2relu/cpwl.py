@@ -48,10 +48,9 @@ def _crossings(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not seg.size:
         return g[:0], seg
     cross, far = _cross(g[seg], g[seg + 1], a[hit], b[hit])
-    new, right = cross[far], seg[far] + 1
-    if v.ndim > 1:  # one row's crossings already rise with their segments
-        order = np.argsort(new)
-        new, right = new[order], right[order]
+    cross, seg = cross[far], seg[far]
+    order = np.argsort(cross)
+    new, right = cross[order], seg[order] + 1
     # equal crossings lie in one segment, so either one's right node serves
     first = np.ones(new.size, dtype=bool)
     first[1:] = new[1:] != new[:-1]
