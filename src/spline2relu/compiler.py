@@ -16,7 +16,6 @@ import numpy as np
 from . import cpwl
 from .combinators import (
     compose_nets,
-    embed_deeper,
     pad_width,
     parallel_sum,
     stack_relu_sum,
@@ -518,14 +517,27 @@ def fourier_oracle(terms: Sequence[tuple[int, float, float]]) -> cpwl.CPwL:
     return cpwl.combine(fs, cs) if fs else cpwl.line(0.0, 0.0)
 
 
+def _deepen(net: ReluNetwork, depth: int) -> ReluNetwork:
+    """`net` followed by identity hidden layers (zero bias) up to `depth`: each
+    state is post-ReLU, so relu(I h) = h and the value does not change."""
+    extra, width = depth - net.depth, net.width
+    return ReluNetwork(net.in_weights, net.in_bias,
+                       np.concatenate([net.hidden_weights, np.tile(np.eye(width), (extra, 1, 1))]),
+                       np.concatenate([net.hidden_bias, np.zeros((extra, width))]),
+                       net.out_weights, net.out_bias)
+
+
 def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
                         ) -> tuple[SpecialNetwork, CompileReport]:
     """Special network for a finite sawtooth-trigonometric sum.
 
-    `terms` lists (index, cosine coefficient, sine coefficient).  Pairs are
-    grouped floor((width-2)/4) at a time; each group's width-4 pair networks
-    are padded to one common depth and run side by side, and the groups are
-    summed sequentially.
+    `terms` lists (index, cosine coefficient, sine coefficient).  Each pair is
+    the parallel sum of its two atoms, each padded to depth p with identity
+    layers.  Pairs are grouped floor((width-2)/4) at a time; each group's
+    width-4 pairs run side by side, and the groups are summed sequentially.
+    Coefficients must be finite, and 8 * lambda * sum(|a| + |b|) must not
+    overflow (lambda the largest index so far): that bounds every weight, and
+    every slope and kink of the sum.
     """
     if width < 6:
         raise DomainError("trigonometric sums need width >= 6")
@@ -536,13 +548,21 @@ def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
         raise DomainError("duplicate indices in terms")
     if min(indices) < 1:
         raise DomainError("indices must be >= 1")
+    top = total = 0.0  # the largest index and sum(|a| + |b|) so far
+    for j, a, b in terms:
+        a, b = float(a), float(b)  # Python floats: an overflow below gives inf, not a warning
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"coefficients of index {j} must be finite")
+        top, total = max(top, j), total + abs(a) + abs(b)
+        if not math.isfinite(8.0 * top * total):
+            raise DomainError(f"coefficients of index {j} overflow: 8 * lambda * "
+                              "sum(|a| + |b|) is not finite")
     lam = max(indices)
     p = 2 * (max(0, math.ceil(math.log2(lam))) + 2)
     group_size = (width - 2) // 4
-    pairs = []
-    for j, a, b in terms:
-        pair = stack_sum([fourier_atom("cosine", j), fourier_atom("sine", j)], [a, b])
-        pairs.append(special_to_standard(embed_deeper(pair, p)))
+    pairs = [parallel_sum([_deepen(fourier_atom("cosine", j), p),
+                           _deepen(fourier_atom("sine", j), p)], [a, b])
+             for j, a, b in terms]
     blocks = []
     for g in range(0, len(pairs), group_size):
         block = parallel_sum(pairs[g:g + group_size])

@@ -296,6 +296,24 @@ def test_fourier_sum_subcommand(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fourier_sum_prints_the_pinned_report(capsys):
+    # the report fields of the README example; only sup_error's digits may
+    # change with how a pair is built
+    assert cli.main(["fourier", "--terms", "3:1:0.5,5:-0.25:0", "--width", "10"]) == 0
+    head, error = capsys.readouterr().out.split(" sup_error=")
+    assert head == "width=10 depth=10 params=1021 budget=1021 breakpoints=19"
+    assert float(error) <= 1e-14
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1e308"])
+def test_fourier_sum_refuses_bad_coefficients_in_one_line(coeff, capsys):
+    assert cli.main(["fourier", "--terms", f"1:1:0,3:{coeff}:0", "--width", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: coefficients of index 3 ")
+
+
 def test_error_paths(tmp_path, capsys):
     assert cli.main(["compile", str(tmp_path / "missing.spline")]) == 1
     assert "error:" in capsys.readouterr().err

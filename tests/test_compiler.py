@@ -15,10 +15,11 @@ from conftest import (
     same_cpwl,
     same_weights,
 )
-from spline2relu import cpwl
+from spline2relu import compiler, cpwl
 from spline2relu.compiler import (
     CompileReport,
     _compile_wide,
+    _deepen,
     _hat_classes,
     _interval_hats,
     block_size,
@@ -457,6 +458,50 @@ def test_compile_fourier_sum_validation():
         compile_fourier_sum([(2, 1.0, 0.0), (2, 0.0, 1.0)], 6)
     with pytest.raises(DomainError):
         compile_fourier_sum([(0, 1.0, 0.0)], 6)
+
+
+def test_compile_fourier_sum_needs_no_lift(monkeypatch):
+    def refuse(net):
+        raise AssertionError("compile_fourier_sum converted a special network")
+
+    monkeypatch.setattr(compiler, "special_to_standard", refuse)
+    rng = np.random.default_rng(39)
+    for width in (6, 10, 14):
+        terms = [(int(j), float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+                 for j in rng.choice(np.arange(1, 34), size=4, replace=False)]
+        net, _ = compile_fourier_sum(terms, width)
+        assert cpwl.sup_diff(extract_cpwl(net), fourier_oracle(terms)) <= 1e-10
+
+
+def test_identity_padding_keeps_atoms_bit_identical():
+    # every hidden state is post-ReLU, so relu(I h) = h to the bit
+    x = np.linspace(0.0, 1.0, 10001)
+    for kind in ("cosine", "sine"):
+        for j in range(1, 34):
+            atom = fourier_atom(kind, j)
+            for extra in (0, 1, 7):
+                deep = _deepen(atom, atom.depth + extra)
+                assert deep.depth == atom.depth + extra and deep.width == atom.width
+                assert np.array_equal(deep.forward(x), atom.forward(x)), (kind, j, extra)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e308, np.float64(1e308)])
+def test_compile_fourier_sum_refuses_coefficients_that_are_not_finite_or_overflow(a):
+    # checked before any weight is built, so numpy never warns
+    # (pyproject.toml turns a RuntimeWarning into an error)
+    for terms in ([(3, a, 0.0)], [(1, 1.0, 0.5), (3, 0.0, a)]):
+        with pytest.raises(DomainError, match="coefficients of index 3"):
+            compile_fourier_sum(terms, 6)
+
+
+def test_compile_fourier_sum_overflow_bound():
+    # 8 * lambda * sum(|a| + |b|) must stay finite: every weight, slope and
+    # kink of the sum is below it
+    top = np.finfo(float).max / 8
+    net, _ = compile_fourier_sum([(3, 0.5 * top / 3, -0.499 * top / 3)], 6)
+    assert net.depth == 8 and np.isfinite(extract_cpwl(net).values).all()
+    with pytest.raises(DomainError, match="coefficients of index 2 overflow"):
+        compile_fourier_sum([(1, 0.3 * top, 0.3 * top), (2, 0.0, 0.1 * top)], 6)
 
 
 def test_takagi_network_matches_partial_sums():

@@ -142,8 +142,11 @@ def test_special_to_standard_lifts_match_reference():
 
 
 def _fourier_pairs():
-    """Cosine/sine pairs j = 1..24 as compile_fourier_sum embeds them: at
-    their own depth and at the depth of a sum reaching j = 24."""
+    """Special networks for the lift corpus: stacked cosine/sine pairs
+    j = 1..24 with coefficients up to 1e3, embedded at their own pair depth
+    and at the depth of a sum reaching j = 24.  compile_fourier_sum no longer
+    builds pairs this way; they stay as large-coefficient inputs to
+    special_to_standard."""
     rng = np.random.default_rng(118)
     for scale in (1.0, 1e3):
         for j in range(1, 25):
@@ -437,6 +440,8 @@ def test_fourier_canary_within_kappa_u():
     target = fourier_oracle(terms)
     assert _kappa_u(target) == pytest.approx(5.30e-11, rel=1e-3)
     assert cpwl.sup_diff(extract_cpwl(net), target) <= _kappa_u(target)
+    # pairs built without a lift read 0.29 kappa u (0.30 with the lift)
+    assert cpwl.sup_diff(extract_cpwl(net), target) <= 0.5 * _kappa_u(target)
 
 
 def test_converted_narrow_splines_stay_within_16_kappa_u():
