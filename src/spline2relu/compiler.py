@@ -28,6 +28,7 @@ from .errors import (
     ContractError,
     DegenerateCompositionError,
     DomainError,
+    StructureError,
 )
 from .network import (
     ReluNetwork,
@@ -174,6 +175,20 @@ def _class_profiles(coeff: np.ndarray, y: np.ndarray, xs: np.ndarray, q: int) ->
     return profile
 
 
+def _compiled(*arrays) -> SpecialNetwork:
+    """The special network of a compiled spline's six arrays.  The builders
+    run under np.errstate (`compile_spline`), so a weight that overflowed
+    reads inf or nan here: the network refuses it, and DomainError names the
+    overflow."""
+    try:
+        return SpecialNetwork(*arrays)
+    except StructureError:
+        if all(np.isfinite(a).all() for a in arrays):
+            raise
+        raise DomainError(f"compiled weights overflow at width {arrays[0].size}: "
+                          "the target's values are too large for its knot spacing") from None
+
+
 def _pad_knots(knots: np.ndarray, total: int) -> np.ndarray:
     """Extend a sorted interior-knot list to `total` with evenly spaced points in
     one gap: the last gap, or the widest one when the last is too small.  The
@@ -242,7 +257,7 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     out[0] += slope
     out[rows] = signs[-1]
     out[-1] = 1.0
-    return SpecialNetwork(first, first_bias, hidden, bias, out, 0.0 + offset)  # never -0.0
+    return _compiled(first, first_bias, hidden, bias, out, 0.0 + offset)  # never -0.0
 
 
 def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
@@ -273,7 +288,7 @@ def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     out[0] = slopes[0]
     out[comp] = coeff[-1]
     out[-1] = 1.0
-    return SpecialNetwork(first, seeds[0], hidden, seeds[1:], out, float(v[0]))
+    return _compiled(first, seeds[0], hidden, seeds[1:], out, float(v[0]))
 
 
 def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, CompileReport]:
@@ -284,11 +299,13 @@ def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, Compi
     the tie q = 2 the wide form reads closer to the target.  The report's
     bound is `spline_budget`, the paper's guarantee, which counts the wide
     form at every W >= 8; it is computed first, so W < 4 raises DomainError
-    before anything is built.
+    before anything is built.  A weight that overflows raises DomainError,
+    with no numpy warning.
     """
     n = target.n_interior
     bound = spline_budget(width, n)
-    net = (_compile_wide if (width - 2) // 6 >= 2 else _compile_narrow)(target, width)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_compiled` checks the weights
+        net = (_compile_wide if (width - 2) // 6 >= 2 else _compile_narrow)(target, width)
     return net, _report(net, bound, n)
 
 

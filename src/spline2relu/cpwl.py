@@ -88,7 +88,9 @@ def _prune(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With nothing to drop, g and v come back as they are.  A node to drop next
     to a slope that overflows raises DomainError (inf > inf is False, so the
     test cannot see its kink); values that are not finite are left to the
-    caller's check."""
+    caller's check.  Callers run it under np.errstate(over="ignore",
+    invalid="ignore"): a slope gap past the float range reads inf, which is a
+    kink, and a slope that overflows raises as above."""
     while g.size > 2:
         slopes = v[..., 1:] - v[..., :-1]
         slopes /= g[1:] - g[:-1]
@@ -136,7 +138,8 @@ class CPwL:
             raise DomainError("breakpoints must start at 0 and end at 1")
         if not (np.diff(x) > 0).all():
             raise DomainError("breakpoints must be strictly increasing")
-        x, v = _prune(x, v)
+        with np.errstate(over="ignore", invalid="ignore"):  # see `_prune`
+            x, v = _prune(x, v)
         x.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "breakpoints", x)

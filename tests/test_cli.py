@@ -98,6 +98,33 @@ def test_compile_prints_the_same_five_fields_at_every_width(tmp_path, capsys):
             f"budget={report.budget_bound} breakpoints={report.target_breakpoints}\n"), width
 
 
+@pytest.mark.parametrize("peak, width", [(7.5e307, 4), (7.5e307, 8), (7.5e307, 14), (7.5e307, 32),
+                                         (1e307, 14), (1e307, 32), (1e306, 32)])
+def test_compile_refuses_weights_that_overflow_in_one_line(peak, width, tmp_path, capsys):
+    # the spline (0, 0), (0.5, peak), (1, 0) reads without a numpy warning
+    # (pyproject.toml turns one into an error), and its overflowing weights
+    # are named in one error line
+    spath = tmp_path / "peak.spline"
+    cpwl.write_spline(cpwl.CPwL([0.0, 0.5, 1.0], [0.0, peak, 0.0]), spath)
+    assert cli.main(["compile", str(spath), "--width", str(width)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: compiled weights overflow at width {width}: "
+                            "the target's values are too large for its knot spacing\n")
+
+
+@pytest.mark.parametrize("peak, widths", [(1e307, (4, 8)), (1e306, (4, 8, 14)),
+                                          (1e300, (4, 8, 14, 32))])
+def test_compile_of_a_large_peak_that_fits_prints_its_report(peak, widths, tmp_path, capsys):
+    spath = tmp_path / "peak.spline"
+    cpwl.write_spline(cpwl.CPwL([0.0, 0.5, 1.0], [0.0, peak, 0.0]), spath)
+    params = {4: 33, 8: 97, 14: 253, 32: 1153}
+    for width in widths:
+        assert cli.main(["compile", str(spath), "--width", str(width)]) == 0
+        assert capsys.readouterr().out == (f"width={width} depth=2 params={params[width]} "
+                                           f"budget={params[width]} breakpoints=1\n")
+
+
 def test_eval_csv(tmp_path, capsys):
     spath = tmp_path / "hat.spline"
     npath = tmp_path / "hat.relu"

@@ -10,6 +10,7 @@ from conftest import (
     interval_sets,
     random_spline,
     reference_compile_wide,
+    reference_every_layer_states,
     reference_interval_hats,
     reference_self_similar_oracle,
     same_cpwl,
@@ -41,7 +42,15 @@ from spline2relu.errors import (
     DegenerateCompositionError,
     DomainError,
 )
-from spline2relu.network import _closed_form, _depth_one, _depth_two, extract_cpwl, param_count
+from spline2relu.network import (
+    ReluNetwork,
+    _closed_form,
+    _depth_one,
+    _depth_two,
+    carry_layers,
+    extract_cpwl,
+    param_count,
+)
 from spline2relu.riesz import basis_fn
 
 
@@ -473,15 +482,19 @@ def test_compile_fourier_sum_needs_no_lift(monkeypatch):
         assert cpwl.sup_diff(extract_cpwl(net), fourier_oracle(terms)) <= 1e-10
 
 
-def test_identity_padding_keeps_atoms_bit_identical():
-    # every hidden state is post-ReLU, so relu(I h) = h to the bit
+def test_identity_padding_keeps_atoms_bit_identical(monkeypatch):
+    # every hidden state is post-ReLU, so relu(I h) = h to the bit; forward
+    # skips the padding as carry layers, so the padding is stepped here by the
+    # every-layer reference
     x = np.linspace(0.0, 1.0, 10001)
+    monkeypatch.setattr(ReluNetwork, "_states", reference_every_layer_states)
     for kind in ("cosine", "sine"):
         for j in range(1, 34):
             atom = fourier_atom(kind, j)
             for extra in (0, 1, 7):
                 deep = _deepen(atom, atom.depth + extra)
                 assert deep.depth == atom.depth + extra and deep.width == atom.width
+                assert carry_layers(deep)[atom.depth - 1:].all()
                 assert np.array_equal(deep.forward(x), atom.forward(x)), (kind, j, extra)
 
 

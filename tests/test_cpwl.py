@@ -52,6 +52,14 @@ def test_canonical_form_refuses_an_overflowing_slope():
         assert cpwl.CPwL([0.0, 0.5, 1.0], [0.0, 5e307, 0.0]).n_interior == 1
 
 
+def test_a_slope_change_past_the_float_range_is_a_kink_without_a_warning():
+    # slopes +-1.5e308 differ by 3e308 = inf; pyproject.toml turns any numpy
+    # RuntimeWarning into an error, and no np.errstate is set here
+    f = cpwl.CPwL([0.0, 0.5, 1.0], [0.0, 7.5e307, 0.0])
+    assert np.array_equal(f.breakpoints, [0.0, 0.5, 1.0])
+    assert np.array_equal(f.values, [0.0, 7.5e307, 0.0])
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         cpwl.CPwL([0.0, 1.0], [1.0])

@@ -13,6 +13,9 @@ from conftest import (
     plain_net,
     random_spline,
     reference_courses,
+    reference_every_layer_courses,
+    reference_every_layer_extract,
+    reference_every_layer_states,
     reference_extract,
     reference_shared_relu,
     same_cpwl,
@@ -29,6 +32,8 @@ from spline2relu.combinators import (
     zero_special,
 )
 from spline2relu.compiler import (
+    _deepen,
+    compile_composition,
     compile_fourier_sum,
     compile_self_similar,
     compile_shallow,
@@ -42,10 +47,12 @@ from spline2relu.network import (
     ReluNetwork,
     _courses,
     _SharedGrid,
+    carry_layers,
     extract_cpwl,
     hat_net,
     reset_layers,
     special_to_standard,
+    values_at,
 )
 
 U = 2.0 ** -52
@@ -471,3 +478,59 @@ def test_extraction_identical_with_searched_crossings(monkeypatch):
     monkeypatch.setattr(_SharedGrid, "_relu", reference_shared_relu)
     for net, f in zip(nets, got):
         assert same_cpwl(f, extract_cpwl(net))
+
+
+def _carry_corpus():
+    """Seeded Fourier sums at W = 6, 10 and 14, `_deepen`-padded atoms,
+    `embed_deeper` pairs, `compile_composition` networks, zero summands and a
+    network whose first hidden layer carries; and Takagi orders 1..16, which
+    have no carry layer."""
+    rng = np.random.default_rng(31)
+    for width in (6, 10, 14):
+        for _ in range(6):
+            js = rng.choice(np.arange(1, 40), int(rng.integers(1, 6)), replace=False)
+            yield compile_fourier_sum([(int(j), *rng.uniform(-2.0, 2.0, 2)) for j in js], width)[0]
+    for kind in ("cosine", "sine"):
+        for j in (1, 2, 3, 5, 8, 13, 33):
+            atom = fourier_atom(kind, j)
+            yield from (_deepen(atom, atom.depth + extra) for extra in (1, 7))
+    yield from list(_fourier_pairs())[::5]
+    for k in (1, 2, 3):
+        chain = [random_spline(rng, 4, 0.05, 0.95) for _ in range(k - 1)] + [random_spline(rng, 5)]
+        yield compile_composition(chain, 8)[0]
+    yield from (zero_special(width, depth) for width, depth in ((4, 1), (4, 3), (7, 5)))
+    # a first hidden layer that carries still steps: its prune drops the input
+    # layer's kink at 0.5 (a slope change of 2e-20), which the 1e20 weight after it reads
+    yield ReluNetwork([1.0, 2e-20], [0.0, -1e-20], [np.eye(2), [[1.0, 0.0], [0.0, 1e20]]],
+                      [[0.0, 0.0], [0.0, -0.25]], [0.0, 1.0], 0.0)
+    yield from (takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 17))
+
+
+def _every_output(net, x):
+    """Breakpoints, values, forward and values_at outputs, and for a special
+    network its courses and lifted network's arrays."""
+    f = extract_cpwl(net)
+    out = [f.breakpoints, f.values, net.forward(x), values_at(net, x)]
+    if net.special:
+        out += [a for course in _courses(net) for a in course]
+        std = special_to_standard(net)
+        out += [std.in_bias, np.array(std.out_bias)]
+    return out
+
+
+def test_carry_layers_skipped_bit_for_bit(monkeypatch):
+    """Skipping carry layers gives what stepping every layer gives, signs of
+    zero included (np.array_equal reads -0.0 == 0.0)."""
+    nets = list(_carry_corpus())
+    carries = [carry_layers(net).any() for net in nets]
+    assert sum(carries) > 50 and not any(carries[-16:])
+    x = np.linspace(0.0, 1.0, 2001)
+    got = [_every_output(net, x) for net in nets]
+    monkeypatch.setattr(network, "_extract", reference_every_layer_extract)
+    monkeypatch.setattr(network, "_courses", reference_every_layer_courses)
+    monkeypatch.setattr(ReluNetwork, "_states", reference_every_layer_states)
+    for net, out in zip(nets, got):
+        want = _every_output(net, x)
+        assert len(out) == len(want)
+        assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+                   for a, b in zip(out, want)), net
