@@ -171,7 +171,7 @@ def _run_riesz(args):
     return 0
 
 
-def _dyadic_sawtooth_sum(order):
+def _dyadic_sawtooth_sum(order, settle):
     """Pointwise evaluator of the order-m dyadic sawtooth sum
     sum_{i < m} 2^-(i+1) H^(i+1)(x), usable at depths where the explicit node
     list would not fit.
@@ -184,20 +184,33 @@ def _dyadic_sawtooth_sum(order):
     fractional part and doubling carries that rounding into later terms, so
     the result can differ from that closed form in its last bits.  Every
     step runs in place on t and one term buffer.
+
+    After the first `settle` terms the points whose t reached 0 (every
+    dyadic point with denominator up to 2^settle) are set aside: their t
+    stays 0, so each later term adds exactly +0.0 there.  The remaining
+    terms run on the other points only, and their totals are put back.
     """
-    def evaluate(x):
-        xs = np.asarray(x, dtype=float)
-        # np.mod of a 0-d input is a numpy scalar, which takes no out=
-        t = np.array(np.mod(xs, 1.0))
-        total = np.zeros_like(xs)
+    def run(t, total, terms):
         term = np.empty_like(t)
-        for i in range(order):
+        for i in terms:
             np.subtract(1.0, t, out=term)
             np.minimum(t, term, out=term)
             term *= 2.0 ** -i
             total += term
             t += t
             np.subtract(t, 1.0, out=t, where=t >= 1.0)
+
+    def evaluate(x):
+        xs = np.asarray(x, dtype=float)
+        # np.mod of a 0-d input is a numpy scalar, which takes no out=
+        t = np.array(np.mod(xs, 1.0))
+        total = np.zeros_like(xs)
+        run(t, total, range(min(settle, order)))
+        if settle < order:
+            live = np.flatnonzero(t)
+            rest = total.take(live)
+            run(t.take(live), rest, range(settle, order))
+            np.put(total, live, rest)
         return total
     return evaluate
 
@@ -205,9 +218,11 @@ def _dyadic_sawtooth_sum(order):
 def _takagi(order):
     """Coefficients 2^-(i+1), i < order, of the Takagi partial sum, and the
     target it approximates: the dyadic sawtooth sum of order m + 20, with
-    m = order."""
+    m = order.  The target sets aside after m + 1 terms the points where it
+    is settled, which include every breakpoint j/2^m of the networks it
+    measures (`_dyadic_sawtooth_sum`)."""
     coeffs = [2.0 ** -(i + 1) for i in range(order)]
-    return coeffs, approx.TargetFunction(_dyadic_sawtooth_sum(order + 20))
+    return coeffs, approx.TargetFunction(_dyadic_sawtooth_sum(order + 20, order + 1))
 
 
 def _run_takagi(args):

@@ -175,18 +175,23 @@ def _class_profiles(coeff: np.ndarray, y: np.ndarray, xs: np.ndarray, q: int) ->
     return profile
 
 
-def _compiled(*arrays) -> SpecialNetwork:
-    """The special network of a compiled spline's six arrays.  The builders
-    run under np.errstate (`compile_spline`), so a weight that overflowed
-    reads inf or nan here: the network refuses it, and DomainError names the
+def _overflow(width: int) -> DomainError:
+    return DomainError(f"compiled weights overflow at width {width}: "
+                       "the target's values are too large for its knot spacing")
+
+
+def _compiled(*arrays, build=SpecialNetwork) -> ReluNetwork:
+    """The network `build` makes of a compiled spline's arrays (a special
+    network's six by default).  The builders run under np.errstate
+    (`compile_spline`, `compile_shallow`), so a weight that overflowed reads
+    inf or nan here: the network refuses it, and DomainError names the
     overflow."""
     try:
-        return SpecialNetwork(*arrays)
+        return build(*arrays)
     except StructureError:
         if all(np.isfinite(a).all() for a in arrays):
             raise
-        raise DomainError(f"compiled weights overflow at width {arrays[0].size}: "
-                          "the target's values are too large for its knot spacing") from None
+        raise _overflow(arrays[0].size) from None
 
 
 def _pad_knots(knots: np.ndarray, total: int) -> np.ndarray:
@@ -222,7 +227,10 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     q = (width - 2) // 6
     slope = float(target.values[-1] - target.values[0])
     offset = float(target.values[0])
-    residual = cpwl.add(target, cpwl.line(slope, offset), 1.0, -1.0)
+    try:
+        residual = cpwl.add(target, cpwl.line(slope, offset), 1.0, -1.0)
+    except DomainError:  # the endpoint line or the residual overflows
+        raise _overflow(width) from None
     size = block_size(width)
     n = residual.n_interior
     blocks = max(1, math.ceil(n / size))
@@ -310,14 +318,16 @@ def compile_spline(target: cpwl.CPwL, width: int) -> tuple[SpecialNetwork, Compi
 
 
 def compile_shallow(target: cpwl.CPwL) -> ReluNetwork:
-    """One-hidden-layer network with width n+1 computing the target directly."""
+    """One-hidden-layer network with width n+1 computing the target directly.
+    A weight that overflows raises DomainError, with no numpy warning."""
     x, v = target.breakpoints, target.values
-    slopes = np.diff(v) / np.diff(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # `_compiled` checks the weights
+        slopes = np.diff(v) / np.diff(x)
+        out = np.concatenate(([slopes[0]], np.diff(slopes)))
     w = target.n_interior + 1
     first = np.ones(w)
     fb = np.concatenate(([0.0], -x[1:-1]))
-    out = np.concatenate(([slopes[0]], np.diff(slopes)))
-    return _shallow(first, fb, out, float(v[0]))
+    return _compiled(first, fb, out, float(v[0]), build=_shallow)
 
 
 def representative_chain(chain: Sequence[cpwl.CPwL]) -> list[cpwl.CPwL]:

@@ -47,9 +47,10 @@ def _crossings(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     seg = hit[-1]
     if not seg.size:
         return g[:0], seg
-    cross, far = _cross(g[seg], g[seg + 1], a[hit], b[hit])
+    cross, far = _cross(g.take(seg), g.take(seg + 1), a[hit], b[hit])
     cross, seg = cross[far], seg[far]
-    order = np.argsort(cross)
+    # one sorted run per row, which a stable sort merges
+    order = np.argsort(cross, kind="stable")
     new, right = cross[order], seg[order] + 1
     # equal crossings lie in one segment, so either one's right node serves
     first = np.ones(new.size, dtype=bool)
@@ -68,8 +69,8 @@ def _insert(g: np.ndarray, v: np.ndarray, new: np.ndarray, right: np.ndarray
         return g, v, np.empty(0, dtype=np.intp)
     at = right + np.arange(new.size)
     left = right - 1
-    gl, vl = g[left], v[..., left]
-    mid = (v[..., right] - vl) / (g[right] - gl) * (new - gl) + vl
+    gl, vl = g.take(left), np.take(v, left, axis=-1)
+    mid = (np.take(v, right, axis=-1) - vl) / (g.take(right) - gl) * (new - gl) + vl
     old = np.ones(g.size + new.size, dtype=bool)
     old[at] = False
     grid = np.empty(old.size)

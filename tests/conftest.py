@@ -84,15 +84,36 @@ def reference_crossings(g, v):
     return np.unique(cross[far])
 
 
+def reference_insert(g, v, new, right):
+    """Fancy-index body of cpwl._insert, kept as a test-only reference for
+    its gathers: the grid g grown by the sorted, distinct nodes `new`, the
+    rows v on it and the positions of the new nodes."""
+    if not new.size:
+        return g, v, np.empty(0, dtype=np.intp)
+    at = right + np.arange(new.size)
+    left = right - 1
+    gl, vl = g[left], v[..., left]
+    mid = (v[..., right] - vl) / (g[right] - gl) * (new - gl) + vl
+    old = np.ones(g.size + new.size, dtype=bool)
+    old[at] = False
+    grid = np.empty(old.size)
+    grid[old] = g
+    grid[at] = new
+    vals = np.empty(v.shape[:-1] + old.shape)
+    vals[..., old] = v
+    vals[..., at] = mid
+    return grid, vals, at
+
+
 def reference_shared_relu(shared):
     """_SharedGrid._relu with the crossings of reference_crossings, each
-    placed by np.searchsorted, kept as a test-only reference for crossings
-    that carry their segment."""
+    placed by np.searchsorted, and the nodes inserted by reference_insert,
+    kept as a test-only reference for the layer step's ReLU."""
     new = reference_crossings(shared.grid, shared.vals)
     if shared.grid.size + new.size + shared.held > cpwl.DEFAULT_NODE_BUDGET:
         raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
-    shared.grid, v, _ = cpwl._insert(shared.grid, shared.vals, new,
-                                     np.searchsorted(shared.grid, new))
+    shared.grid, v, _ = reference_insert(shared.grid, shared.vals, new,
+                                         np.searchsorted(shared.grid, new))
     shared.vals = np.maximum(v, 0.0, out=v)
 
 

@@ -243,17 +243,41 @@ def test_takagi_past_the_node_budget_measures_on_the_grid(capsys):
 
 
 def test_dyadic_sawtooth_sum_matches_the_term_by_term_closed_form():
-    # the doubling map carries the fractional part exactly on [0, 1], so the
-    # Takagi target equals the per-term np.mod of x 2^i to the bit
+    """The doubling map carries the fractional part exactly on [0, 1], so the
+    Takagi target equals the per-term np.mod of x 2^i to the bit, wherever
+    the settled points are set aside.  The form `_takagi` builds (order
+    m + 20, settled after m + 1 terms) is checked on measure_sigma's union
+    grid at m = 20, on points none of which settle, on points that all
+    settle, and on 0-d inputs."""
     nodes = extract_cpwl(takagi_network([2.0 ** -(i + 1) for i in range(16)])).breakpoints
     points = [np.linspace(0.0, 1.0, 4099), np.linspace(0.0, 1.0, 10001), nodes,
               np.array([0.0, 1.0 / 3.0, 1.0]),
               np.random.default_rng(19).uniform(0.0, 1.0, 20000)]
     for order in (1, 2, 3, 14, 16, 36, 40, 60):
-        new, ref = cli._dyadic_sawtooth_sum(order), reference_dyadic_sawtooth_sum(order)
+        ref = reference_dyadic_sawtooth_sum(order)
         for xs in points:
-            assert np.array_equal(new(xs), ref(xs))
-        assert new(1.0 / 3.0) == ref(1.0 / 3.0)
+            want = ref(xs)
+            for settle in sorted({0, 1, order // 2, order - 1, order, order + 1}):
+                assert np.array_equal(cli._dyadic_sawtooth_sum(order, settle)(xs), want)
+        assert cli._dyadic_sawtooth_sum(order, 0)(1.0 / 3.0) == ref(1.0 / 3.0)
+
+    rng = np.random.default_rng(43)
+    union = np.union1d(np.linspace(0.0, 1.0, 4099), extract_cpwl(
+        takagi_network([2.0 ** -(i + 1) for i in range(20)])).breakpoints)
+    # (3i + 1) / (3 * 2^14) is not dyadic: its float settles only after
+    # about 53 doublings
+    thirds = np.arange(1, 3 * 2 ** 14, 3) / (3.0 * 2 ** 14)
+    for m in (1, 2, 3, 14, 16, 20):
+        target = cli._takagi(m)[1].evaluator
+        ref = reference_dyadic_sawtooth_sum(m + 20)
+        den = 2.0 ** (m + 1)
+        dyadic = rng.integers(0, int(den) + 1, 5000) / den
+        assert np.mod(thirds * den, 1.0).all() and not np.mod(dyadic * den, 1.0).any()
+        for xs in [thirds, dyadic, np.linspace(0.0, 1.0, 4099)] + ([union] if m == 20 else []):
+            assert np.array_equal(target(xs), ref(xs))
+        for x in (1.0 / 3.0, np.float64(0.25), np.array(1.0 / 3.0), np.array(0.5)):
+            got = target(x)
+            assert np.shape(got) == () and got == ref(x)
 
 
 def test_takagi_and_rates_print_the_pinned_errors(capsys):

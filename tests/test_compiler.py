@@ -1,6 +1,7 @@
 """Compiler tests: spline paths, budgets, compositions, replication, atoms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from spline2relu.compiler import (
     compile_composition,
     compile_fourier_sum,
     compile_self_similar,
+    compile_shallow,
     compile_spline,
     compile_sum_of_compositions,
     fourier_atom,
@@ -515,6 +517,23 @@ def test_compile_fourier_sum_overflow_bound():
     assert net.depth == 8 and np.isfinite(extract_cpwl(net).values).all()
     with pytest.raises(DomainError, match="coefficients of index 2 overflow"):
         compile_fourier_sum([(1, 0.3 * top, 0.3 * top), (2, 0.0, 0.1 * top)], 6)
+
+
+@pytest.mark.parametrize("build, f, width", [
+    (compile_shallow, cpwl.CPwL([0.0, 0.5, 1.0], [0.0, 7.5e307, 0.0]), 2),
+    (compile_shallow, cpwl.CPwL([0.0, 1.0], [-1e308, 1e308]), 1),
+    *[(lambda f, w=w: compile_spline(f, w), cpwl.CPwL([0.0, 1.0], [-1e308, 1e308]), w)
+      for w in (4, 8, 14, 32)],
+])
+def test_overflowing_weights_are_named_without_a_numpy_warning(build, f, width):
+    # every warning is an error here: the slope changes of compile_shallow and
+    # the endpoint line of the wide form overflow quietly, and DomainError
+    # names the overflow at every width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=(f"^compiled weights overflow at width {width}: "
+                                               "the target's values are too large")):
+            build(f)
 
 
 def test_takagi_network_matches_partial_sums():

@@ -13,6 +13,7 @@ from conftest import (
     reference_canonical,
     reference_crossings,
     reference_hat_iterate,
+    reference_insert,
     reference_relu,
     reference_sine_cpwl,
     reference_takagi_partial,
@@ -156,12 +157,11 @@ def test_compose_rejects_escaping_inner():
         cpwl.compose(cpwl.hat(), big)
 
 
-def test_crossings_carry_their_right_node():
-    """Each crossing comes with the index of its segment's right node, the
-    place np.searchsorted finds for it, on one row and on several, with
-    nodes crowded within CROSSING_SNAP and values of mixed scales."""
-    rng = np.random.default_rng(23)
-    for trial in range(300):
+def _rows_on_grids(seed, trials=300):
+    """Seeded (grid, rows) pairs: one row or several, nodes crowded within
+    CROSSING_SNAP, values of mixed scales and exact zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
         g = np.r_[0.0, rng.uniform(0.0, 1.0, int(rng.integers(0, 60))), 1.0]
         if trial % 3 == 0:
             crowd = g[1:-1] + rng.uniform(0.0, 2.0, g.size - 2) * cpwl.CROSSING_SNAP
@@ -170,9 +170,56 @@ def test_crossings_carry_their_right_node():
         shape = g.shape if trial % 2 else (int(rng.integers(1, 6)), g.size)
         v = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 3, shape)
         v[rng.random(shape) < 0.1] = 0.0
+        v[rng.random(shape) < 0.05] = -0.0
+        yield g, v
+
+
+def test_crossings_carry_their_right_node():
+    """Each crossing comes with the index of its segment's right node, the
+    place np.searchsorted finds for it (inputs of `_rows_on_grids`)."""
+    for g, v in _rows_on_grids(23):
         new, right = cpwl._crossings(g, v)
         assert np.array_equal(new, reference_crossings(g, v))
         assert np.array_equal(right, np.searchsorted(g, new))
+
+
+def _same_insert(g, v):
+    """cpwl._insert of cpwl._crossings matches reference_insert of the same
+    crossings placed by np.searchsorted: grid, values and positions to the
+    bit, signs of zeros included."""
+    new, right = cpwl._crossings(g, v)
+    got = cpwl._insert(g, v, new, right)
+    want = reference_insert(g, v, new, np.searchsorted(g, new))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    return got
+
+
+def test_insert_matches_the_fancy_index_reference():
+    """The gathers by take give the values fancy indexing gives (inputs of
+    `_rows_on_grids`); with nothing to insert the inputs come back."""
+    for g, v in _rows_on_grids(37):
+        _same_insert(g, v)
+    g, v = np.array([0.0, 1.0]), np.array([[1.0, 2.0], [0.0, -0.0]])
+    grid, vals, at = _same_insert(g, v)
+    assert grid is g and vals is v and at.size == 0
+
+
+def test_rows_crossing_at_one_point_insert_one_node():
+    """Rows v, 2v and -v cross at the same float in each segment (doubling
+    and negation are exact), so the sort keeps one node per crossing, and
+    every row is read on that node's segment."""
+    rng = np.random.default_rng(41)
+    g = np.linspace(0.0, 1.0, 9)
+    row = np.where(np.arange(9) % 2, 1.0, -1.0) * rng.uniform(0.5, 2.0, 9)
+    v = np.stack([row, 2.0 * row, -row, rng.normal(size=9)])
+    new, right = cpwl._crossings(g, v[:3])
+    assert new.size == 8 and np.array_equal(right, np.arange(1, 9))
+    grid, vals, at = _same_insert(g, v)
+    assert np.isin(new, grid[at]).all()
+    assert np.array_equal(vals[1, at], 2.0 * vals[0, at])
+    assert np.array_equal(vals[2, at], -vals[0, at])
 
 
 def test_relu_inserts_exact_crossings():
