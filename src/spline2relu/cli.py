@@ -188,10 +188,11 @@ def _dyadic_sawtooth_sum(order, settle):
     After the first `settle` terms the points whose t reached 0 (every
     dyadic point with denominator up to 2^settle) are set aside: their t
     stays 0, so each later term adds exactly +0.0 there.  The remaining
-    terms run on the other points only, and their totals are put back.
+    terms run on the other points only, and their totals are put back.  The
+    points are read cpwl._SWEEP_BLOCK at a time, every term on one block
+    before the next.
     """
-    def run(t, total, terms):
-        term = np.empty_like(t)
+    def run(t, total, term, terms):
         for i in terms:
             np.subtract(1.0, t, out=term)
             np.minimum(t, term, out=term)
@@ -202,16 +203,19 @@ def _dyadic_sawtooth_sum(order, settle):
 
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
-        # np.mod of a 0-d input is a numpy scalar, which takes no out=
-        t = np.array(np.mod(xs, 1.0))
-        total = np.zeros_like(xs)
-        run(t, total, range(min(settle, order)))
-        if settle < order:
-            live = np.flatnonzero(t)
-            rest = total.take(live)
-            run(t.take(live), rest, range(settle, order))
-            np.put(total, live, rest)
-        return total
+        t = np.mod(xs.ravel(), 1.0)
+        total = np.zeros(t.size)
+        term = np.empty(min(t.size, cpwl._SWEEP_BLOCK))
+        for start in range(0, t.size, cpwl._SWEEP_BLOCK):
+            part = slice(start, start + cpwl._SWEEP_BLOCK)
+            tb, sb = t[part], total[part]
+            run(tb, sb, term[:tb.size], range(min(settle, order)))
+            if settle < order:
+                live = np.flatnonzero(tb)
+                rest = sb.take(live)
+                run(tb.take(live), rest, term[:live.size], range(settle, order))
+                np.put(sb, live, rest)
+        return total.reshape(xs.shape)
     return evaluate
 
 

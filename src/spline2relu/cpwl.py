@@ -23,6 +23,9 @@ CROSSING_SNAP = 1e-14
 EDGE_TOL = 1e-12
 # most nodes an extraction, sawtooth or CLI grid may hold; read at call time
 DEFAULT_NODE_BUDGET = 1 << 21
+# nodes or points one pass of the layer step, the prune's kink test and the
+# Takagi target reads at a time, so that its arrays stay in L2 cache
+_SWEEP_BLOCK = 1 << 15
 SLOPE_OVERFLOW = "a slope overflows, so a kink cannot be told from a straight node"
 
 
@@ -42,43 +45,60 @@ def _crossings(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     node.  A crossing within CROSSING_SNAP of either end of its segment
     reuses that node and is left out, so every one kept lies inside its
     segment and `right` is where `np.searchsorted(g, new)` would put it."""
-    a, b = v[..., :-1], v[..., 1:]
-    hit = np.nonzero(a * b < 0.0)  # (segments,) or (rows, segments)
-    seg = hit[-1]
-    if not seg.size:
-        return g[:0], seg
-    cross, far = _cross(g.take(seg), g.take(seg + 1), a[hit], b[hit])
+    # the segments of every row, read through the flat rows: the pairs that
+    # join one row's last node to the next row's first are cleared
+    flat = v.reshape(-1)
+    sign = flat[:-1] * flat[1:]
+    sign[g.size - 1::g.size] = 0.0
+    hit = (sign < 0.0).nonzero()[0]
+    if not hit.size:
+        return g[:0], hit
+    seg = hit % g.size
+    cross, far = _cross(g.take(seg), g[1:].take(seg), flat.take(hit), flat[1:].take(hit))
     cross, seg = cross[far], seg[far]
     # one sorted run per row, which a stable sort merges
-    order = np.argsort(cross, kind="stable")
-    new, right = cross[order], seg[order] + 1
+    order = cross.argsort(kind="stable")
+    new, right = cross.take(order), seg.take(order)
+    right += 1
     # equal crossings lie in one segment, so either one's right node serves
-    first = np.ones(new.size, dtype=bool)
-    first[1:] = new[1:] != new[:-1]
+    first = np.empty(new.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(new[1:], new[:-1], out=first[1:])
     return new[first], right[first]
 
 
-def _insert(g: np.ndarray, v: np.ndarray, new: np.ndarray, right: np.ndarray
+def _insert(g: np.ndarray, v: np.ndarray, new: np.ndarray, right: np.ndarray,
+            out: tuple[np.ndarray, np.ndarray] | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid g grown by the sorted, distinct nodes `new` (none of them in
     g), the rows v on it and the positions of the new nodes.  `right` is the
     index in g of each new node's right neighbour (`_crossings`).  Each row
     is evaluated at a new node on its own segment with np.interp's
-    arithmetic.  With nothing to insert, g and v come back as they are."""
-    if not new.size:
+    arithmetic.  The grown grid and rows are written to `out` when it is
+    given; else, with nothing to insert, g and v come back as they are."""
+    if not new.size and out is None:
         return g, v, np.empty(0, dtype=np.intp)
     at = right + np.arange(new.size)
-    left = right - 1
-    gl, vl = g.take(left), np.take(v, left, axis=-1)
-    mid = (np.take(v, right, axis=-1) - vl) / (g.take(right) - gl) * (new - gl) + vl
     old = np.ones(g.size + new.size, dtype=bool)
     old[at] = False
-    grid = np.empty(old.size)
+    old = old.nonzero()[0]
+    left = right - 1
+    gl, vl = g.take(left), v.take(left, axis=-1)
+    mid = (v.take(right, axis=-1) - vl) / (g.take(right) - gl) * (new - gl) + vl
+    grid, vals = out or (np.empty(g.size + new.size), np.empty(v.shape[:-1] + (g.size + new.size,)))
     grid[old] = g
     grid[at] = new
-    vals = np.empty(v.shape[:-1] + old.shape)
-    vals[..., old] = v
-    vals[..., at] = mid
+    # numpy's 2-d scatter pays per node and the loop pays per row: one row at
+    # a time is 3.7x faster on 2 rows x 32,769 nodes, 2-d 2x faster on 8 x 50
+    rows = v.reshape(-1, g.size)
+    if g.size > 32 * rows.shape[0]:
+        for row, row_old, row_new in zip(vals.reshape(rows.shape[0], -1), rows,
+                                         mid.reshape(rows.shape[0], -1)):
+            row[old] = row_old
+            row[at] = row_new
+    else:
+        vals[..., old] = v
+        vals[..., at] = mid
     return grid, vals, at
 
 
@@ -91,22 +111,33 @@ def _prune(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     test cannot see its kink); values that are not finite are left to the
     caller's check.  Callers run it under np.errstate(over="ignore",
     invalid="ignore"): a slope gap past the float range reads inf, which is a
-    kink, and a slope that overflows raises as above."""
+    kink, and a slope that overflows raises as above.  The kink test reads
+    _SWEEP_BLOCK interior nodes at a time, with one node more on either side."""
     while g.size > 2:
-        slopes = v[..., 1:] - v[..., :-1]
-        slopes /= g[1:] - g[:-1]
-        gap = slopes[..., 1:] - slopes[..., :-1]
-        np.abs(gap, out=gap)
-        np.abs(slopes, out=slopes)
-        tol = np.maximum(slopes[..., 1:], slopes[..., :-1])
-        np.maximum(tol, 1.0, out=tol)
-        tol *= SLOPE_TOL
-        kink = (gap > tol).reshape(-1, g.size - 2).any(axis=0)
-        if kink.all():
+        keep = None
+        for start in range(1, g.size - 1, _SWEEP_BLOCK):
+            stop = min(start + _SWEEP_BLOCK, g.size - 1)
+            x, y = g[start - 1:stop + 1], v[..., start - 1:stop + 1]
+            slopes = y[..., 1:] - y[..., :-1]
+            slopes /= x[1:] - x[:-1]
+            gap = slopes[..., 1:] - slopes[..., :-1]
+            np.abs(gap, out=gap)
+            np.abs(slopes, out=slopes)
+            tol = np.maximum(slopes[..., 1:], slopes[..., :-1])
+            np.maximum(tol, 1.0, out=tol)
+            tol *= SLOPE_TOL
+            kink = gap > tol
+            if kink.ndim > 1:
+                kink = kink.any(axis=0)
+            if kink.all():
+                continue
+            if not np.isfinite(tol[..., ~kink]).all() and np.isfinite(v).all():
+                raise DomainError(SLOPE_OVERFLOW)
+            if keep is None:
+                keep = np.ones(g.size, dtype=bool)
+            keep[start:stop] = kink
+        if keep is None:
             break
-        if not np.isfinite(tol[..., ~kink]).all() and np.isfinite(v).all():
-            raise DomainError(SLOPE_OVERFLOW)
-        keep = np.concatenate(([True], kink, [True]))
         g, v = g[keep], v[..., keep]
     return g, v
 

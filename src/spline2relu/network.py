@@ -186,10 +186,11 @@ class _SharedGrid:
         self.carry = carry_layers(net)
         self.carry[:1] = False
         self.rows = slice(1, net.width - 1) if net.special else slice(None)
+        self.live = net.width - 2 if net.special else net.width
         self.held = 0
         self.grid = np.array([0.0, 1.0])
-        self.vals = net.in_weights[self.rows, None] * self.grid + net.in_bias[self.rows, None]
-        self._relu()
+        weights, bias = net.in_weights[self.rows, None], net.in_bias[self.rows, None]
+        self._relu(lambda nodes: weights * self.grid[nodes] + bias)
 
     def readout(self, weights: np.ndarray, bias: float) -> np.ndarray:
         """Values on the grid of the affine row weights . state + bias, without
@@ -201,32 +202,56 @@ class _SharedGrid:
         return out
 
     def step(self, weights: np.ndarray, bias: np.ndarray) -> bool:
-        """Advance the live rows through one hidden layer: one matmul on the
-        grid, the ReLU (`_relu`), then a joint prune that drops the nodes
-        where no row kinks (`cpwl._prune`, the CPwL canonical form applied to
-        all rows at once).  True when the prune dropped some node."""
-        # no local name: it would keep the pre-ReLU rows alive through the prune
-        self.vals = weights[self.rows, self.rows] @ self.vals
-        if self.special:
-            self.vals += np.multiply.outer(weights[self.rows, 0], self.grid)
-        self.vals += bias[self.rows, None]
-        self._relu()
+        """Advance the live rows through one hidden layer: its affine map on
+        the grid and the ReLU (`_relu`), then a joint prune that drops the
+        nodes where no row kinks (`cpwl._prune`, the CPwL canonical form
+        applied to all rows at once).  True when the prune dropped some node."""
+        inner, source = weights[self.rows, self.rows], weights[self.rows, 0]
+        shift = bias[self.rows, None]
+
+        def layer(nodes):
+            out = inner @ self.vals[:, nodes]
+            if self.special:
+                out += np.multiply.outer(source, self.grid[nodes])
+            out += shift
+            return out
+
+        self._relu(layer)
         size = self.grid.size
         self.grid, self.vals = cpwl._prune(self.grid, self.vals)
         return self.grid.size < size
 
-    def _relu(self) -> None:
-        """Insert every row's zero crossings into the grid (`cpwl._crossings`,
-        which also gives each crossing's segment), then clamp at 0.  Every row
-        is evaluated at the new nodes by its own linear segment
-        (`cpwl._insert`), so a crossing row holds its clamped value at the
-        rounded crossing, not the forced 0 of `cpwl.relu`.
+    def _relu(self, layer) -> None:
+        """Set the rows to the ReLU of `layer(nodes)`, the pre-activation rows
+        on a slice of grid nodes, with every row's zero crossings inserted
+        into the grid (`cpwl._crossings`, `cpwl._insert`) and then clamped at
+        0.  Every row is evaluated at the new nodes by its own linear segment,
+        so a crossing row holds its clamped value at the rounded crossing, not
+        the forced 0 of `cpwl.relu`.  `live` counts the rows.
+
+        The grid is read in blocks of cpwl._SWEEP_BLOCK segments that meet at
+        one node.  Each crossing lies inside its segment, so the blocks'
+        crossings, taken in order, are sorted and distinct.  A first pass
+        finds them, so the node budget is checked before the grown arrays
+        exist; a second writes each block into them.
         """
-        new, right = cpwl._crossings(self.grid, self.vals)
-        if self.grid.size + new.size + self.held > cpwl.DEFAULT_NODE_BUDGET:
+        g = self.grid
+        blocks = []
+        for start in range(0, g.size - 1, cpwl._SWEEP_BLOCK):
+            nodes = slice(start, start + cpwl._SWEEP_BLOCK + 1)
+            x, pre = g[nodes], layer(nodes)
+            blocks.append((x, pre, *cpwl._crossings(x, pre)))
+        size = g.size + sum([new.size for _, _, new, _ in blocks])
+        if size + self.held > cpwl.DEFAULT_NODE_BUDGET:
             raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
-        self.grid, v, _ = cpwl._insert(self.grid, self.vals, new, right)
-        self.vals = np.maximum(v, 0.0, out=v)
+        self.grid, self.vals = np.empty(size), np.empty((self.live, size))
+        start = 0
+        for x, pre, new, right in blocks:
+            end = start + x.size + new.size
+            _, vals, _ = cpwl._insert(x, pre, new, right, (self.grid[start:end],
+                                                           self.vals[:, start:end]))
+            np.maximum(vals, 0.0, out=vals)
+            start = end - 1
 
 
 def _sum_parts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -470,8 +495,10 @@ def _extract(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
         if carry:
             continue
         if shared.special:
-            if rail_grid is not shared.grid:
-                rail_grid, rail = shared.grid, np.interp(shared.grid, rail_grid, rail)
+            # until the prune drops a node the grid only grows: same size, same grid
+            if rail.size != shared.grid.size:
+                rail = np.interp(shared.grid, rail_grid, rail)
+            rail_grid = shared.grid
             rail += shared.readout(weights[-1], bias[-1])
         if shared.step(weights, bias) and shared.special:
             parts.append((rail_grid, rail))

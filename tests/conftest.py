@@ -105,16 +105,138 @@ def reference_insert(g, v, new, right):
     return grid, vals, at
 
 
-def reference_shared_relu(shared):
+def reference_shared_relu(shared, layer):
     """_SharedGrid._relu with the crossings of reference_crossings, each
     placed by np.searchsorted, and the nodes inserted by reference_insert,
-    kept as a test-only reference for the layer step's ReLU."""
-    new = reference_crossings(shared.grid, shared.vals)
+    all on the whole grid at once, kept as a test-only reference for the
+    layer step's ReLU."""
+    pre = layer(slice(None))
+    new = reference_crossings(shared.grid, pre)
     if shared.grid.size + new.size + shared.held > cpwl.DEFAULT_NODE_BUDGET:
         raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
-    shared.grid, v, _ = reference_insert(shared.grid, shared.vals, new,
+    shared.grid, v, _ = reference_insert(shared.grid, pre, new,
                                          np.searchsorted(shared.grid, new))
     shared.vals = np.maximum(v, 0.0, out=v)
+
+
+def seam_rows(rng, size, rows):
+    """A grid of `size` nodes and rows on it (one row when rows is 0): signs
+    that change in nearly half of the segments, zeros of both signs, and
+    every fifth interior node straight in every row, so the prune drops
+    it."""
+    g = np.linspace(0.0, 1.0, size)
+    g[1:-1] += rng.uniform(-0.3, 0.3, size - 2) / (size - 1)
+    v = rng.normal(size=(max(rows, 1), size)) + 0.4
+    v[rng.random(v.shape) < 0.05] = 0.0
+    v[rng.random(v.shape) < 0.05] = -0.0
+    for i in range(2, size - 1, 5):
+        v[:, i] = v[:, i - 1] + (v[:, i + 1] - v[:, i - 1]) * (
+            (g[i] - g[i - 1]) / (g[i + 1] - g[i - 1]))
+    return g, (v if rows else v[0])
+
+
+def reference_unblocked_crossings(g, v):
+    """cpwl._crossings before the blocked layer step, kept as a test-only
+    reference: the hits found on the 2-d rows, gathered by fancy indexing."""
+    a, b = v[..., :-1], v[..., 1:]
+    hit = np.nonzero(a * b < 0.0)
+    seg = hit[-1]
+    if not seg.size:
+        return g[:0], seg
+    cross, far = cpwl._cross(g.take(seg), g.take(seg + 1), a[hit], b[hit])
+    cross, seg = cross[far], seg[far]
+    order = np.argsort(cross, kind="stable")
+    new, right = cross[order], seg[order] + 1
+    first = np.ones(new.size, dtype=bool)
+    first[1:] = new[1:] != new[:-1]
+    return new[first], right[first]
+
+
+def reference_unblocked_insert(g, v, new, right):
+    """cpwl._insert before the blocked layer step, kept as a test-only
+    reference: the old nodes placed by a 2-d boolean mask."""
+    if not new.size:
+        return g, v, np.empty(0, dtype=np.intp)
+    at = right + np.arange(new.size)
+    left = right - 1
+    gl, vl = g.take(left), np.take(v, left, axis=-1)
+    mid = (np.take(v, right, axis=-1) - vl) / (g.take(right) - gl) * (new - gl) + vl
+    old = np.ones(g.size + new.size, dtype=bool)
+    old[at] = False
+    grid = np.empty(old.size)
+    grid[old] = g
+    grid[at] = new
+    vals = np.empty(v.shape[:-1] + old.shape)
+    vals[..., old] = v
+    vals[..., at] = mid
+    return grid, vals, at
+
+
+def reference_unblocked_prune(g, v):
+    """cpwl._prune before the blocked kink test, kept as a test-only
+    reference: every interior node tested in one pass."""
+    while g.size > 2:
+        slopes = v[..., 1:] - v[..., :-1]
+        slopes /= g[1:] - g[:-1]
+        gap = slopes[..., 1:] - slopes[..., :-1]
+        np.abs(gap, out=gap)
+        np.abs(slopes, out=slopes)
+        tol = np.maximum(slopes[..., 1:], slopes[..., :-1])
+        np.maximum(tol, 1.0, out=tol)
+        tol *= cpwl.SLOPE_TOL
+        kink = (gap > tol).reshape(-1, g.size - 2).any(axis=0)
+        if kink.all():
+            break
+        if not np.isfinite(tol[..., ~kink]).all() and np.isfinite(v).all():
+            raise DomainError(cpwl.SLOPE_OVERFLOW)
+        keep = np.concatenate(([True], kink, [True]))
+        g, v = g[keep], v[..., keep]
+    return g, v
+
+
+def reference_unblocked_step(shared, weights, bias):
+    """_SharedGrid.step before blocking, kept as a test-only reference: one
+    matmul over the whole grid, then the crossings, insert and prune of the
+    unblocked references above."""
+    shared.vals = weights[shared.rows, shared.rows] @ shared.vals
+    if shared.special:
+        shared.vals += np.multiply.outer(weights[shared.rows, 0], shared.grid)
+    shared.vals += bias[shared.rows, None]
+    new, right = reference_unblocked_crossings(shared.grid, shared.vals)
+    if shared.grid.size + new.size + shared.held > cpwl.DEFAULT_NODE_BUDGET:
+        raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
+    shared.grid, v, _ = reference_unblocked_insert(shared.grid, shared.vals, new, right)
+    shared.vals = np.maximum(v, 0.0, out=v)
+    size = shared.grid.size
+    shared.grid, shared.vals = reference_unblocked_prune(shared.grid, shared.vals)
+    return shared.grid.size < size
+
+
+def reference_unblocked_sawtooth_sum(order, settle):
+    """cli._dyadic_sawtooth_sum before blocking, kept as a test-only
+    reference: every term runs over all points at once."""
+    def run(t, total, terms):
+        term = np.empty_like(t)
+        for i in terms:
+            np.subtract(1.0, t, out=term)
+            np.minimum(t, term, out=term)
+            term *= 2.0 ** -i
+            total += term
+            t += t
+            np.subtract(t, 1.0, out=t, where=t >= 1.0)
+
+    def evaluate(x):
+        xs = np.asarray(x, dtype=float)
+        t = np.array(np.mod(xs, 1.0))
+        total = np.zeros_like(xs)
+        run(t, total, range(min(settle, order)))
+        if settle < order:
+            live = np.flatnonzero(t)
+            rest = total.take(live)
+            run(t.take(live), rest, range(settle, order))
+            np.put(total, live, rest)
+        return total
+    return evaluate
 
 
 def _reference_affine(states, weights, bias):
@@ -455,6 +577,15 @@ def reference_compile_wide(target, width):
 def same_cpwl(f, g):
     """Two CPwL functions hold the same breakpoints and values."""
     return np.array_equal(f.breakpoints, g.breakpoints) and np.array_equal(f.values, g.values)
+
+
+def same_bits(got, want):
+    """Equal sequences of arrays, shapes and signs of zero included
+    (np.array_equal reads -0.0 == 0.0)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def same_weights(a, b):

@@ -423,3 +423,20 @@ def test_ar_seminorm():
     records.append(approx.ExperimentRecord(15, 0, float("nan"), 0.0))
     assert approx.ar_seminorm(records, 2.0) == pytest.approx(3.0)
     assert math.isnan(approx.ar_seminorm([], 1.0))
+
+
+def test_union_of_sorted_grids_is_union1d():
+    """measure_sigma merges its sorted, distinct point sets with one stable
+    sort: the values of np.union1d, overlapping and repeated sets included
+    (-0.0 and 0.0 count as one point, as in np.union1d)."""
+    rng = np.random.default_rng(73)
+    grid = np.linspace(0.0, 1.0, 4099)
+    nodes = extract_cpwl(takagi_network([2.0 ** -(i + 1) for i in range(12)])).breakpoints
+    pairs = [(grid, nodes), (nodes, grid), (grid, grid), (grid, np.array([0.5])),
+             (np.array([-0.0, 1.0]), np.array([0.0, 0.25, 1.0]))]
+    for _ in range(20):
+        a, b = (np.unique(rng.integers(0, 50, rng.integers(1, 40)) / 49.0) for _ in range(2))
+        pairs.append((a, b))
+    for a, b in pairs:
+        got, want = approx._union(a, b), np.union1d(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -11,6 +11,7 @@ from conftest import (
     overflowing_reset_net,
     random_spline,
     reference_dyadic_sawtooth_sum,
+    reference_unblocked_sawtooth_sum,
     reference_eval_csv,
     slope_overflow_nets,
     text_io_networks,
@@ -278,6 +279,26 @@ def test_dyadic_sawtooth_sum_matches_the_term_by_term_closed_form():
         for x in (1.0 / 3.0, np.float64(0.25), np.array(1.0 / 3.0), np.array(0.5)):
             got = target(x)
             assert np.shape(got) == () and got == ref(x)
+
+
+def test_blocked_sawtooth_sum_matches_the_unblocked_reference(monkeypatch):
+    """The Takagi target runs every term on one block of points before the
+    next: block - 1, block, block + 1 and 3 block + 7 points (at the
+    library's block and at a block of 7), 2-d arrays and 0-d inputs give the
+    bits and shape of the unblocked reference, settled points included."""
+    rng = np.random.default_rng(71)
+    for block in (cpwl._SWEEP_BLOCK, 7):
+        monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", block)
+        points = [np.sort(rng.uniform(0.0, 1.0, size)) for size in
+                  (block - 1, block, block + 1, 3 * block + 7)]
+        points[-1][::3] = rng.integers(0, 2 ** 12 + 1, points[-1][::3].size) / 2.0 ** 12
+        rows = np.concatenate([points[0], points[2]]).reshape(2, -1)
+        points += [rows, rows.T, np.array(0.375), np.array(1.0 / 3.0), 0.75]
+        for order, settle in ((14, 15), (40, 21), (8, 8), (6, 0)):
+            want_of = reference_unblocked_sawtooth_sum(order, settle)
+            for xs in points:
+                got, want = cli._dyadic_sawtooth_sum(order, settle)(xs), want_of(xs)
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 def test_takagi_and_rates_print_the_pinned_errors(capsys):

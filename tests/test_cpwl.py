@@ -17,8 +17,13 @@ from conftest import (
     reference_relu,
     reference_sine_cpwl,
     reference_takagi_partial,
+    reference_unblocked_crossings,
+    reference_unblocked_insert,
+    reference_unblocked_prune,
     reference_write_spline,
+    same_bits,
     same_cpwl,
+    seam_rows,
 )
 from spline2relu import cpwl
 from spline2relu.errors import DomainError, ParseError, ResourceError
@@ -220,6 +225,77 @@ def test_rows_crossing_at_one_point_insert_one_node():
     assert np.isin(new, grid[at]).all()
     assert np.array_equal(vals[1, at], 2.0 * vals[0, at])
     assert np.array_equal(vals[2, at], -vals[0, at])
+
+
+@pytest.mark.parametrize("rows", [0, 2, 5])
+def test_blocked_prune_matches_the_unblocked_reference(rows, monkeypatch):
+    """The prune's kink test runs block by block: grids of block - 1, block,
+    block + 1 and 3 block + 7 nodes, at the library's block and at a block
+    of 7, prune to the reference's arrays, signs of zero included."""
+    rng = np.random.default_rng(53 + rows)
+    for block in (cpwl._SWEEP_BLOCK, 7):
+        monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", block)
+        for size in (block - 1, block, block + 1, 3 * block + 7):
+            g, v = seam_rows(rng, size, rows)
+            got = cpwl._prune(g, v)
+            want = reference_unblocked_prune(g, v)
+            assert got[0].size < g.size
+            same_bits(got, want)
+
+
+def test_prune_drops_nodes_at_a_block_seam(monkeypatch):
+    """Interior nodes 1 .. block are the first block, block + 1 .. the
+    second: straight nodes on either side of the seam, and a kink right at
+    it, are read as the reference reads them."""
+    monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", 8)
+    g = np.linspace(0.0, 1.0, 26)
+    for seam in ([8], [9], [16], [17], [8, 10], [7, 9], [15, 17]):
+        v = np.stack([np.abs(g - 0.5), g * g])
+        v[:, seam] = v[:, [i - 1 for i in seam]] + (g[seam] - g[[i - 1 for i in seam]]) * (
+            (v[:, [i + 1 for i in seam]] - v[:, [i - 1 for i in seam]])
+            / (g[[i + 1 for i in seam]] - g[[i - 1 for i in seam]]))
+        got = cpwl._prune(g, v)
+        same_bits(got, reference_unblocked_prune(g, v))
+        assert not np.isin(g[seam], got[0]).any()
+
+
+def test_slope_overflow_in_a_later_block_raises(monkeypatch):
+    """A node to drop next to an overflowing slope raises SLOPE_OVERFLOW in
+    whichever block it lies, as in the reference; a value that is not
+    finite anywhere leaves it to the caller."""
+    monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", 8)
+    g = np.linspace(0.0, 1.0, 40)
+    # row 0 kinks at every node but 28 .. 31, the fourth block's; in row 1
+    # the slope 1.5e308 / (1/39) left of node 30 overflows
+    v = np.stack([np.where(np.arange(40) % 2, 1.0, -1.0), g])
+    v[0, 27:33] = np.linspace(-1.0, 1.0, 6)
+    v[1, 30:] = 1.5e308
+    v[1, 29] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prune in (reference_unblocked_prune, cpwl._prune):
+            with pytest.raises(DomainError, match="slope overflows"):
+                prune(g, v)
+        v[0, -1] = np.inf  # an end node, so it is never dropped
+        same_bits(cpwl._prune(g, v), reference_unblocked_prune(g, v))
+
+
+def test_crossings_and_insert_match_the_unblocked_references():
+    """The crossings gathered through the flat rows and the rows scattered one
+    at a time (into fresh arrays, or into a slice of larger ones) match the
+    2-d references, signs of zero included."""
+    rng = np.random.default_rng(59)
+    inputs = list(_rows_on_grids(61))
+    inputs += [seam_rows(rng, size, rows) for size in (2, 3, 40, 4097) for rows in (0, 1, 3)]
+    for g, v in inputs:
+        new, right = cpwl._crossings(g, v)
+        same_bits((new, right), reference_unblocked_crossings(g, v))
+        want = reference_unblocked_insert(g, v, new, right)
+        same_bits(cpwl._insert(g, v, new, right), want)
+        size = g.size + new.size
+        grid, vals = np.full(size + 5, 7.0), np.full(v.shape[:-1] + (size + 5,), 7.0)
+        got = cpwl._insert(g, v, new, right, (grid[2:-3], vals[..., 2:-3]))
+        same_bits(got, want)
+        assert (grid[:2] == 7.0).all() and (vals[..., -3:] == 7.0).all()
 
 
 def test_relu_inserts_exact_crossings():

@@ -18,8 +18,11 @@ from conftest import (
     reference_every_layer_states,
     reference_extract,
     reference_shared_relu,
+    reference_unblocked_step,
+    same_bits,
     same_cpwl,
     same_lifts,
+    seam_rows,
     two_deep_net,
 )
 from spline2relu import approx, compiler, cpwl, network
@@ -534,3 +537,87 @@ def test_carry_layers_skipped_bit_for_bit(monkeypatch):
         assert len(out) == len(want)
         assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
                    for a, b in zip(out, want)), net
+
+
+def _identity_grid(grid, vals):
+    """A plain network's shared grid set to (grid, vals); stepping it through
+    the identity layer with zero bias reads vals as the pre-activation."""
+    rows = vals.shape[0]
+    shared = _SharedGrid(ReluNetwork(np.ones(rows), np.zeros(rows), np.eye(rows)[None],
+                                     np.zeros((1, rows)), np.ones(rows), 0.0))
+    shared.grid, shared.vals = grid, vals
+    return shared
+
+
+def _step_both(shared, weights, bias):
+    """The grid, rows and return value of the blocked step, and of the
+    unblocked reference step on a copy."""
+    ref = _identity_grid(shared.grid, shared.vals)
+    ref.__dict__.update(shared.__dict__)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dropped = shared.step(weights, bias)
+        ref_dropped = reference_unblocked_step(ref, weights, bias)
+    assert dropped == ref_dropped
+    return (shared.grid, shared.vals), (ref.grid, ref.vals)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 6])
+def test_blocked_step_matches_the_unblocked_step(rows, monkeypatch):
+    """The layer step runs block by block: grids of block - 1, block, block +
+    1 and 3 block + 7 nodes, at the library's block and at a block of 7, step
+    to the reference's grid and rows, through the identity layer and a mixing
+    one."""
+    rng = np.random.default_rng(67 + rows)
+    for block in (cpwl._SWEEP_BLOCK, 7):
+        monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", block)
+        for size in (block - 1, block, block + 1, 3 * block + 7):
+            grid, vals = seam_rows(rng, size, rows)
+            for weights in (np.eye(rows), rng.normal(size=(rows, rows))):
+                bias = rng.normal(size=rows) * 0.1
+                got, want = _step_both(_identity_grid(grid, vals), weights, bias)
+                assert not np.array_equal(got[0], grid)
+                same_bits(got, want)
+
+
+def test_crossings_at_a_block_seam_are_inserted_once(monkeypatch):
+    """Blocks of 8 segments meet at node 8: a row that crosses zero in the
+    last segment of one block and in the first of the next, and a row that
+    is 0 of either sign at the seam, step as the reference steps them; the
+    prune drops every straight node around them."""
+    monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", 8)
+    grid = np.linspace(0.0, 1.0, 25)
+    for zero in (0.0, -0.0):
+        vals = np.stack([np.full(25, 1.0), np.linspace(-1.0, 2.0, 25), 1.0 + grid])
+        vals[0, 7:10] = [-1.0, 1.0, -1.0]
+        vals[1, 8] = zero
+        got, want = _step_both(_identity_grid(grid, vals), np.eye(3), np.zeros(3))
+        same_bits(got, want)
+        # one crossing on either side of the seam node, which kinks and stays
+        inside = [((got[0] > grid[i]) & (got[0] < grid[i + 1])).sum() for i in (7, 8)]
+        assert inside == [1, 1] and grid[8] in got[0]
+
+
+def test_extraction_identical_with_the_unblocked_step(monkeypatch):
+    """Takagi orders 1..20 and the carry corpus extract to the bits the
+    unblocked step gives, at the library's block and, for the carry corpus,
+    at a block of 7 segments and nodes; Takagi 21 outgrows the node budget
+    with the reference's error."""
+    takagi = [takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 21)]
+    corpus = list(_carry_corpus())
+    got = [extract_cpwl(net) for net in takagi + corpus]
+    monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", 7)
+    small = [extract_cpwl(net) for net in corpus]
+    big = takagi_network([2.0 ** -(i + 1) for i in range(21)])
+    monkeypatch.undo()
+    with pytest.raises(ResourceError) as blocked:
+        extract_cpwl(big)
+    monkeypatch.setattr(_SharedGrid, "step", reference_unblocked_step)
+    for net, f in zip(takagi + corpus, got):
+        want = extract_cpwl(net)
+        same_bits((f.breakpoints, f.values), (want.breakpoints, want.values))
+    for net, f in zip(corpus, small):
+        want = extract_cpwl(net)
+        same_bits((f.breakpoints, f.values), (want.breakpoints, want.values))
+    with pytest.raises(ResourceError) as unblocked:
+        extract_cpwl(big)
+    assert str(blocked.value) == str(unblocked.value) == "extraction grew past 2097152 nodes"
