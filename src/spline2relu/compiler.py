@@ -559,9 +559,12 @@ def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
     """Special network for a finite sawtooth-trigonometric sum.
 
     `terms` lists (index, cosine coefficient, sine coefficient).  Each pair is
-    the parallel sum of its two atoms, each padded to depth p with identity
-    layers.  Pairs are grouped floor((width-2)/4) at a time; each group's
-    width-4 pairs run side by side, and the groups are summed sequentially.
+    the parallel sum of its two atoms.  Pairs are grouped floor((width-2)/4)
+    at a time; each group's width-4 pairs run side by side, every atom padded
+    with identity layers to the depth ceil(log2 lambda_g) + 2 of the sine of
+    the group's largest index lambda_g, and the groups are summed
+    sequentially.  The report's budget is the paper's bound, the parameter
+    count at depth 2 * ceil(k / g) * (ceil(log2 lambda) + 2).
     Coefficients must be finite, and 8 * lambda * sum(|a| + |b|) must not
     overflow (lambda the largest index so far): that bounds every weight, and
     every slope and kink of the sum.
@@ -584,18 +587,17 @@ def compile_fourier_sum(terms: Sequence[tuple[int, float, float]], width: int
         if not math.isfinite(8.0 * top * total):
             raise DomainError(f"coefficients of index {j} overflow: 8 * lambda * "
                               "sum(|a| + |b|) is not finite")
-    lam = max(indices)
-    p = 2 * (max(0, math.ceil(math.log2(lam))) + 2)
     group_size = (width - 2) // 4
-    pairs = [parallel_sum([_deepen(fourier_atom("cosine", j), p),
-                           _deepen(fourier_atom("sine", j), p)], [a, b])
-             for j, a, b in terms]
     blocks = []
-    for g in range(0, len(pairs), group_size):
-        block = parallel_sum(pairs[g:g + group_size])
-        blocks.append(pad_width(block, width - 2))
+    for g in range(0, len(terms), group_size):
+        group = terms[g:g + group_size]
+        atoms = [(fourier_atom("cosine", j), fourier_atom("sine", j)) for j, _, _ in group]
+        depth = max(sine.depth for _, sine in atoms)
+        pairs = [parallel_sum([_deepen(cosine, depth), _deepen(sine, depth)], [a, b])
+                 for (cosine, sine), (_, a, b) in zip(atoms, group)]
+        blocks.append(pad_width(parallel_sum(pairs), width - 2))
     net = stack_sum(blocks)
-    depth_bound = math.ceil(len(terms) / group_size) * p
+    depth_bound = 2 * math.ceil(len(terms) / group_size) * (math.ceil(math.log2(max(indices))) + 2)
     oracle_n = fourier_oracle(terms).n_interior
     return net, _report(net, param_count(width, depth_bound), oracle_n)
 

@@ -83,20 +83,18 @@ class ReluNetwork:
 
     def _states(self, xa: np.ndarray):
         """Hidden states after layers 0 .. L-1 at the points xa; two buffers
-        take turns, so each state is overwritten two steps later.  A carry
-        layer (see `carry_layers`) yields the state it was given again."""
+        take turns, so each state is overwritten two steps later."""
         lb = self._lower_bound()[:, None]
         state = self.in_weights[:, None] @ xa[None, :]
         state += self.in_bias[:, None]
         np.maximum(state, lb, out=state)
         yield state
         spare = np.empty_like(state)
-        for weights, bias, carry in zip(self.hidden_weights, self.hidden_bias, carry_layers(self)):
-            if not carry:
-                np.matmul(weights, state, out=spare)
-                spare += bias[:, None]
-                np.maximum(spare, lb, out=spare)
-                state, spare = spare, state
+        for weights, bias in zip(self.hidden_weights, self.hidden_bias):
+            np.matmul(weights, state, out=spare)
+            spare += bias[:, None]
+            np.maximum(spare, lb, out=spare)
+            state, spare = spare, state
             yield state
 
     def _not_finite(self, xa: np.ndarray) -> DomainError:
@@ -174,17 +172,10 @@ class _SharedGrid:
     and the collation rail, which no computational node reads, is left to the
     caller through `readout`.  Every row is linear between adjacent grid nodes.
     `held` counts nodes the caller keeps outside the grid, for the budget.
-    `carry` marks the hidden layers the callers skip: on a canonical grid a
-    carry layer's step would give back the grid and rows it was given.
     """
 
     def __init__(self, net: ReluNetwork):
         self.special = net.special
-        # only a step leaves the grid canonical, so the first hidden layer
-        # steps even as a carry layer: its prune drops the input layer's
-        # crossings where no row kinks
-        self.carry = carry_layers(net)
-        self.carry[:1] = False
         self.rows = slice(1, net.width - 1) if net.special else slice(None)
         self.live = net.width - 2 if net.special else net.width
         self.held = 0
@@ -276,24 +267,6 @@ def reset_layers(net: ReluNetwork) -> np.ndarray:
         return np.zeros(1, dtype=int)
     reset = ~net.hidden_weights[:, 1:-1, 1:-1].any(axis=(1, 2))
     return np.concatenate(([0], 1 + np.flatnonzero(reset)))
-
-
-def carry_layers(net: ReluNetwork) -> np.ndarray:
-    """Mask over the hidden layers 1 .. L-1 (`hidden_weights`) of the carry
-    layers: zero bias and a diagonal weight matrix whose every entry is 1, or
-    0 on a channel that the layer before left at exactly 0 (a zero row with
-    zero bias; before layer 1, a zero input weight with zero input bias).
-    Every state is post-ReLU or a rail, so relu(1 h) = h, and 0 stays 0: a
-    carry layer maps every state it can be given to itself, and the layer
-    loops (`ReluNetwork._states`, `_extract`, `_courses`) skip it."""
-    hidden, bias = net.hidden_weights, net.hidden_bias
-    diag = np.diagonal(hidden, axis1=1, axis2=2)
-    # silent[l]: the channels layer l leaves at exactly 0
-    silent = np.concatenate([((net.in_weights == 0.0) & (net.in_bias == 0.0))[None],
-                             ~hidden.any(axis=2) & (bias == 0.0)])
-    diagonal = np.count_nonzero(hidden, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
-    kept = (diag == 1.0) | ((diag == 0.0) & silent[:-1])
-    return diagonal & ~bias.any(axis=1) & kept.all(axis=1)
 
 
 def _depth_one(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -433,8 +406,7 @@ def extract_cpwl(net: ReluNetwork) -> cpwl.CPwL:
     are all one layer deep or all two deep is read from its weights in
     closed form (`_depth_one`, `_depth_two`).  Any other network steps one
     hidden layer at a time on a shared grid (`_SharedGrid.step`): a matmul, a ReLU
-    that inserts zero crossings, and a joint prune.  It skips the carry layers
-    (`carry_layers`) after the first, which map the grid to itself.  The collation rail of a
+    that inserts zero crossings, and a joint prune.  The collation rail of a
     special network is summed on the grid while the grid only grows; when the
     prune drops nodes the partial sum is set aside, and all set-aside parts
     are summed pairwise once at the end.
@@ -461,10 +433,9 @@ def values_at(net: ReluNetwork, xs) -> np.ndarray:
     `np.interp`, as `CPwL.eval` reads a function.  The closed form holds at
     most one node per unit plus the crossings of each row between a
     segment's nodes, a count bounded by the parameter count, so no node
-    budget applies.  Any other network steps its layers but the carry
-    layers (`ReluNetwork.forward`, `carry_layers`).  A value that is
-    not finite raises the DomainError of `extract_cpwl`, naming the first
-    layer that overflows.
+    budget applies.  Any other network steps every layer through
+    `ReluNetwork.forward`.  A value that is not finite raises the DomainError
+    of `extract_cpwl`, naming the first layer that overflows.
     """
     xa = np.asarray(xs, dtype=float)
     if not ((xa >= 0.0) & (xa <= 1.0)).all():
@@ -491,9 +462,7 @@ def _extract(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
     shared = _SharedGrid(net)
     parts = []
     rail_grid, rail = shared.grid, np.zeros(shared.grid.size)
-    for weights, bias, carry in zip(net.hidden_weights, net.hidden_bias, shared.carry):
-        if carry:
-            continue
+    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
         if shared.special:
             # until the prune drops a node the grid only grows: same size, same grid
             if rail.size != shared.grid.size:
@@ -518,8 +487,7 @@ def _courses(net: SpecialNetwork):
     the shared grid, to the course it was given: a union of the two grids, two
     interpolations and the CPwL canonical form.  A layer whose row and bias are
     zero writes nothing and yields the course unchanged, and the grid steps no
-    further than the last layer that writes, nor through a carry layer after
-    the first (`carry_layers`).
+    further than the last layer that writes.
     """
     if not isinstance(net, SpecialNetwork):
         raise StructureError("expected a special network")
@@ -538,7 +506,7 @@ def _courses(net: SpecialNetwork):
             nodes, values = cpwl._prune(grid, vals)
             shared.held = nodes.size
         yield nodes, values
-        if layer < last and not shared.carry[layer]:
+        if layer < last:
             shared.step(weights, bias)
 
 

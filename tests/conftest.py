@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from spline2relu import approx, cpwl, riesz
-from spline2relu.combinators import concat_sum
-from spline2relu.compiler import _pad_knots, block_size, compile_spline
+from spline2relu.combinators import concat_sum, pad_width, parallel_sum, stack_sum
+from spline2relu.compiler import _deepen, _pad_knots, block_size, compile_spline, fourier_atom
 from spline2relu.errors import DomainError, ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
@@ -282,8 +282,8 @@ def reference_courses(net):
 
 
 def reference_every_layer_states(self, xa):
-    """ReluNetwork._states stepping every hidden layer, carry layers too, kept
-    as a test-only reference for `carry_layers`."""
+    """ReluNetwork._states stepping every hidden layer, identity padding too,
+    kept as a test-only reference that padded networks step as any other."""
     lb = self._lower_bound()[:, None]
     state = self.in_weights[:, None] @ xa[None, :]
     state += self.in_bias[:, None]
@@ -299,8 +299,8 @@ def reference_every_layer_states(self, xa):
 
 
 def reference_every_layer_extract(net):
-    """network._extract stepping every hidden layer, carry layers too, kept
-    as a test-only reference for `carry_layers`."""
+    """network._extract stepping every hidden layer, identity padding too,
+    kept as a test-only reference that padded networks step as any other."""
     closed = _closed_form(net)
     if closed is not None:
         x, v = closed(net)
@@ -327,8 +327,8 @@ def reference_every_layer_extract(net):
 
 def reference_every_layer_courses(net):
     """network._courses stepping every hidden layer up to the last that
-    writes, carry layers too, kept as a test-only reference for
-    `carry_layers`."""
+    writes, identity padding too, kept as a test-only reference that padded
+    networks step as any other."""
     if not isinstance(net, SpecialNetwork):
         raise StructureError("expected a special network")
     writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
@@ -348,6 +348,23 @@ def reference_every_layer_courses(net):
         yield nodes, values
         if layer < last:
             shared.step(weights, bias)
+
+
+def reference_fourier_sum_full_depth(terms, width):
+    """compile_fourier_sum's network with every atom padded to the global
+    depth 2 * (ceil(log2 lambda) + 2), kept as a test-only reference: the
+    library pads each group's atoms only to the depth of its deepest atom,
+    and the layers it leaves out are identity layers after every state."""
+    p = 2 * (max(0, math.ceil(math.log2(max(j for j, _, _ in terms)))) + 2)
+    group_size = (width - 2) // 4
+    pairs = [parallel_sum([_deepen(fourier_atom("cosine", j), p),
+                           _deepen(fourier_atom("sine", j), p)], [a, b])
+             for j, a, b in terms]
+    blocks = []
+    for g in range(0, len(pairs), group_size):
+        block = parallel_sum(pairs[g:g + group_size])
+        blocks.append(pad_width(block, width - 2))
+    return stack_sum(blocks)
 
 
 def reference_lifts(net):

@@ -302,21 +302,26 @@ def test_criterion_09_fourier_atoms_and_sums():
             indices = rng.choice(np.arange(1, 41), size=count, replace=False)
             terms = [(int(j), float(rng.uniform(-1, 1)),
                       float(rng.uniform(-1, 1))) for j in indices]
-            net, _ = compiler.compile_fourier_sum(terms, width)
+            net, report = compiler.compile_fourier_sum(terms, width)
             lam = max(j for j, _, _ in terms)
             group = (width - 2) // 4
             bound = 2 * math.ceil(count / group) * ((lam - 1).bit_length() + 2)
+            # each group is as deep as the sine of its largest index
+            depth = sum((max(j for j, _, _ in terms[g:g + group]) - 1).bit_length() + 2
+                        for g in range(0, count, group))
             dev = cpwl.sup_diff(network.extract_cpwl(net),
                                 compiler.fourier_oracle(terms))
-            if net.depth != bound or dev > 1e-9:
-                bad.append((width, terms, net.depth, bound, dev))
+            if (net.depth != depth or report.budget_bound != network.param_count(width, bound)
+                    or report.params > report.budget_bound or dev > 1e-9):
+                bad.append((width, terms, net.depth, depth, dev))
             checked += 1
 
     ok = not bad
     _line(9, ok, f"128 harmonic atoms match their closed-form profiles "
                  f"(worst deviation {worst_atom:.2g}, breakpoint counts "
-                 f"exact); {checked} random sums hit the "
-                 f"2*ceil(k/g)*(ceil(log2 lambda)+2) depth bound exactly")
+                 f"exact); {checked} random sums hit the depth "
+                 f"sum_g(ceil(log2 lambda_g)+2) exactly, within the "
+                 f"2*ceil(k/g)*(ceil(log2 lambda)+2) bound")
     assert not bad, bad[:3]
 
 

@@ -373,7 +373,7 @@ def test_fourier_sum_prints_the_pinned_report(capsys):
     # change with how a pair is built
     assert cli.main(["fourier", "--terms", "3:1:0.5,5:-0.25:0", "--width", "10"]) == 0
     head, error = capsys.readouterr().out.split(" sup_error=")
-    assert head == "width=10 depth=10 params=1021 budget=1021 breakpoints=19"
+    assert head == "width=10 depth=5 params=471 budget=1021 breakpoints=19"
     assert float(error) <= 1e-14
 
 

@@ -11,7 +11,7 @@ from conftest import (
     interval_sets,
     random_spline,
     reference_compile_wide,
-    reference_every_layer_states,
+    reference_fourier_sum_full_depth,
     reference_interval_hats,
     reference_self_similar_oracle,
     same_cpwl,
@@ -45,11 +45,9 @@ from spline2relu.errors import (
     DomainError,
 )
 from spline2relu.network import (
-    ReluNetwork,
     _closed_form,
     _depth_one,
     _depth_two,
-    carry_layers,
     extract_cpwl,
     param_count,
 )
@@ -455,9 +453,46 @@ def test_compile_fourier_sum_exact_and_depth():
         assert cpwl.sup_diff(extract_cpwl(net), want) <= 1e-10
         lam = max(j for j, _, _ in terms)
         group = (width - 2) // 4
+        # each group is as deep as the sine of its largest index
+        assert net.depth == sum(math.ceil(math.log2(max(j for j, _, _ in terms[g:g + group]))) + 2
+                                for g in range(0, len(terms), group))
         bound = 2 * math.ceil(len(terms) / group) * (math.ceil(math.log2(lam)) + 2)
-        assert net.depth == bound
-        assert report.params == param_count(width, net.depth)
+        assert report.budget_bound == param_count(width, bound)
+        assert report.params == param_count(width, net.depth) <= report.budget_bound
+
+
+def _fourier_sums():
+    """60 seeded sums at W = 6, 10 and 14 with 1..7 terms in shuffled index
+    order, so groups have different top indices, then (1, 2, 40) at W = 6
+    and the benchmark's large-coefficient canary at W = 10."""
+    rng = np.random.default_rng(41)
+    for width in (6, 10, 14):
+        for _ in range(20):
+            js = rng.choice(np.arange(1, 41), int(rng.integers(1, 8)), replace=False)
+            yield [(int(j), *map(float, rng.uniform(-2.0, 2.0, 2))) for j in js], width
+    yield [(1, 1.0, -0.5), (2, 0.25, 0.75), (40, -1.0, 0.5)], 6
+    yield [(18, -764.8866776838437, 836.5627152718496),
+           (8, 567.8061312607904, 915.386755555927),
+           (24, 2.7824910497016617, 764.850914379376)], 10
+
+
+def test_compile_fourier_sum_matches_the_full_depth_construction():
+    """Padding each group only to its own depth leaves out identity layers,
+    so forward and extraction give the full-depth network's bits, signs of
+    zero included (np.array_equal reads -0.0 == 0.0)."""
+    x = np.linspace(0.0, 1.0, 10001)
+    sums = list(_fourier_sums())
+    assert len(sums) == 62
+    for terms, width in sums:
+        net, _ = compile_fourier_sum(terms, width)
+        full = reference_fourier_sum_full_depth(terms, width)
+        assert net.depth < full.depth
+        f, want = extract_cpwl(net), extract_cpwl(full)
+        for a, b in ((net.forward(x), full.forward(x)), (f.breakpoints, want.breakpoints),
+                     (f.values, want.values)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), terms
+    net, _ = compile_fourier_sum([(1, 1.0, -0.5), (2, 0.25, 0.75), (40, -1.0, 0.5)], 6)
+    assert net.depth == 2 + 3 + 8
 
 
 def test_compile_fourier_sum_validation():
@@ -484,19 +519,15 @@ def test_compile_fourier_sum_needs_no_lift(monkeypatch):
         assert cpwl.sup_diff(extract_cpwl(net), fourier_oracle(terms)) <= 1e-10
 
 
-def test_identity_padding_keeps_atoms_bit_identical(monkeypatch):
-    # every hidden state is post-ReLU, so relu(I h) = h to the bit; forward
-    # skips the padding as carry layers, so the padding is stepped here by the
-    # every-layer reference
+def test_identity_padding_keeps_atoms_bit_identical():
+    # every hidden state is post-ReLU, so relu(I h) = h to the bit
     x = np.linspace(0.0, 1.0, 10001)
-    monkeypatch.setattr(ReluNetwork, "_states", reference_every_layer_states)
     for kind in ("cosine", "sine"):
         for j in range(1, 34):
             atom = fourier_atom(kind, j)
             for extra in (0, 1, 7):
                 deep = _deepen(atom, atom.depth + extra)
                 assert deep.depth == atom.depth + extra and deep.width == atom.width
-                assert carry_layers(deep)[atom.depth - 1:].all()
                 assert np.array_equal(deep.forward(x), atom.forward(x)), (kind, j, extra)
 
 
@@ -514,7 +545,7 @@ def test_compile_fourier_sum_overflow_bound():
     # kink of the sum is below it
     top = np.finfo(float).max / 8
     net, _ = compile_fourier_sum([(3, 0.5 * top / 3, -0.499 * top / 3)], 6)
-    assert net.depth == 8 and np.isfinite(extract_cpwl(net).values).all()
+    assert net.depth == 4 and np.isfinite(extract_cpwl(net).values).all()
     with pytest.raises(DomainError, match="coefficients of index 2 overflow"):
         compile_fourier_sum([(1, 0.3 * top, 0.3 * top), (2, 0.0, 0.1 * top)], 6)
 

@@ -50,7 +50,6 @@ from spline2relu.network import (
     ReluNetwork,
     _courses,
     _SharedGrid,
-    carry_layers,
     extract_cpwl,
     hat_net,
     reset_layers,
@@ -442,7 +441,7 @@ def test_knots_1e13_apart_on_ramps_within_kappa_u():
 
 
 def test_fourier_canary_within_kappa_u():
-    # the benchmark's large-coefficient sum: two segments of depth 14
+    # the benchmark's large-coefficient sum: two segments of depth 7
     terms = [(18, -764.8866776838437, 836.5627152718496),
              (8, 567.8061312607904, 915.386755555927),
              (24, 2.7824910497016617, 764.850914379376)]
@@ -483,11 +482,11 @@ def test_extraction_identical_with_searched_crossings(monkeypatch):
         assert same_cpwl(f, extract_cpwl(net))
 
 
-def _carry_corpus():
+def _padded_corpus():
     """Seeded Fourier sums at W = 6, 10 and 14, `_deepen`-padded atoms,
-    `embed_deeper` pairs, `compile_composition` networks, zero summands and a
-    network whose first hidden layer carries; and Takagi orders 1..16, which
-    have no carry layer."""
+    `embed_deeper` pairs, `compile_composition` networks, zero summands, a
+    network whose first hidden layer is an identity layer, and Takagi orders
+    1..16."""
     rng = np.random.default_rng(31)
     for width in (6, 10, 14):
         for _ in range(6):
@@ -502,8 +501,8 @@ def _carry_corpus():
         chain = [random_spline(rng, 4, 0.05, 0.95) for _ in range(k - 1)] + [random_spline(rng, 5)]
         yield compile_composition(chain, 8)[0]
     yield from (zero_special(width, depth) for width, depth in ((4, 1), (4, 3), (7, 5)))
-    # a first hidden layer that carries still steps: its prune drops the input
-    # layer's kink at 0.5 (a slope change of 2e-20), which the 1e20 weight after it reads
+    # an identity first hidden layer steps: its prune drops the input layer's
+    # kink at 0.5 (a slope change of 2e-20), which the 1e20 weight after it reads
     yield ReluNetwork([1.0, 2e-20], [0.0, -1e-20], [np.eye(2), [[1.0, 0.0], [0.0, 1e20]]],
                       [[0.0, 0.0], [0.0, -0.25]], [0.0, 1.0], 0.0)
     yield from (takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 17))
@@ -521,12 +520,10 @@ def _every_output(net, x):
     return out
 
 
-def test_carry_layers_skipped_bit_for_bit(monkeypatch):
-    """Skipping carry layers gives what stepping every layer gives, signs of
-    zero included (np.array_equal reads -0.0 == 0.0)."""
-    nets = list(_carry_corpus())
-    carries = [carry_layers(net).any() for net in nets]
-    assert sum(carries) > 50 and not any(carries[-16:])
+def test_padded_networks_match_the_every_layer_references(monkeypatch):
+    """Networks with identity padding give what the every-layer references
+    give, signs of zero included (np.array_equal reads -0.0 == 0.0)."""
+    nets = list(_padded_corpus())
     x = np.linspace(0.0, 1.0, 2001)
     got = [_every_output(net, x) for net in nets]
     monkeypatch.setattr(network, "_extract", reference_every_layer_extract)
@@ -598,12 +595,12 @@ def test_crossings_at_a_block_seam_are_inserted_once(monkeypatch):
 
 
 def test_extraction_identical_with_the_unblocked_step(monkeypatch):
-    """Takagi orders 1..20 and the carry corpus extract to the bits the
-    unblocked step gives, at the library's block and, for the carry corpus,
+    """Takagi orders 1..20 and the padded corpus extract to the bits the
+    unblocked step gives, at the library's block and, for the padded corpus,
     at a block of 7 segments and nodes; Takagi 21 outgrows the node budget
     with the reference's error."""
     takagi = [takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 21)]
-    corpus = list(_carry_corpus())
+    corpus = list(_padded_corpus())
     got = [extract_cpwl(net) for net in takagi + corpus]
     monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", 7)
     small = [extract_cpwl(net) for net in corpus]

@@ -18,11 +18,9 @@ from conftest import (
     text_io_networks,
 )
 from spline2relu import cpwl, network
-from spline2relu.combinators import embed_deeper, zero_special
 from spline2relu.compiler import (
     _compile_wide,
     _deepen,
-    compile_fourier_sum,
     compile_shallow,
     compile_spline,
     takagi_network,
@@ -35,7 +33,6 @@ from spline2relu.network import (
     _courses,
     _depth_one,
     _depth_two,
-    carry_layers,
     extract_cpwl,
     hat_net,
     param_count,
@@ -155,41 +152,9 @@ def test_overflow_is_an_error_naming_the_layer():
                 extract_cpwl(bad)
 
 
-def _after_input(layer, bias=(0.0, 0.0, 0.0)):
-    """W = 3 plain network whose one hidden layer follows the input layer,
-    which leaves channel 2 at 0 and channel 1 live (0.5 - x)."""
-    return ReluNetwork([1.0, -1.0, 0.0], [0.0, 0.5, 0.0], [layer], [bias], [1.0, 1.0, 1.0], 0.0)
-
-
-def test_carry_layers_marks_the_layers_that_keep_every_state():
-    assert carry_layers(_after_input(np.eye(3))).tolist() == [True]
-    # a 0 on a channel the layer before left at 0: a zero input weight and bias
-    assert carry_layers(_after_input(np.diag([1.0, 1.0, 0.0]))).tolist() == [True]
-    off = np.eye(3)
-    off[2, 0] = 1e-300
-    for layer, bias in ((np.diag([1.0, 0.0, 1.0]), (0.0, 0.0, 0.0)),  # 0 on a live channel
-                        (np.eye(3), (0.0, 0.0, 1e-300)),  # a nonzero bias
-                        (np.diag([1.0, 2.0, 1.0]), (0.0, 0.0, 0.0)),  # a diagonal entry of 2
-                        (off, (0.0, 0.0, 0.0))):  # an off-diagonal entry, on the silent channel
-        assert carry_layers(_after_input(layer, bias)).tolist() == [False]
-    # a 0 after a zero row with zero bias in a hidden layer; a bias there keeps the channel live
-    first = [[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
-    for row_bias, carry in ((0.0, True), (-0.25, False)):
-        net = ReluNetwork([1.0, -1.0, 1.0], [0.0, 0.5, 0.0], [first, np.diag([1.0, 1.0, 0.0])],
-                          [[0.0, -0.25, row_bias], [0.0, 0.0, 0.0]], [1.0, 1.0, 1.0], 0.0)
-        assert carry_layers(net).tolist() == [False, carry]
-    # the rails of a special network: a zero summand's layers carry once its seam has passed
-    assert carry_layers(zero_special(5, 4)).tolist() == [True] * 3
-    padded = embed_deeper(takagi_network([0.5, 0.25]), 6)
-    assert carry_layers(padded).tolist() == [False, False, True, True, True]
-    assert not carry_layers(takagi_network([2.0 ** -k for k in range(1, 17)])).any()
-    assert carry_layers(hat_net()).size == 0
-
-
-def test_carry_layers_keep_the_layer_that_overflows_named(monkeypatch):
-    """Identity layers after the layer that overflows, which the loops skip,
-    leave forward, values_at and extract_cpwl naming the same layer as
-    stepping every layer does."""
+def test_identity_padding_keeps_the_layer_that_overflows_named(monkeypatch):
+    """Identity layers after the layer that overflows leave forward, values_at
+    and extract_cpwl naming the same layer as the every-layer references."""
     base = overflowing_net()
     messages = []
     for patch in (False, True):
@@ -199,7 +164,6 @@ def test_carry_layers_keep_the_layer_that_overflows_named(monkeypatch):
         seen = []
         for extra in (1, 4):
             net = _deepen(base, base.depth + extra)
-            assert carry_layers(net)[-extra:].all()
             for call in (lambda: net.forward(np.linspace(0.0, 1.0, 11)), lambda: net.forward(0.0),
                          lambda: values_at(net, np.linspace(0.0, 1.0, 11)),
                          lambda: extract_cpwl(net)):
@@ -210,23 +174,6 @@ def test_carry_layers_keep_the_layer_that_overflows_named(monkeypatch):
     assert messages[0] == messages[1]
     assert messages[0][:2] == ["network value is not finite: layer 1 of 4 overflows",
                                "network value is not finite: layer 2 of 4 overflows"]
-
-
-def test_extraction_steps_only_the_layers_that_change_the_state(monkeypatch):
-    """extract_cpwl and the lift's courses step no carry layer after the
-    first hidden layer: a Fourier sum's identity padding is never stepped."""
-    net, _ = compile_fourier_sum([(3, 1.0, 0.5), (5, -0.25, 0.0)], 10)
-    carry = carry_layers(net)
-    assert not carry[0] and carry.sum() >= net.depth // 3
-    steps = []
-    step = network._SharedGrid.step
-    monkeypatch.setattr(network._SharedGrid, "step",
-                        lambda self, w, b: steps.append(1) or step(self, w, b))
-    extract_cpwl(net)
-    assert len(steps) == net.depth - 1 - carry.sum()
-    steps.clear()
-    special_to_standard(net)
-    assert len(steps) <= net.depth - 1 - carry.sum()
 
 
 def test_values_at_reads_all_reset_networks_in_closed_form(monkeypatch):
