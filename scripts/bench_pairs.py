@@ -17,7 +17,8 @@ metrics of one traced pair.
 `fold` groups untraced runs by workload and pair.  Per pair it keeps both
 sides' metrics; per metric it gives medians and quartiles over runs (linear
 interpolation, as numpy.percentile), the parent's IQR (q3 - q1), the wins (a
-pair is a win for the side that reads better, ties counting for neither) and a
+pair is a win for the side that reads better, ties counting for neither), the
+wins of the side that ran first (an order bias shows as a steady count) and a
 status (see METHOD).  Which side is better, and each metric's bound, come from
 BENCHMARK.json.  `--claim-metric WORKLOAD:METRIC` adds the claim's verdict.
 """
@@ -39,7 +40,8 @@ SIDES = ("parent", "change")
 METHOD = ("pairs alternate which side runs first (pair 0 parent first); each side runs "
           "from its own checkout; medians and quartiles over runs by linear interpolation "
           "(numpy.percentile); parent_iqr = parent q3 - parent q1; a pair is a win when "
-          "the change reads better, ties counting for neither; status is 'unresolved' "
+          "the change reads better, ties counting for neither; first_wins counts the pairs "
+          "won by the side that ran first; status is 'unresolved' "
           "when parent_iqr / |parent median| exceeds the metric's bound and the change "
           "runs neither all beat nor all lose to every parent run, else 'within parent IQR' when the change "
           "median lies in the parent's [q1, q3], else 'better' or 'worse' by the side the "
@@ -87,8 +89,11 @@ def summarize(pairs: list[dict], better: str, bound: float, metric: str) -> dict
     change = [p["change"][metric] for p in pairs]
     p1, pm, p3 = _quartiles(parent)
     c1, cm, c3 = _quartiles(change)
-    change_wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    parent_wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    diffs = [sign * (c - p) for p, c in zip(parent, change)]  # < 0: the change won
+    change_wins = sum(d < 0 for d in diffs)
+    parent_wins = sum(d > 0 for d in diffs)
+    # pairs won by the side that ran first: a steady count is an order bias
+    first_wins = sum(d < 0 if q["first"] == "change" else d > 0 for d, q in zip(diffs, pairs))
     ratio = cm / pm if pm else (1.0 if cm == pm else float("inf"))
     worse_by = sign * (ratio - 1.0)
     spread = (p3 - p1) / abs(pm) if pm else (0.0 if p3 == p1 else float("inf"))
@@ -104,7 +109,8 @@ def summarize(pairs: list[dict], better: str, bound: float, metric: str) -> dict
             "parent_q3": p3, "parent_iqr": p3 - p1, "change_median": cm, "change_q1": c1,
             "change_q3": c3, "change_over_parent": ratio, "worse_by": worse_by,
             "within_bound": worse_by <= bound, "change_wins": change_wins,
-            "parent_wins": parent_wins, "pairs": len(pairs), "status": status}
+            "parent_wins": parent_wins, "first_wins": first_wins, "pairs": len(pairs),
+            "status": status}
 
 
 def _pairs(runs: list[dict]) -> dict[tuple, dict]:

@@ -287,16 +287,6 @@ def sobolev_split(fprime, p, t, anchor=0.0):
                        float(np.mean(np.abs(high))), float(np.abs(low).max()))
 
 
-def _union(a, b):
-    """np.union1d of two sorted arrays of distinct values: the stable sort
-    merges the two runs."""
-    both = np.concatenate((a, b))
-    both.sort(kind="stable")
-    first = np.ones(both.size, dtype=bool)
-    first[1:] = both[1:] != both[:-1]
-    return both[first]
-
-
 def measure_sigma(f, net, grid_n):
     """Max deviation |f - net| over a uniform grid joined with the network's
     breakpoints (and the target's own breakpoints when it is piecewise
@@ -316,10 +306,10 @@ def measure_sigma(f, net, grid_n):
                       "without the network's breakpoints", RuntimeWarning, stacklevel=2)
         read = functools.partial(values_at, net)
     else:
-        pts = _union(pts, read.breakpoints)
+        pts = cpwl._union(pts, read.breakpoints)
     source = f.evaluator if isinstance(f, TargetFunction) else f
     if isinstance(source, cpwl.CPwL):
-        pts = _union(pts, source.breakpoints)
+        pts = cpwl._union(pts, source.breakpoints)
     return float(np.abs(_evaluate(f, pts) - read(pts)).max())
 
 

@@ -7,6 +7,7 @@ count is guaranteed against an explicit budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -532,7 +533,12 @@ def fourier_atom(kind: str, j: int) -> ReluNetwork:
 
 
 def fourier_oracle(terms: Sequence[tuple[int, float, float]]) -> cpwl.CPwL:
-    """Direct CPwL of sum_j a_j * cosine_j + b_j * sine_j."""
+    """Direct CPwL of sum_j a_j * cosine_j + b_j * sine_j; the last one built is kept."""
+    return _fourier_oracle(tuple((j, float(a), float(b)) for j, a, b in terms))
+
+
+@functools.lru_cache(maxsize=1)  # a CPwL is immutable, so sharing it is safe
+def _fourier_oracle(terms: tuple[tuple[int, float, float], ...]) -> cpwl.CPwL:
     fs, cs = [], []
     for j, a, b in terms:
         if a != 0.0:

@@ -70,12 +70,12 @@ def _crossings(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _insert(g: np.ndarray, v: np.ndarray, new: np.ndarray, right: np.ndarray,
             out: tuple[np.ndarray, np.ndarray] | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid g grown by the sorted, distinct nodes `new` (none of them in
-    g), the rows v on it and the positions of the new nodes.  `right` is the
-    index in g of each new node's right neighbour (`_crossings`).  Each row
-    is evaluated at a new node on its own segment with np.interp's
-    arithmetic.  The grown grid and rows are written to `out` when it is
-    given; else, with nothing to insert, g and v come back as they are."""
+    """The grid g grown by the nodes `new` (none of them in g), the rows v on
+    it and the positions of the new nodes.  `right`, ascending, is the index
+    in g of each new node's right neighbour (`_crossings`); g need not be
+    sorted.  Each row is evaluated at a new node on its own segment with
+    np.interp's arithmetic.  The grown grid and rows are written to `out`
+    when it is given; else, with nothing to insert, g and v come back as they are."""
     if not new.size and out is None:
         return g, v, np.empty(0, dtype=np.intp)
     at = right + np.arange(new.size)
@@ -142,13 +142,23 @@ def _prune(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, v
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d(a, b) by one stable sort: it merges two sorted runs fast and
+    sorts unsorted arrays with repeats (`compose`'s cuts) too; -0.0 == 0.0."""
+    both = np.concatenate((a, b))
+    both.sort(kind="stable")
+    first = np.ones(both.size, dtype=bool)
+    first[1:] = both[1:] != both[:-1]
+    return both[first]
+
+
 def _merge(*parts: tuple[np.ndarray, np.ndarray | None]
            ) -> tuple[np.ndarray, Iterator[np.ndarray | None]]:
     """The union of the grids of the (grid, values) parts, folded left to
-    right, and each part's values interpolated on it (None for a part given
-    with None: its nodes only join the grid).  The values are interpolated
-    as they are read, so a sum over many parts holds one at a time."""
-    grid = functools.reduce(np.union1d, [g for g, _ in parts])
+    right by `_union`, and each part's values interpolated on it (None for a
+    part given with None: its nodes only join the grid).  The values are
+    interpolated as they are read, so a sum over many parts holds one at a time."""
+    grid = functools.reduce(_union, [g for g, _ in parts])
     return grid, (None if v is None else np.interp(grid, g, v) for g, v in parts)
 
 

@@ -309,10 +309,10 @@ def _depth_two(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     segments are read at once, as arrays over (segments, rows, nodes): each
     segment's grid is 0, 1 and its kinks -b/a, on which one batched matmul
     gives layer 2j+1's rows pointwise.  Their zero crossings (`cpwl._cross`)
-    join the grid, and every row and the first collation read are
-    interpolated there on their interval with `cpwl._insert`'s arithmetic.
-    The parts are summed pairwise (`_sum_parts`).  Callers run it under
-    np.errstate and check the values, as for `_depth_one`.
+    join the grid, and every row is interpolated there on its interval with
+    `cpwl._insert`'s arithmetic; one `cpwl._insert` call grows the segments'
+    grids, laid end to end.  The parts are summed pairwise (`_sum_parts`).
+    Callers run it under np.errstate and check the values, as for `_depth_one`.
     """
     comp = slice(1, -1)
     hidden, bias = net.hidden_weights, net.hidden_bias
@@ -345,7 +345,7 @@ def _depth_two(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     new[1:] = (cross[1:] != cross[:-1]) | (seg[1:] != seg[:-1])
     seg, k, cross = seg[new], k[new], cross[new]
 
-    # rows and first read at the crossings, on their interval, in place
+    # rows at the crossings, on their interval, in place
     left = grid[seg, k]
     span = grid[seg, k + 1] - left
     cross_off = cross - left
@@ -360,22 +360,14 @@ def _depth_two(net: SpecialNetwork) -> tuple[np.ndarray, np.ndarray]:
     mid *= read[1::2][seg]
     at_cross = mid.sum(axis=1)
     del mid
-    below = first[seg, k]
-    at_cross += (first[seg, k + 1] - below) / span * cross_off + below
     np.maximum(rows, 0.0, out=rows)
     at_nodes = first + (read[1::2, None] @ rows)[:, 0]
 
     # one (grid, values) part per segment: crossings inserted, repeats dropped
-    at = seg * size + k + 1 + np.arange(seg.size)
-    old = np.ones(segments * size + seg.size, dtype=bool)
-    old[at] = False
-    x = np.empty(old.size)
-    x[old] = grid.ravel()
-    x[at] = cross
-    v = np.empty(old.size)
-    v[old] = at_nodes.ravel()
-    v[at] = at_cross
-    start = np.zeros(old.size, dtype=bool)
+    x, (v, first), at = cpwl._insert(grid.ravel(), np.stack([at_nodes.ravel(), first.ravel()]),
+                                     cross, seg * size + k + 1)
+    v[at] = at_cross + first[at]
+    start = np.zeros(x.size, dtype=bool)
     start[np.arange(segments) * size + np.searchsorted(seg, np.arange(segments))] = True
     keep = start.copy()
     keep[1:] |= x[1:] != x[:-1]

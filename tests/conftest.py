@@ -591,6 +591,84 @@ def reference_compile_wide(target, width):
                           out, net.out_bias + offset)
 
 
+def reference_depth_two(net):
+    """`network._depth_two` before its grid grew through `cpwl._insert`, kept
+    as a test-only reference: the crossings, the rows' sums and the first
+    collation read placed by a scatter of its own."""
+    comp = slice(1, -1)
+    hidden, bias = net.hidden_weights, net.hidden_bias
+    a = np.concatenate([net.in_weights[None, comp], hidden[1::2, comp, 0]])
+    b = np.concatenate([net.in_bias[None, comp], bias[1::2, comp]])
+    read = np.concatenate([hidden[:, -1, comp], net.out_weights[None, comp]])
+    segments, size = a.shape[0], a.shape[1] + 2
+    t = -b / a
+    grid = np.zeros((segments, size))
+    grid[:, 1:-1] = np.where((t > 0.0) & (t < 1.0), t, 0.0)  # the rest repeat node 0
+    grid[:, -1] = 1.0
+    grid.sort(axis=1)
+    units = a[..., None] * grid[:, None] + b[..., None]
+    np.maximum(units, 0.0, out=units)
+    first = (read[0::2, None] @ units)[:, 0]
+    rows = hidden[0::2, comp, comp] @ units
+    del units
+    rows += hidden[0::2, comp, 0, None] * grid[:, None]
+    rows += bias[0::2, comp, None]
+
+    # every row's crossings, sorted and made distinct within each segment
+    lo, hi = rows[..., :-1], rows[..., 1:]
+    hit = np.nonzero(lo * hi < 0.0)
+    seg, k = hit[0], hit[2]
+    cross, far = cpwl._cross(grid[seg, k], grid[seg, k + 1], lo[hit], hi[hit])
+    seg, k, cross = seg[far], k[far], cross[far]
+    order = np.lexsort((cross, seg))
+    seg, k, cross = seg[order], k[order], cross[order]
+    new = np.ones(cross.size, dtype=bool)
+    new[1:] = (cross[1:] != cross[:-1]) | (seg[1:] != seg[:-1])
+    seg, k, cross = seg[new], k[new], cross[new]
+
+    # rows and first read at the crossings, on their interval, in place
+    left = grid[seg, k]
+    span = grid[seg, k + 1] - left
+    cross_off = cross - left
+    below = rows[seg, :, k]
+    mid = rows[seg, :, k + 1]
+    mid -= below
+    mid /= span[:, None]
+    mid *= cross_off[:, None]
+    mid += below
+    del below
+    np.maximum(mid, 0.0, out=mid)
+    mid *= read[1::2][seg]
+    at_cross = mid.sum(axis=1)
+    del mid
+    below = first[seg, k]
+    at_cross += (first[seg, k + 1] - below) / span * cross_off + below
+    np.maximum(rows, 0.0, out=rows)
+    at_nodes = first + (read[1::2, None] @ rows)[:, 0]
+
+    # one (grid, values) part per segment: crossings inserted, repeats dropped
+    at = seg * size + k + 1 + np.arange(seg.size)
+    old = np.ones(segments * size + seg.size, dtype=bool)
+    old[at] = False
+    x = np.empty(old.size)
+    x[old] = grid.ravel()
+    x[at] = cross
+    v = np.empty(old.size)
+    v[old] = at_nodes.ravel()
+    v[at] = at_cross
+    start = np.zeros(old.size, dtype=bool)
+    start[np.arange(segments) * size + np.searchsorted(seg, np.arange(segments))] = True
+    keep = start.copy()
+    keep[1:] |= x[1:] != x[:-1]
+    bounds = np.flatnonzero(start[keep])[1:]
+    x, v = _sum_parts(list(zip(np.split(x[keep], bounds), np.split(v[keep], bounds))))
+    slope = np.append(hidden[:, -1, 0], net.out_weights[0]).sum()
+    value = np.append(bias[:, -1], net.out_bias).sum()
+    v += slope * x
+    v += value
+    return x, v
+
+
 def same_cpwl(f, g):
     """Two CPwL functions hold the same breakpoints and values."""
     return np.array_equal(f.breakpoints, g.breakpoints) and np.array_equal(f.values, g.values)

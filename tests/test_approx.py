@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import pattern_rich_target, reference_panel_antiderivative, sample_lip_ball
-from spline2relu import approx, cpwl
+from spline2relu import approx, cpwl, riesz
 from spline2relu.compiler import takagi_network
 from spline2relu.errors import ContractError, DomainError, ResourceError, StructureError
 from spline2relu.network import ReluNetwork, extract_cpwl, values_at
@@ -425,18 +425,40 @@ def test_ar_seminorm():
     assert math.isnan(approx.ar_seminorm([], 1.0))
 
 
-def test_union_of_sorted_grids_is_union1d():
-    """measure_sigma merges its sorted, distinct point sets with one stable
-    sort: the values of np.union1d, overlapping and repeated sets included
-    (-0.0 and 0.0 count as one point, as in np.union1d)."""
+def test_union_of_sorted_grids_is_union1d(monkeypatch):
+    """cpwl._union, the one union of grids (`measure_sigma`'s point sets,
+    `_merge`'s folds), gives the values of np.union1d with one stable sort:
+    sorted, distinct sets that overlap or repeat, the unsorted cut lists with
+    repeats that `compose` hands `_merge`, single nodes and an empty array
+    (-0.0 and 0.0 count as one point, as in np.union1d).  `compose`,
+    `combine` over 20 parts and the riesz Gram matrix read the same arrays
+    as under np.union1d."""
     rng = np.random.default_rng(73)
     grid = np.linspace(0.0, 1.0, 4099)
     nodes = extract_cpwl(takagi_network([2.0 ** -(i + 1) for i in range(12)])).breakpoints
     pairs = [(grid, nodes), (nodes, grid), (grid, grid), (grid, np.array([0.5])),
-             (np.array([-0.0, 1.0]), np.array([0.0, 0.25, 1.0]))]
+             (np.array([-0.0, 1.0]), np.array([0.0, 0.25, 1.0])),
+             (np.array([0.0, 0.5, -0.0, 0.5, 0.25]), np.array([0.25, -0.0, 1.0, 0.0])),
+             (np.array([0.5]), np.array([0.5])), (np.array([0.75]), np.empty(0)),
+             (np.empty(0), grid), (np.empty(0), np.empty(0))]
     for _ in range(20):
         a, b = (np.unique(rng.integers(0, 50, rng.integers(1, 40)) / 49.0) for _ in range(2))
         pairs.append((a, b))
+        pairs.append(tuple(rng.integers(0, 50, rng.integers(0, 40)) / 49.0 for _ in range(2)))
     for a, b in pairs:
-        got, want = approx._union(a, b), np.union1d(a, b)
+        got, want = cpwl._union(a, b), np.union1d(a, b)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    fs = [cpwl.basis_fn(kind, j) for kind in ("cosine", "sine") for j in range(3, 13)]
+    coeffs = rng.normal(size=len(fs))
+    f, g = cpwl.basis_fn("sine", 13), cpwl.hat_iterate(6)
+
+    def outputs():
+        composed, combined = cpwl.compose(f, g), cpwl.combine(fs, coeffs)
+        return (composed.breakpoints, composed.values, combined.breakpoints,
+                combined.values, riesz.gram_matrix(32))
+
+    got = outputs()
+    monkeypatch.setattr(cpwl, "_union", np.union1d)
+    for a, b in zip(got, outputs()):
+        assert np.array_equal(a, b)

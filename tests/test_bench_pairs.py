@@ -51,6 +51,8 @@ def test_fold_keeps_every_pair_and_summarizes_each_metric():
     assert s["change_median"] == np.median(change)
     # pair 4 is a tie: a win for neither side
     assert (s["change_wins"], s["parent_wins"], s["pairs"]) == (9, 0, 10)
+    # the change ran first in the odd pairs, and won each of them
+    assert s["first_wins"] == 5
     assert s["status"] == "better" and s["within_bound"]
     assert s["change_over_parent"] == pytest.approx(np.median(change) / med)
 
@@ -91,6 +93,23 @@ def test_fold_statuses_and_claims_not_met():
                          END_TO_END)["workloads"]["sweeps"]["summary"]["compile_ms.p50"]
     assert s["within_bound"] and 0 < s["worse_by"] < 0.25 and s["status"] == "worse"
     assert "verdict" not in bench_pairs.fold(_series(parent, parent), END_TO_END)
+
+
+def test_fold_counts_the_wins_of_the_side_that_ran_first():
+    # pair 0 runs the parent first, pair 1 the change: here the first side
+    # always wins, except in pair 4, a tie that counts for neither side
+    parent = [1.0, 2.0, 1.0, 2.0, 1.5, 2.0]
+    change = [2.0, 1.0, 2.0, 1.0, 1.5, 1.0]
+    summary = bench_pairs.fold(_series(parent, change),
+                               END_TO_END)["workloads"]["sweeps"]["summary"]
+    for metric in ("compile_ms.p50", "breakpoints_per_s"):
+        s = summary[metric]
+        assert (s["first_wins"], s["change_wins"], s["parent_wins"]) == (5, 3, 2), metric
+    assert summary["sup_error.max"]["first_wins"] == 0
+    # the change wins every pair: the first side won the pairs the change ran first
+    s = bench_pairs.fold(_series(parent, [0.5] * 6),
+                         END_TO_END)["workloads"]["sweeps"]["summary"]["compile_ms.p50"]
+    assert (s["first_wins"], s["change_wins"]) == (3, 6)
 
 
 def test_fold_unresolved_when_the_parent_spreads_past_the_bound():

@@ -16,7 +16,7 @@ from conftest import (
     slope_overflow_nets,
     text_io_networks,
 )
-from spline2relu import approx, cli, cpwl, riesz
+from spline2relu import approx, cli, compiler, cpwl, riesz
 from spline2relu.compiler import _compile_wide, compile_spline, takagi_network
 from spline2relu.errors import Spline2ReluError
 from spline2relu.network import (extract_cpwl, hat_net, read_network, reset_layers,
@@ -375,6 +375,23 @@ def test_fourier_sum_prints_the_pinned_report(capsys):
     head, error = capsys.readouterr().out.split(" sup_error=")
     assert head == "width=10 depth=5 params=471 budget=1021 breakpoints=19"
     assert float(error) <= 1e-14
+
+
+def test_fourier_sum_builds_its_oracle_once(monkeypatch, capsys):
+    """`compile_fourier_sum` counts the oracle's nodes and the CLI measures
+    against it: one `fourier --terms` job builds one sum of basis functions."""
+    calls = []
+    combine = cpwl.combine
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(cpwl, "combine", counted)
+    compiler._fourier_oracle.cache_clear()
+    assert cli.main(["fourier", "--terms", "24:0.5:-1,7:0:0.25,2:-0.75:0", "--width", "10"]) == 0
+    assert float(capsys.readouterr().out.split("sup_error=")[1]) <= 1e-13
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1e308"])

@@ -1,6 +1,7 @@
 """Shared-grid extraction against the per-channel reference in conftest."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     plain_net,
     random_spline,
     reference_courses,
+    reference_depth_two,
     reference_every_layer_courses,
     reference_every_layer_extract,
     reference_every_layer_states,
@@ -392,6 +394,33 @@ def test_mixed_depth_networks_extract_as_stepped(monkeypatch):
     for net in (mixed, takagi):
         assert network._closed_form(net) is None
         _assert_identical(extract_cpwl(net), _stepped(net, monkeypatch))
+
+
+def test_depth_two_grows_its_grid_as_the_scatter_reference(monkeypatch):
+    """`_depth_two` grows the segments' grids through one `cpwl._insert`
+    call: nodes and values to the bit, signs of zero included, of the body
+    that scattered them itself (`reference_depth_two`), on wide-form splines
+    of values in [-s, s], s = 1 and 1e4, on the benchmark's W = 32
+    clustered-knots spline, and on random two-deep networks, whose first
+    collation read (zero in a compiled spline) is interpolated at the
+    crossings too."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import workloads
+
+    rng = np.random.default_rng(137)
+    nets = [compiler._compile_wide(random_spline(rng, n, -scale, scale), width)
+            for width in (8, 9, 13, 14, 20, 26, 32) for n in (1, 7, 97, 400, 3200)
+            for scale in (1.0, 1e4)]
+    adv = np.random.default_rng(workloads.ADVERSARIAL_SEED)
+    canary = [gen(adv, workloads.ADVERSARIAL_N) for _ in (8, 13, 32)
+              for gen in workloads.ADVERSARIAL.values()][7]
+    nets.append(compile_spline(cpwl.CPwL(*canary), 32)[0])
+    nets += [two_deep_net(rng, width, segments) for width in (4, 7, 10, 16)
+             for segments in (1, 2, 5, 9) for _ in range(3)]
+    for net in nets:
+        assert network._closed_form(net) is network._depth_two
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as extract_cpwl
+            same_bits(network._depth_two(net), reference_depth_two(net))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
