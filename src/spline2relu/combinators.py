@@ -23,8 +23,10 @@ def _common_width(nets) -> int:
 
 
 def _plain(nets) -> None:
-    """Plain combinators apply ReLU on every channel, which would break the
-    rails of a special network."""
+    """Plain combinators take one network or more, and they apply ReLU on
+    every channel, which would break the rails of a special network."""
+    if not nets:
+        raise StructureError("need at least one network")
     if any(n.special for n in nets):
         raise StructureError("plain combinators need plain networks; "
                              "convert with special_to_standard first")
@@ -99,8 +101,6 @@ def _fused(inner: ReluNetwork, outer: ReluNetwork) -> tuple[np.ndarray, np.ndarr
 def compose_nets(*nets: ReluNetwork) -> ReluNetwork:
     """Depth sum(L_i) network computing nets[-1](...nets[0](x)), with one fused
     seam between each neighbouring pair."""
-    if not nets:
-        raise StructureError("need at least one network")
     _plain(nets)
     _common_width(nets)
     seams = [_fused(inner, outer) for inner, outer in zip(nets, nets[1:])]
@@ -148,8 +148,6 @@ def stack_sum(nets: Sequence[ReluNetwork], weights=None) -> SpecialNetwork:
     The concatenation of the lifted networks: each runs on the computational
     channels, and its output is folded into the collation rail at the next seam.
     """
-    if not nets:
-        raise StructureError("need at least one network")
     _plain(nets)
     coeff = _weights_vector(nets, weights)
     return concat_sum(*(_lift(net, c) for net, c in zip(nets, coeff)))
@@ -260,8 +258,6 @@ def pad_width(net: ReluNetwork, width: int) -> ReluNetwork:
 
 def parallel_sum(nets: Sequence[ReluNetwork], weights=None) -> ReluNetwork:
     """Block-diagonal merge of equal-depth plain networks, outputs summed."""
-    if not nets:
-        raise StructureError("need at least one network")
     _plain(nets)
     depths = {n.depth for n in nets}
     if len(depths) != 1:

@@ -334,26 +334,20 @@ def compile_shallow(target: cpwl.CPwL) -> ReluNetwork:
 def representative_chain(chain: Sequence[cpwl.CPwL]) -> list[cpwl.CPwL]:
     """Affine renormalization of a composition chain so every intermediate
     factor maps onto [0, 1]; the end-to-end composition is unchanged."""
-    k = len(chain)
-    if k == 1:
-        return [chain[0]]
+    if not chain:
+        raise DomainError("empty chain")
     reps = []
-    lo = float(chain[0].values.min())
-    hi = float(chain[0].values.max())
-    if hi - lo <= _DEGENERATE_TOL:
-        raise DegenerateCompositionError("first factor is constant")
-    reps.append(cpwl.combine([chain[0]], [1.0 / (hi - lo)], -lo / (hi - lo)))
-    for j in range(1, k):
-        pulled = cpwl.restrict(chain[j], lo, hi)
-        if j == k - 1:
-            reps.append(pulled)
-            break
-        lo = float(pulled.values.min())
-        hi = float(pulled.values.max())
+    for j, f in enumerate(chain):
+        if j:
+            f = cpwl.restrict(f, lo, hi)
+        if j == len(chain) - 1:
+            return reps + [f]
+        lo = float(f.values.min())
+        hi = float(f.values.max())
         if hi - lo <= _DEGENERATE_TOL:
-            raise DegenerateCompositionError(f"factor {j} is constant on its input range")
-        reps.append(cpwl.combine([pulled], [1.0 / (hi - lo)], -lo / (hi - lo)))
-    return reps
+            raise DegenerateCompositionError(
+                f"factor {j} is constant on its input range" if j else "first factor is constant")
+        reps.append(cpwl.combine([f], [1.0 / (hi - lo)], -lo / (hi - lo)))
 
 
 def compile_composition(chain: Sequence[cpwl.CPwL], width: int
@@ -365,8 +359,6 @@ def compile_composition(chain: Sequence[cpwl.CPwL], width: int
     """
     if width < 8:
         raise DomainError("composition compilation needs width >= 8")
-    if not chain:
-        raise DomainError("empty chain")
     for f in chain[:-1]:
         if f.values.min() < -cpwl.EDGE_TOL or f.values.max() > 1.0 + cpwl.EDGE_TOL:
             raise DomainError("intermediate factor escapes [0, 1]")

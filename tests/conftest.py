@@ -7,8 +7,15 @@ import numpy as np
 
 from spline2relu import approx, cpwl, riesz
 from spline2relu.combinators import concat_sum, pad_width, parallel_sum, stack_sum
-from spline2relu.compiler import _deepen, _pad_knots, block_size, compile_spline, fourier_atom
-from spline2relu.errors import DomainError, ResourceError, StructureError
+from spline2relu.compiler import (
+    _DEGENERATE_TOL,
+    _deepen,
+    _pad_knots,
+    block_size,
+    compile_spline,
+    fourier_atom,
+)
+from spline2relu.errors import DegenerateCompositionError, DomainError, ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
@@ -787,6 +794,32 @@ def compose_chain(chain):
     for f in chain[1:]:
         out = cpwl.compose(f, out)
     return out
+
+
+def reference_representative_chain(chain):
+    """`compiler.representative_chain` before its one loop, kept as a
+    test-only reference: factor 0 renormalized on its own, then a loop over
+    the later factors."""
+    k = len(chain)
+    if k == 1:
+        return [chain[0]]
+    reps = []
+    lo = float(chain[0].values.min())
+    hi = float(chain[0].values.max())
+    if hi - lo <= _DEGENERATE_TOL:
+        raise DegenerateCompositionError("first factor is constant")
+    reps.append(cpwl.combine([chain[0]], [1.0 / (hi - lo)], -lo / (hi - lo)))
+    for j in range(1, k):
+        pulled = cpwl.restrict(chain[j], lo, hi)
+        if j == k - 1:
+            reps.append(pulled)
+            break
+        lo = float(pulled.values.min())
+        hi = float(pulled.values.max())
+        if hi - lo <= _DEGENERATE_TOL:
+            raise DegenerateCompositionError(f"factor {j} is constant on its input range")
+        reps.append(cpwl.combine([pulled], [1.0 / (hi - lo)], -lo / (hi - lo)))
+    return reps
 
 
 def sample_lip_ball(rng, alpha):

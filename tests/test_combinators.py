@@ -95,6 +95,20 @@ def test_plain_combinators_reject_special_networks():
         assert cpwl.sup_diff(extract_cpwl(build(std)), f) <= 1e-11
 
 
+@pytest.mark.parametrize("build", [
+    lambda nets: compose_nets(*nets),
+    stack_sum,
+    stack_relu_sum,
+    parallel_sum,
+], ids=["compose_nets", "stack_sum", "stack_relu_sum", "parallel_sum"])
+def test_plain_combinators_check_their_inputs_in_one_place(build):
+    with pytest.raises(StructureError, match="^need at least one network$"):
+        build([])
+    special, _ = compile_spline(cpwl.hat(), 4)
+    with pytest.raises(StructureError, match="^plain combinators need plain networks"):
+        build([special])
+
+
 def test_embed_deeper():
     net, _ = compile_spline(cpwl.hat(), 4)
     deeper = embed_deeper(net, net.depth + 3)

@@ -13,7 +13,9 @@ from conftest import (
     reference_compile_wide,
     reference_fourier_sum_full_depth,
     reference_interval_hats,
+    reference_representative_chain,
     reference_self_similar_oracle,
+    same_bits,
     same_cpwl,
     same_weights,
 )
@@ -254,6 +256,38 @@ def test_representative_chain_rejects_constant_factor():
     flat = cpwl.line(0.0, 0.4)
     with pytest.raises(DegenerateCompositionError):
         representative_chain([flat, cpwl.hat()])
+
+
+def test_representative_chain_matches_the_reference():
+    # one loop renormalizes every factor, with the bits of the two-part body
+    rng = np.random.default_rng(340)
+    for k in (1, 2, 3, 4, 5):
+        for _ in range(8):
+            chain = [random_spline(rng, int(rng.integers(1, 7)), 0.05, 0.95)
+                     for _ in range(k - 1)]
+            chain.append(random_spline(rng, int(rng.integers(1, 7))))
+            got, want = representative_chain(chain), reference_representative_chain(chain)
+            assert len(got) == len(want) == k
+            for g, w in zip(got, want):
+                same_bits([g.breakpoints, g.values], [w.breakpoints, w.values])
+    first = [cpwl.line(0.0, 0.4), cpwl.hat()]
+    third = [cpwl.hat(), cpwl.line(0.2, 0.1), cpwl.CPwL([0.0, 0.5, 1.0], [0.2, 0.2, 0.9]),
+             cpwl.hat()]
+    for chain, message in ((first, "first factor is constant"),
+                           (third, "factor 2 is constant on its input range")):
+        for build in (representative_chain, reference_representative_chain):
+            with pytest.raises(DegenerateCompositionError, match=f"^{message}$"):
+                build(chain)
+
+
+def test_representative_chain_rejects_an_empty_chain():
+    with pytest.raises(DomainError, match="^empty chain$"):
+        representative_chain([])
+    with pytest.raises(DomainError, match="^empty chain$"):
+        compile_composition([], 8)
+    # the width is refused before the chain is looked at
+    with pytest.raises(DomainError, match="^composition compilation needs width >= 8$"):
+        compile_composition([], 7)
 
 
 def test_compile_composition_exact_and_bounded():
