@@ -506,10 +506,9 @@ def _format_rows(values, sep: str) -> str:
 def write_spline(f: CPwL, path) -> None:
     """Write the node-count header and one 'x value' line per node, every
     number as %.17g (an exact round trip)."""
-    n = f.breakpoints.size
-    pairs = np.column_stack([f.breakpoints, f.values]).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write(f"{n}\n" + ("%.17g %.17g\n" * n) % tuple(pairs))
+        fh.write(f"{f.breakpoints.size}\n"
+                 + _format_rows(np.column_stack([f.breakpoints, f.values]), " "))
 
 
 def read_spline(path) -> CPwL:

@@ -444,7 +444,8 @@ def values_at(net: ReluNetwork, xs) -> np.ndarray:
 
 
 def _extract(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and values of `extract_cpwl`, before the finiteness check."""
+    """Nodes and values of `extract_cpwl`, before the finiteness check.  It and
+    the lift walk in `special_to_standard` are the two loops over `_SharedGrid.step`."""
     closed = _closed_form(net)
     if closed is not None:
         x, v = closed(net)
@@ -471,25 +472,30 @@ def _extract(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
     return _sum_parts(parts)
 
 
-def _courses(net: SpecialNetwork):
-    """Canonical (nodes, values) of the pre-ReLU collation course after each
-    hidden layer 1..L-1.
+def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
+    """Equivalent plain network on [0, 1].
 
-    Layer l adds its collation row (the self weight aside) and bias, read on
-    the shared grid, to the course it was given: a union of the two grids, two
-    interpolations and the CPwL canonical form.  A layer whose row and bias are
-    zero writes nothing and yields the course unchanged, and the grid steps no
-    further than the last layer that writes.
+    The source rail is nonnegative, so its ReLU is free.  The collation rail,
+    which carries itself forward, starts at one lift C = max(0, -min of all its
+    courses), and the output removes it; the hidden layers pass through as they are.
+    One walk steps the shared grid up to the last layer that writes the rail; each
+    such layer adds its collation row (the self weight aside) and bias, read on the
+    grid, to the canonical course so far (`cpwl._merge`, `cpwl._prune`).
     """
     if not isinstance(net, SpecialNetwork):
         raise StructureError("expected a special network")
-    writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
-    last = np.flatnonzero(writes).max(initial=0)
-    shared = _SharedGrid(net)
-    nodes, values = np.array([0.0, 1.0]), np.zeros(2)
-    for layer, (weights, bias) in enumerate(zip(net.hidden_weights, net.hidden_bias)):
-        if writes[layer]:
-            inc = shared.readout(weights[-1], bias[-1])
+    hidden, bias = net.hidden_weights, net.hidden_bias
+    writes = hidden[:, -1, :-1].any(axis=1) | (bias[:, -1] != 0.0)
+    nodes, values, lowest = np.array([0.0, 1.0]), np.zeros(2), 0.0
+    # values that are not finite are checked here, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = _SharedGrid(net)
+        for layer in range(np.flatnonzero(writes).max(initial=-1) + 1):
+            if layer:
+                shared.step(hidden[layer - 1], bias[layer - 1])
+            if not writes[layer]:
+                continue
+            inc = shared.readout(hidden[layer, -1], bias[layer, -1])
             grid, (vals, inc) = cpwl._merge((nodes, values), (shared.grid, inc))
             vals += inc
             if not np.isfinite(vals).all():
@@ -497,25 +503,12 @@ def _courses(net: SpecialNetwork):
                                   f"{net.depth} overflows")
             nodes, values = cpwl._prune(grid, vals)
             shared.held = nodes.size
-        yield nodes, values
-        if layer < last:
-            shared.step(weights, bias)
-
-
-def special_to_standard(net: SpecialNetwork) -> ReluNetwork:
-    """Equivalent plain network on [0, 1].
-
-    The source rail is nonnegative, so its ReLU is free.  The collation rail,
-    which carries itself forward, starts at one lift C = max(0, -min of all its
-    courses), and the output removes it; the hidden layers pass through as they are.
-    """
-    # one errstate for the whole loop: `_courses` raises on a course that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        lift = max(0.0, -min((float(values.min()) for _, values in _courses(net)), default=0.0))
+            lowest = min(lowest, float(values.min()))
+    lift = max(0.0, -lowest)
     in_bias = net.in_bias.copy()
     in_bias[-1] = lift
-    return ReluNetwork(net.in_weights, in_bias, net.hidden_weights, net.hidden_bias,
-                       net.out_weights, net.out_bias - lift)
+    return ReluNetwork(net.in_weights, in_bias, hidden, bias, net.out_weights,
+                       net.out_bias - lift)
 
 
 def rail_layer(width: int) -> np.ndarray:

@@ -15,11 +15,10 @@ from spline2relu.compiler import (
     compile_spline,
     fourier_atom,
 )
-from spline2relu.errors import DegenerateCompositionError, DomainError, ResourceError, StructureError
+from spline2relu.errors import DegenerateCompositionError, DomainError, ResourceError
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
-    _closed_form,
     _depth_one,
     _depth_two,
     _SharedGrid,
@@ -275,7 +274,7 @@ def reference_extract(net):
     return _reference_affine(states, net.out_weights[None, :], [net.out_bias])[0]
 
 
-def reference_courses(net):
+def reference_collation_rail(net):
     """Per-channel pre-ReLU collation courses after hidden layers 1..L-1."""
     mask = _reference_mask(net)
     states = [cpwl.line(w, b) for w, b in zip(net.in_weights, net.in_bias)]
@@ -286,75 +285,6 @@ def reference_courses(net):
         courses.append(states[-1])
         states = [reference_relu(s) if mask[i] else s for i, s in enumerate(states)]
     return courses
-
-
-def reference_every_layer_states(self, xa):
-    """ReluNetwork._states stepping every hidden layer, identity padding too,
-    kept as a test-only reference that padded networks step as any other."""
-    lb = self._lower_bound()[:, None]
-    state = self.in_weights[:, None] @ xa[None, :]
-    state += self.in_bias[:, None]
-    np.maximum(state, lb, out=state)
-    yield state
-    spare = np.empty_like(state)
-    for weights, bias in zip(self.hidden_weights, self.hidden_bias):
-        np.matmul(weights, state, out=spare)
-        spare += bias[:, None]
-        np.maximum(spare, lb, out=spare)
-        state, spare = spare, state
-        yield state
-
-
-def reference_every_layer_extract(net):
-    """network._extract stepping every hidden layer, identity padding too,
-    kept as a test-only reference that padded networks step as any other."""
-    closed = _closed_form(net)
-    if closed is not None:
-        x, v = closed(net)
-        if x.size > cpwl.DEFAULT_NODE_BUDGET:
-            raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
-        return x, v
-    shared = _SharedGrid(net)
-    parts = []
-    rail_grid, rail = shared.grid, np.zeros(shared.grid.size)
-    for weights, bias in zip(net.hidden_weights, net.hidden_bias):
-        if shared.special:
-            if rail_grid is not shared.grid:
-                rail_grid, rail = shared.grid, np.interp(shared.grid, rail_grid, rail)
-            rail += shared.readout(weights[-1], bias[-1])
-        if shared.step(weights, bias) and shared.special:
-            parts.append((rail_grid, rail))
-            shared.held += rail.size
-            rail_grid, rail = shared.grid, np.zeros(shared.grid.size)
-    out = shared.readout(net.out_weights, net.out_bias)
-    out += np.interp(shared.grid, rail_grid, rail)
-    parts.append((shared.grid, out))
-    return _sum_parts(parts)
-
-
-def reference_every_layer_courses(net):
-    """network._courses stepping every hidden layer up to the last that
-    writes, identity padding too, kept as a test-only reference that padded
-    networks step as any other."""
-    if not isinstance(net, SpecialNetwork):
-        raise StructureError("expected a special network")
-    writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
-    last = np.flatnonzero(writes).max(initial=0)
-    shared = _SharedGrid(net)
-    nodes, values = np.array([0.0, 1.0]), np.zeros(2)
-    for layer, (weights, bias) in enumerate(zip(net.hidden_weights, net.hidden_bias)):
-        if writes[layer]:
-            inc = shared.readout(weights[-1], bias[-1])
-            grid, (vals, inc) = cpwl._merge((nodes, values), (shared.grid, inc))
-            vals += inc
-            if not np.isfinite(vals).all():
-                raise DomainError(f"collation course is not finite: layer {layer + 1} of "
-                                  f"{net.depth} overflows")
-            nodes, values = cpwl._prune(grid, vals)
-            shared.held = nodes.size
-        yield nodes, values
-        if layer < last:
-            shared.step(weights, bias)
 
 
 def reference_fourier_sum_full_depth(terms, width):

@@ -52,6 +52,7 @@ from spline2relu.network import (
     _depth_two,
     extract_cpwl,
     param_count,
+    values_at,
 )
 from spline2relu.riesz import basis_fn
 
@@ -554,15 +555,19 @@ def test_compile_fourier_sum_needs_no_lift(monkeypatch):
 
 
 def test_identity_padding_keeps_atoms_bit_identical():
-    # every hidden state is post-ReLU, so relu(I h) = h to the bit
+    # every hidden state is post-ReLU, so relu(I h) = h to the bit, and an
+    # identity layer's step inserts no crossing and its prune drops no node
     x = np.linspace(0.0, 1.0, 10001)
     for kind in ("cosine", "sine"):
         for j in range(1, 34):
             atom = fourier_atom(kind, j)
+            f = extract_cpwl(atom)
+            want = (atom.forward(x), f.breakpoints, f.values, values_at(atom, x))
             for extra in (0, 1, 7):
                 deep = _deepen(atom, atom.depth + extra)
                 assert deep.depth == atom.depth + extra and deep.width == atom.width
-                assert np.array_equal(deep.forward(x), atom.forward(x)), (kind, j, extra)
+                g = extract_cpwl(deep)
+                same_bits((deep.forward(x), g.breakpoints, g.values, values_at(deep, x)), want)
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e308, np.float64(1e308)])

@@ -13,11 +13,8 @@ from conftest import (
     exact_values,
     plain_net,
     random_spline,
-    reference_courses,
+    reference_collation_rail,
     reference_depth_two,
-    reference_every_layer_courses,
-    reference_every_layer_extract,
-    reference_every_layer_states,
     reference_extract,
     reference_shared_relu,
     reference_unblocked_step,
@@ -50,13 +47,11 @@ from spline2relu.compiler import (
 from spline2relu.errors import ResourceError, StructureError
 from spline2relu.network import (
     ReluNetwork,
-    _courses,
     _SharedGrid,
     extract_cpwl,
     hat_net,
     reset_layers,
     special_to_standard,
-    values_at,
 )
 
 U = 2.0 ** -52
@@ -128,28 +123,19 @@ def test_stack_and_iterate_sums_match_reference():
     _assert_close(extract_cpwl(net), reference_extract(net))
 
 
-def test_collation_courses_match_reference():
-    rng = np.random.default_rng(113)
-    for width in (4, 6, 8):
-        net, _ = compile_spline(random_spline(rng, 30), width)
-        got, want = list(_courses(net)), reference_courses(net)
-        assert len(got) == len(want) == net.depth - 1
-        for g, w in zip(got, want):
-            _assert_close(cpwl.CPwL(*g), w)
-    with pytest.raises(StructureError):
-        next(_courses(hat_net()))
-
-
 def test_special_to_standard_lifts_match_reference():
     # one lift, the floor of every course, starts the collation rail
     rng = np.random.default_rng(114)
-    net, _ = compile_spline(random_spline(rng, 20, -3.0, -1.0), 5)
-    lift = max(0.0, -min(float(c.values.min()) for c in reference_courses(net)))
-    std = special_to_standard(net)
-    assert lift > 0.0
-    assert abs(std.in_bias[-1] - lift) <= 1e-12 * (1.0 + lift)
-    assert std.out_bias == net.out_bias - std.in_bias[-1]
-    assert np.array_equal(std.hidden_bias, net.hidden_bias)
+    for width in (5, 4, 6, 8):
+        net, _ = compile_spline(random_spline(rng, 20, -3.0, -1.0), width)
+        lift = max(0.0, -min(float(c.values.min()) for c in reference_collation_rail(net)))
+        std = special_to_standard(net)
+        assert lift > 0.0
+        assert abs(std.in_bias[-1] - lift) <= 1e-12 * (1.0 + lift), width
+        assert std.out_bias == net.out_bias - std.in_bias[-1]
+        assert np.array_equal(std.hidden_bias, net.hidden_bias)
+    with pytest.raises(StructureError, match="expected a special network"):
+        special_to_standard(hat_net())
 
 
 def _fourier_pairs():
@@ -198,7 +184,7 @@ def _converted_inside(monkeypatch, build):
 
 
 def test_lifts_identical_to_reference_on_corpus(monkeypatch):
-    nets = [*_fourier_pairs(), *_compiled_splines()]
+    nets = [*_fourier_pairs(), *_compiled_splines(), *(n for n in _padded_corpus() if n.special)]
     rng = np.random.default_rng(121)
     kink = approx.TargetFunction(lambda x: np.abs(np.asarray(x, float) - 0.3), lip_alpha=(1.0, 1.0))
     for width in (8, 10):
@@ -213,7 +199,9 @@ def test_lifts_identical_to_reference_on_corpus(monkeypatch):
         assert same_lifts(special_to_standard(net), net), net
 
 
-def test_layers_that_write_nothing_keep_their_course():
+def test_layers_that_write_nothing_keep_their_course(monkeypatch):
+    """The lift walk steps the shared grid up to the last layer that writes
+    the collation rail, and no further."""
     rng = np.random.default_rng(122)
     pair = stack_sum([fourier_atom("cosine", 5), fourier_atom("sine", 5)], [0.5, -1.5])
     # a constant -2.5 writes its collation bias alone, at the seam after it
@@ -222,17 +210,20 @@ def test_layers_that_write_nothing_keep_their_course():
                                   embed_deeper(pair, pair.depth + 2)), 30)
     assert net.hidden_bias[1, -1] == -2.5 and not net.hidden_weights[1, -1, :-1].any()
     writes = net.hidden_weights[:, -1, :-1].any(axis=1) | (net.hidden_bias[:, -1] != 0.0)
-    assert 0 < writes.sum() < writes.size - 5
-    courses = list(_courses(net))
-    assert len(courses) == net.depth - 1
-    assert not writes[0]
-    assert np.array_equal(courses[0][0], [0.0, 1.0]) and np.array_equal(courses[0][1], [0.0, 0.0])
-    for previous, (nodes, values), wrote in zip(courses, courses[1:], writes[1:]):
-        if not wrote:
-            assert nodes is previous[0] and values is previous[1]
-    for got, want in zip(courses, reference_courses(net)):
-        _assert_close(cpwl.CPwL(*got), want)
-    assert same_lifts(special_to_standard(net), net)
+    assert 0 < writes.sum() < writes.size - 5 and not writes[0]
+    last = np.flatnonzero(writes).max()
+    assert last < writes.size - 1
+    step, steps = _SharedGrid.step, []
+
+    def counted(shared, weights, bias):
+        steps.append(weights)
+        return step(shared, weights, bias)
+
+    monkeypatch.setattr(_SharedGrid, "step", counted)
+    std = special_to_standard(net)
+    assert len(steps) == last
+    monkeypatch.undo()
+    assert same_lifts(std, net)
 
 
 def test_node_budget_counts_distinct_nodes(monkeypatch):
@@ -535,34 +526,6 @@ def _padded_corpus():
     yield ReluNetwork([1.0, 2e-20], [0.0, -1e-20], [np.eye(2), [[1.0, 0.0], [0.0, 1e20]]],
                       [[0.0, 0.0], [0.0, -0.25]], [0.0, 1.0], 0.0)
     yield from (takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 17))
-
-
-def _every_output(net, x):
-    """Breakpoints, values, forward and values_at outputs, and for a special
-    network its courses and lifted network's arrays."""
-    f = extract_cpwl(net)
-    out = [f.breakpoints, f.values, net.forward(x), values_at(net, x)]
-    if net.special:
-        out += [a for course in _courses(net) for a in course]
-        std = special_to_standard(net)
-        out += [std.in_bias, np.array(std.out_bias)]
-    return out
-
-
-def test_padded_networks_match_the_every_layer_references(monkeypatch):
-    """Networks with identity padding give what the every-layer references
-    give, signs of zero included (np.array_equal reads -0.0 == 0.0)."""
-    nets = list(_padded_corpus())
-    x = np.linspace(0.0, 1.0, 2001)
-    got = [_every_output(net, x) for net in nets]
-    monkeypatch.setattr(network, "_extract", reference_every_layer_extract)
-    monkeypatch.setattr(network, "_courses", reference_every_layer_courses)
-    monkeypatch.setattr(ReluNetwork, "_states", reference_every_layer_states)
-    for net, out in zip(nets, got):
-        want = _every_output(net, x)
-        assert len(out) == len(want)
-        assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-                   for a, b in zip(out, want)), net
 
 
 def _identity_grid(grid, vals):

@@ -11,13 +11,11 @@ from conftest import (
     overflowing_reset_net,
     plain_net,
     random_spline,
-    reference_every_layer_extract,
-    reference_every_layer_states,
     reference_write_network,
     slope_overflow_nets,
     text_io_networks,
 )
-from spline2relu import cpwl, network
+from spline2relu import cpwl
 from spline2relu.compiler import (
     _compile_wide,
     _deepen,
@@ -30,7 +28,6 @@ from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
     _closed_form,
-    _courses,
     _depth_one,
     _depth_two,
     extract_cpwl,
@@ -152,28 +149,20 @@ def test_overflow_is_an_error_naming_the_layer():
                 extract_cpwl(bad)
 
 
-def test_identity_padding_keeps_the_layer_that_overflows_named(monkeypatch):
+def test_identity_padding_keeps_the_layer_that_overflows_named():
     """Identity layers after the layer that overflows leave forward, values_at
-    and extract_cpwl naming the same layer as the every-layer references."""
+    and extract_cpwl naming that layer, of the padded depth."""
     base = overflowing_net()
-    messages = []
-    for patch in (False, True):
-        if patch:
-            monkeypatch.setattr(ReluNetwork, "_states", reference_every_layer_states)
-            monkeypatch.setattr(network, "_extract", reference_every_layer_extract)
-        seen = []
-        for extra in (1, 4):
-            net = _deepen(base, base.depth + extra)
-            for call in (lambda: net.forward(np.linspace(0.0, 1.0, 11)), lambda: net.forward(0.0),
-                         lambda: values_at(net, np.linspace(0.0, 1.0, 11)),
-                         lambda: extract_cpwl(net)):
-                with pytest.raises(DomainError, match="overflows") as error:
-                    call()
-                seen.append(str(error.value))
-        messages.append(seen)
-    assert messages[0] == messages[1]
-    assert messages[0][:2] == ["network value is not finite: layer 1 of 4 overflows",
-                               "network value is not finite: layer 2 of 4 overflows"]
+    for extra in (1, 4):
+        net = _deepen(base, base.depth + extra)
+        for call, layer in ((lambda: net.forward(np.linspace(0.0, 1.0, 11)), 1),
+                            (lambda: net.forward(0.0), 2),
+                            (lambda: values_at(net, np.linspace(0.0, 1.0, 11)), 1),
+                            (lambda: extract_cpwl(net), 1)):
+            with pytest.raises(DomainError) as error:
+                call()
+            assert str(error.value) == (f"network value is not finite: layer {layer} of "
+                                        f"{net.depth} overflows")
 
 
 def test_values_at_reads_all_reset_networks_in_closed_form(monkeypatch):
@@ -333,18 +322,6 @@ def test_special_forward_matches_extraction():
     grid = np.linspace(0.0, 1.0, 1001)
     assert np.abs(net.forward(grid) - extract_cpwl(net)(grid)).max() <= 1e-11
     assert np.abs(net.forward(grid) - f(grid)).max() <= 1e-11
-
-
-def test_collation_courses_shape():
-    """`_courses` yields one canonical (nodes, values) course per hidden layer
-    after the first."""
-    rng = np.random.default_rng(14)
-    net, _ = compile_spline(random_spline(rng, 8), 4)
-    courses = list(_courses(net))
-    assert len(courses) == net.depth - 1
-    for nodes, values in courses:
-        course = cpwl.CPwL(nodes, values)
-        assert np.array_equal(course.breakpoints, nodes) and np.array_equal(course.values, values)
 
 
 def test_special_to_standard_equivalence():
