@@ -44,10 +44,11 @@ METHOD = ("pairs alternate which side runs first (pair 0 parent first); each sid
           "won by the side that ran first; status is 'unresolved' "
           "when parent_iqr / |parent median| exceeds the metric's bound and the change "
           "runs neither all beat nor all lose to every parent run, else 'within parent IQR' when the change "
-          "median lies in the parent's [q1, q3], else 'better' or 'worse' by the side the "
-          "change median lies on; a claim is met when the change wins at least 9 of 10 "
-          "pairs, its median gain exceeds the parent's IQR and its runs on the claim's "
-          "workload fail no more operations in total than the parent's")
+          "median lies in the parent's [q1, q3], else 'better' when it lies on the better "
+          "side, 'worse' when it is worse than the parent median by more than the metric's "
+          "bound, and 'within bound' otherwise; a claim is met when the change wins at "
+          "least 9 of 10 pairs, its median gain exceeds the parent's IQR and its runs on "
+          "the claim's workload fail no more operations in total than the parent's")
 
 
 def _benchmark() -> dict:
@@ -103,8 +104,10 @@ def summarize(pairs: list[dict], better: str, bound: float, metric: str) -> dict
         status = "unresolved"
     elif p1 <= cm <= p3:
         status = "within parent IQR"
-    else:
-        status = "better" if worse_by < 0 else "worse"
+    elif worse_by < 0:
+        status = "better"
+    else:  # the benchmark's own rule: worse only past the metric's bound
+        status = "worse" if worse_by > bound else "within bound"
     return {"better": better, "bound": bound, "parent_median": pm, "parent_q1": p1,
             "parent_q3": p3, "parent_iqr": p3 - p1, "change_median": cm, "change_q1": c1,
             "change_q3": c3, "change_over_parent": ratio, "worse_by": worse_by,

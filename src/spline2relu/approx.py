@@ -121,39 +121,40 @@ CSV_HEADER = "m,params,sup_error,wall_ms"
 
 def records_to_csv(records):
     """Render experiment records as CSV text with a fixed header."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append("%d,%d,%.17g,%.17g" % (r.m, r.params, r.sup_error, r.wall_ms))
-    return "\n".join(lines) + "\n"
+    rows = [(r.m, r.params, r.sup_error, r.wall_ms) for r in records]
+    return CSV_HEADER + "\n" + cpwl._format_rows(np.array(rows, float).reshape(-1, 4), ",")
 
 
 def _quantize_values(vals, k, alpha):
-    """Quantize sampled node values to a Pattern, ties resolved toward the
-    previously chosen level."""
+    """Int levels of the sampled rows vals (n, k+1): the nearest level, ties
+    resolved toward the level before.  Rules, in order: finite, zero ends,
+    Lipschitz bound, pattern class; the first row that breaks one raises
+    ContractError for the first one it breaks."""
     h_alpha = (1.0 / k) ** alpha
-    if not np.isfinite(vals).all():
-        raise ContractError("sampled values must be finite")
-    if abs(vals[0]) > ENDPOINT_TOL or abs(vals[-1]) > ENDPOINT_TOL:
-        raise ContractError("function must vanish at 0 and 1")
-    steps = np.abs(np.diff(vals))
-    if steps.max() > h_alpha * (1.0 + NODE_SLACK) + 1e-15:
-        raise ContractError("sampled nodes violate the Lipschitz bound")
-    levels = [0]
-    for j in range(1, k + 1):
-        t = vals[j] / h_alpha
-        base = math.floor(t)
-        frac = t - base
-        if abs(frac - 0.5) <= TIE_TOL:
-            beta = base if levels[-1] <= base else base + 1
-        elif frac < 0.5:
-            beta = base
-        else:
-            beta = base + 1
-        levels.append(beta)
-    try:
-        return Pattern(tuple(levels))
-    except StructureError as exc:
-        raise ContractError(f"quantized levels escape the pattern class: {exc}")
+    finite = np.isfinite(vals).all(axis=1)
+    ends = (np.abs(vals[:, 0]) > ENDPOINT_TOL) | (np.abs(vals[:, -1]) > ENDPOINT_TOL)
+    vals = np.where(finite[:, None], vals, 0.0)  # a row that is not finite reads 0 from here
+    steep = np.abs(np.diff(vals)).max(axis=1) > h_alpha * (1.0 + NODE_SLACK) + 1e-15
+    with np.errstate(over="ignore", invalid="ignore"):  # a steep row may overflow
+        t = vals / h_alpha
+        base = np.floor(t)
+        tie = np.abs(t - base - 0.5) <= TIE_TOL
+        levels = np.rint(t)  # a row with zero ends starts at level 0
+        for j in np.flatnonzero(tie[:, 1:].any(axis=0)) + 1:
+            rows = tie[:, j]
+            levels[rows, j] = np.clip(levels[rows, j - 1], base[rows, j], base[rows, j] + 1.0)
+        broken = np.column_stack([~finite, ends, steep, (levels[:, -1] != 0)
+                                  | (np.abs(np.diff(levels)) > 1).any(axis=1)])
+    if broken.any():
+        row, rule = divmod(int(broken.argmax()), 4)  # the first such row, then its first rule
+        if rule == 3:
+            try:
+                Pattern(levels[row])
+            except StructureError as exc:
+                raise ContractError(f"quantized levels escape the pattern class: {exc}")
+        raise ContractError(("sampled values must be finite", "function must vanish at 0 and 1",
+                             "sampled nodes violate the Lipschitz bound")[rule])
+    return levels.astype(np.int64)
 
 
 def quantize_pattern(g, k, alpha):
@@ -167,8 +168,7 @@ def quantize_pattern(g, k, alpha):
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     nodes = np.arange(k + 1, dtype=float) / k
-    vals = _evaluate(g, nodes)
-    return _quantize_values(vals, k, alpha)
+    return Pattern(_quantize_values(_evaluate(g, nodes)[None], k, alpha)[0])
 
 
 def pattern_resolution(m):
@@ -216,18 +216,16 @@ def lip_alpha_approximant(f, alpha, m, width):
     xs = ((np.arange(m, dtype=float)[:, None] + sub[None, :]) / m).ravel()
     fv = _evaluate(f, xs).reshape(m, k + 1)
     tv = np.interp(xs, nodes, vals).reshape(m, k + 1)
-    scale = 0.5 * float(m) ** alpha
-    groups = {}
-    for i in range(m):
-        pattern = _quantize_values(scale * (fv[i] - tv[i]), k, alpha)
-        if not pattern.is_zero():
-            groups.setdefault(pattern.levels, []).append(i)
+    levels = _quantize_values(0.5 * float(m) ** alpha * (fv - tv), k, alpha)
+    kinds, first, inverse = np.unique(levels, axis=0, return_index=True, return_inverse=True)
     terms = []
-    for levels, panels in groups.items():
-        shape = Pattern(levels).to_cpwl(alpha)
-        scaled = cpwl.combine([shape], [2.0 * float(m) ** (-alpha)])
-        intervals = np.column_stack([panels, np.add(panels, 1)]) / m
-        terms.append(compile_self_similar(scaled, intervals, width)[0])
+    for kind in first.argsort():
+        if kinds[kind].any():
+            shape = Pattern(kinds[kind]).to_cpwl(alpha)
+            scaled = cpwl.combine([shape], [2.0 * float(m) ** (-alpha)])
+            panels = np.flatnonzero(inverse.ravel() == kind)  # numpy 2.0.0 keeps a 2-d shape
+            intervals = np.column_stack([panels, panels + 1]) / m
+            terms.append(compile_self_similar(scaled, intervals, width)[0])
     return concat_sum(net, *terms), 4.0 * (k * m) ** (-alpha)
 
 

@@ -539,7 +539,7 @@ def _fourier_oracle(terms: tuple[tuple[int, float, float], ...]) -> cpwl.CPwL:
         if b != 0.0:
             fs.append(cpwl.basis_fn("sine", j))
             cs.append(b)
-    return cpwl.combine(fs, cs) if fs else cpwl.line(0.0, 0.0)
+    return cpwl.combine(fs, cs)
 
 
 def _deepen(net: ReluNetwork, depth: int) -> ReluNetwork:

@@ -142,10 +142,12 @@ def _prune(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, v
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.union1d(a, b) by one stable sort: it merges two sorted runs fast and
-    sorts unsorted arrays with repeats (`compose`'s cuts) too; -0.0 == 0.0."""
-    both = np.concatenate((a, b))
+def _union(*grids: np.ndarray) -> np.ndarray:
+    """The union of the grids by one stable sort of their concatenation, as
+    np.union1d folded over them: it merges sorted runs fast and sorts unsorted
+    arrays with repeats (`compose`'s cuts) too; of equal values (-0.0 == 0.0)
+    the first, in the order given, is kept."""
+    both = np.concatenate(grids)
     both.sort(kind="stable")
     first = np.ones(both.size, dtype=bool)
     first[1:] = both[1:] != both[:-1]
@@ -154,11 +156,11 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _merge(*parts: tuple[np.ndarray, np.ndarray | None]
            ) -> tuple[np.ndarray, Iterator[np.ndarray | None]]:
-    """The union of the grids of the (grid, values) parts, folded left to
-    right by `_union`, and each part's values interpolated on it (None for a
-    part given with None: its nodes only join the grid).  The values are
-    interpolated as they are read, so a sum over many parts holds one at a time."""
-    grid = functools.reduce(_union, [g for g, _ in parts])
+    """The union of the grids of the (grid, values) parts (`_union`), and each
+    part's values interpolated on it (None for a part given with None: its
+    nodes only join the grid).  The values are interpolated as they are read,
+    so a sum over many parts holds one at a time."""
+    grid = _union(*[g for g, _ in parts])
     return grid, (None if v is None else np.interp(grid, g, v) for g, v in parts)
 
 
@@ -381,7 +383,8 @@ def _numbers(lines: list[str], linenos, counts: list[int], count_error: str) -> 
 # `_format_rows` spells 1e-4 <= |v| < 1e15 and +-0 in numpy: %.17g writes
 # these in fixed notation (decimal exponent -4 ... 14), so a number is a sign,
 # a "0.000" prefix, 17 digits and a decimal point, cut down by a keep-mask.
-# Every other value (tiny, subnormal, large, non-finite) goes through '%'.
+# Every other value (tiny, subnormal, large, non-finite) is spelled '%.17g' in
+# its row and filled in by one '%' per block.
 # All integer steps use uint64 operands: numpy 1.24 turns uint64 mixed with
 # int64 into float64.
 _FORMAT_BLOCK = 4096  # values per block; bounds the scratch arrays
@@ -395,17 +398,17 @@ _ROW = 40
 
 @functools.cache  # built on first use, so importing the package stays cheap
 def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The first word of a row by leading digit, the word of every 4-digit
-    group, the index of a group's last nonzero digit (far below 0 for 0000),
-    and the keep-masks of a row, indexed by ((case * 2 + negative) * 17 +
-    last), `last` the index of the last nonzero digit; case is the decimal
-    exponent + 4 for the 19 fixed-notation exponents, 19 for zero, 20 for a
-    value spelled by '%' (only its separator is kept)."""
+    """The first word of a row by leading digit (10: '%.17g'), the word of
+    every 4-digit group, the index of a group's last nonzero digit (far below
+    0 for 0000), and the keep-masks of a row, indexed by ((case * 2 +
+    negative) * 17 + last), `last` the index of the last nonzero digit; case
+    is the decimal exponent + 4 for the 19 fixed-notation exponents, 19 for
+    zero, 20 for a value spelled by '%' (its '%.17g' and separator are kept)."""
     group = np.arange(10000, dtype=np.int16)
     spell = np.full((10000, 8), ord("."), np.uint8)
     for i, scale in enumerate((1000, 100, 10, 1)):
         spell[:, 2 * i] = group // scale % 10 + ord("0")
-    head = np.frombuffer(b"".join(b"-0.000%d." % i for i in range(10)), np.uint64)
+    head = np.frombuffer(b"".join(b"-0.000%d." % i for i in range(10)) + b"%.17g...", np.uint64)
     last4 = np.where(group == 0, -100, 3 - (spell[:, 6::-2] != ord("0")).argmax(1)).astype(np.int8)
     col = np.arange(_ROW)
     exp = np.arange(-4, 15)[:, None, None, None]
@@ -422,6 +425,7 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
                  | (point & (j == exp) & (last > exp)))
     keep[19, 1, :, 0] = True
     keep[19, :, :, 1] = True
+    keep[20, ..., :5] = True
     keep[..., -1] = True
     return head, spell.view(np.uint64).ravel(), last4, keep.reshape(-1, _ROW)
 
@@ -468,33 +472,26 @@ def _format_block(values: np.ndarray, seps: np.ndarray) -> str:
     upper, lower = np.divmod(rest, _U(10 ** 8))
     groups = (*np.divmod(upper, _U(10 ** 4)), *np.divmod(lower, _U(10 ** 4)))
     head, group_words, last4, keeps = _format_tables()
+    case = np.where(fast, 20 - k.astype(np.intp), np.where(a == 0.0, 19, 20))
     words = np.empty((len(v), _ROW // 8), np.uint64)
-    words[:, 0] = head[first]
+    words[:, 0] = head[np.where(case == 20, _U(10), first)]
     last = np.zeros(len(v), np.intp)
     for i, g in enumerate(groups):
         words[:, i + 1] = group_words[g]
         np.maximum(last, last4[g] + (1 + 4 * i), out=last)
     rows = words.view(np.uint8)
     rows.reshape(values.shape + (_ROW,))[..., -1] = seps
-    case = np.where(fast, 20 - k.astype(np.intp), np.where(a == 0.0, 19, 20))
     keep = keeps[(case * 2 + np.signbit(v)) * 17 + last]
     text = str(np.compress(keep.ravel(), rows.ravel()), "ascii")
-    slow = np.flatnonzero(case == 20)
-    if not slow.size:
-        return text
-    # a slow value kept only its separator: splice its '%' text in before it
-    at = (np.cumsum(keep.sum(1))[slow] - 1).tolist()
-    parts = []
-    for start, end, num in zip([0] + at, at, v[slow].tolist()):
-        parts += (text[start:end], "%.17g" % num)
-    parts.append(text[at[-1]:])
-    return "".join(parts)
+    # every '%' in the text is a slow value's '%.17g'
+    slow = v[case == 20]
+    return text % tuple(slow.tolist()) if slow.size else text
 
 
 def _format_rows(values, sep: str) -> str:
     """Every number of the 2-d array `values` as '%.17g', byte for byte,
-    `sep` (one character) between the numbers of a row and a newline after
-    each row.  Works in blocks of about _FORMAT_BLOCK values."""
+    `sep` (one character, not '%') between the numbers of a row and a newline
+    after each row.  Works in blocks of about _FORMAT_BLOCK values."""
     values = np.asarray(values, dtype=float)
     rows, cols = values.shape
     seps = np.full(cols, ord(sep), np.uint8)

@@ -539,7 +539,7 @@ def write_network(net: ReluNetwork, path) -> None:
     kind = "special" if net.special else "standard"
     row = " ".join(["%.17g"] * w) + "\n"
     hidden = np.concatenate([net.hidden_weights, net.hidden_bias[:, None]], axis=1)
-    per = max(1, 4096 // (w * w + w))  # hidden layers per format call: bounds the floats alive
+    per = max(1, cpwl._FORMAT_BLOCK // (w * w + w))  # hidden layers per '%' call
     with open(path, "w") as fh:
         fh.write((f"{w} {depth} {kind}\n{w} 1\n" + "%.17g\n" * w + row)
                  % (*net.in_weights.tolist(), *net.in_bias.tolist()))

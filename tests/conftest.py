@@ -12,10 +12,17 @@ from spline2relu.compiler import (
     _deepen,
     _pad_knots,
     block_size,
+    compile_self_similar,
     compile_spline,
     fourier_atom,
 )
-from spline2relu.errors import DegenerateCompositionError, DomainError, ResourceError
+from spline2relu.errors import (
+    ContractError,
+    DegenerateCompositionError,
+    DomainError,
+    ResourceError,
+    StructureError,
+)
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
@@ -826,6 +833,63 @@ def pattern_rich_target(rng, m, k, alpha, theta=0.9):
                 vs[-1] = amp * bv
     f = cpwl.CPwL(xs, vs)
     return approx.TargetFunction(f, lip_alpha=(alpha, 1.0)), pats
+
+
+def reference_quantize_values(vals, k, alpha):
+    """One-panel loop kept as a test-only reference for approx._quantize_values:
+    the Pattern of one sampled row vals (k+1), ties resolved toward the
+    previously chosen level."""
+    h_alpha = (1.0 / k) ** alpha
+    if not np.isfinite(vals).all():
+        raise ContractError("sampled values must be finite")
+    if abs(vals[0]) > approx.ENDPOINT_TOL or abs(vals[-1]) > approx.ENDPOINT_TOL:
+        raise ContractError("function must vanish at 0 and 1")
+    steps = np.abs(np.diff(vals))
+    if steps.max() > h_alpha * (1.0 + approx.NODE_SLACK) + 1e-15:
+        raise ContractError("sampled nodes violate the Lipschitz bound")
+    levels = [0]
+    for j in range(1, k + 1):
+        t = vals[j] / h_alpha
+        base = math.floor(t)
+        frac = t - base
+        if abs(frac - 0.5) <= approx.TIE_TOL:
+            beta = base if levels[-1] <= base else base + 1
+        elif frac < 0.5:
+            beta = base
+        else:
+            beta = base + 1
+        levels.append(beta)
+    try:
+        return approx.Pattern(tuple(levels))
+    except StructureError as exc:
+        raise ContractError(f"quantized levels escape the pattern class: {exc}")
+
+
+def reference_lip_alpha_approximant(f, alpha, m, width):
+    """approx.lip_alpha_approximant with its pattern stage as a panel loop over
+    reference_quantize_values, grouped in a dict: kept as a test-only reference
+    (the contract checks on f are left to the library)."""
+    nodes = np.arange(m + 1, dtype=float) / m
+    vals = f(nodes)
+    net, _ = compile_spline(cpwl.CPwL(nodes, vals), width)
+    k = approx.pattern_resolution(m)
+    sub = np.arange(k + 1, dtype=float) / k
+    xs = ((np.arange(m, dtype=float)[:, None] + sub[None, :]) / m).ravel()
+    fv = f(xs).reshape(m, k + 1)
+    tv = np.interp(xs, nodes, vals).reshape(m, k + 1)
+    scale = 0.5 * float(m) ** alpha
+    groups = {}
+    for i in range(m):
+        pattern = reference_quantize_values(scale * (fv[i] - tv[i]), k, alpha)
+        if not pattern.is_zero():
+            groups.setdefault(pattern.levels, []).append(i)
+    terms = []
+    for levels, panels in groups.items():
+        shape = approx.Pattern(levels).to_cpwl(alpha)
+        scaled = cpwl.combine([shape], [2.0 * float(m) ** (-alpha)])
+        intervals = np.column_stack([panels, np.add(panels, 1)]) / m
+        terms.append(compile_self_similar(scaled, intervals, width)[0])
+    return concat_sum(net, *terms), 4.0 * (k * m) ** (-alpha)
 
 
 def reference_hat_iterate(k):

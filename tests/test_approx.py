@@ -1,13 +1,21 @@
 """Approximation tests: patterns, quantization, approximants, splits, rates."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import pattern_rich_target, reference_panel_antiderivative, sample_lip_ball
+from conftest import (
+    pattern_rich_target,
+    reference_lip_alpha_approximant,
+    reference_panel_antiderivative,
+    reference_quantize_values,
+    same_weights,
+    sample_lip_ball,
+)
 from spline2relu import approx, cpwl, riesz
-from spline2relu.compiler import takagi_network
+from spline2relu.compiler import compile_spline, takagi_network
 from spline2relu.errors import ContractError, DomainError, ResourceError, StructureError
 from spline2relu.network import ReluNetwork, extract_cpwl, values_at
 
@@ -72,6 +80,112 @@ def test_quantize_random_ball_is_covered():
         err = np.abs(g(grid) - p.to_cpwl(0.5)(grid)).max()
         assert err <= 2.0 * 5.0 ** -0.5
     assert 1 <= len(distinct) <= 3 ** 5
+
+
+def _quantize_rows(rng, k, alpha, n=80):
+    """Seeded (n, k+1) rows on the half-level grid: ties in every interior
+    column and chains of them, nudged inside TIE_TOL (still ties) or past it,
+    +-0, and rows that break each rule (a last step of up to two levels breaks
+    the Lipschitz rule, and with it often the class rule)."""
+    h = (1.0 / k) ** alpha
+    t = np.cumsum(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (n, k + 1)), axis=1)
+    t[:, 0] = t[:, -1] = 0.0
+    t += rng.choice([0.0, 0.0, 0.0, 4e-13, -4e-13, 3e-10, -3e-10], t.shape) * (t != 0.0)
+    vals = t * h
+    vals[(t == 0.0) & (rng.random(t.shape) < 0.5)] = -0.0
+    nan, inf, end, steep = (vals[i].copy() for i in range(4))
+    nan[1], inf[k - 1], end[-1], steep[1] = np.nan, -np.inf, 1e-6, 1.5 * h
+    end[0] = np.nan if rng.random() < 0.5 else end[0]  # finite is checked first
+    extra = [nan, inf, end, steep]
+    if k >= 4:  # levels 0, 0, 2: no step past the Lipschitz bound, a jump of two
+        escape = np.zeros(k + 1)
+        escape[1:4] = np.array([0.5 - 3e-10, 1.5 + 3e-10, 0.5]) * h
+        extra.append(escape)
+    return np.vstack([vals, *rng.permutation(extra)])
+
+
+def _reference_rows(rows, k, alpha):
+    """reference_quantize_values per row: levels, or the ContractError message."""
+    out = []
+    for row in rows:
+        try:
+            out.append(reference_quantize_values(row, k, alpha).levels)
+        except ContractError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_quantize_values_matches_the_reference():
+    """One call over all rows reads the levels of the one-panel loop, row by
+    row, and raises the message of the first row that breaks a rule."""
+    rng = np.random.default_rng(44)
+    messages = set()
+    for k in range(2, 8):
+        for alpha in (0.5, 0.75, 1.0):
+            rows = _quantize_rows(rng, k, alpha)
+            want = _reference_rows(rows, k, alpha)
+            for row, w in zip(rows, want):
+                try:
+                    got = approx.quantize_pattern(lambda x, row=row: row, k, alpha).levels
+                except ContractError as exc:
+                    got = str(exc)
+                assert got == w, (k, alpha, row)
+            messages.update(w for w in want if isinstance(w, str))
+            with pytest.raises(ContractError) as info:
+                approx._quantize_values(rows, k, alpha)
+            assert str(info.value) == next(w for w in want if isinstance(w, str))
+            good = [i for i, w in enumerate(want) if not isinstance(w, str)]
+            levels = approx._quantize_values(rows[good], k, alpha)
+            assert levels.dtype == np.int64 and levels.tolist() == [list(want[i]) for i in good]
+            t = rows[good] / (1.0 / k) ** alpha
+            tie = np.abs(t - np.floor(t) - 0.5) <= approx.TIE_TOL
+            # a tie in every interior column, and ties in a row (chains)
+            assert tie[:, 1:-1].any(axis=0).all()
+            assert (tie[:, 1:-2] & tie[:, 2:-1]).any() or k == 2
+    assert len(messages) == 4
+    # two rows that break different rules, in both orders: the first row decides
+    k, alpha = 5, 0.5
+    rows = _quantize_rows(rng, k, alpha)[-5:]
+    want = _reference_rows(rows, k, alpha)
+    for i in range(5):
+        for j in range(5):
+            if want[i] != want[j]:
+                with pytest.raises(ContractError) as info:
+                    approx._quantize_values(rows[[i, j]], k, alpha)
+                assert str(info.value) == want[i]
+
+
+def _kink_sum(rng, panels, alpha=0.5, kinks=8, rho=0.9):
+    """A Hoelder target like the benchmark's: rho/(2K) sum_i s_i (|x - t_i|^a
+    - (1-x) t_i^a - x (1-t_i)^a), each kink at the midpoint of its own panel."""
+    centres = (np.sort(rng.choice(panels, kinks, replace=False)) + 0.5) / panels
+    signs = rng.choice([-1.0, 1.0], kinks)
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        total = np.zeros_like(x)
+        for t, s in zip(centres, signs):
+            total += s * (np.abs(x - t) ** alpha - (1.0 - x) * t ** alpha
+                          - x * (1.0 - t) ** alpha)
+        return rho / (2.0 * kinks) * total
+    return approx.TargetFunction(f, lip_alpha=(alpha, rho))
+
+
+def test_lip_approximant_matches_the_dict_grouping():
+    """The one-call pattern stage, grouped by np.unique, builds the weights
+    of the panel loop grouped in a dict, bit for bit."""
+    rng = np.random.default_rng(45)
+    cases = [(pattern_rich_target(rng, m, approx.pattern_resolution(m), 1.0)[0], 1.0, m)
+             for m in (36, 81, 100)]
+    kinks = _kink_sum(rng, 64)
+    cases += [(kinks, 0.5, m) for m in (64, 256, 512)]
+    for i, (f, alpha, m) in enumerate(cases):
+        net, bound = approx.lip_alpha_approximant(f, alpha, m, 8)
+        want, want_bound = reference_lip_alpha_approximant(f, alpha, m, 8)
+        assert same_weights(net, want) and bound == want_bound, m
+        nodes = np.arange(m + 1) / m
+        interpolant = compile_spline(cpwl.CPwL(nodes, f(nodes)), 8)[0]
+        assert net.params > interpolant.params or i >= 3  # patterns were added
 
 
 def test_pattern_resolution_table():
@@ -414,6 +528,13 @@ def test_records_to_csv_format():
     assert lines[0] == approx.CSV_HEADER == "m,params,sup_error,wall_ms"
     assert lines[1] == "2,33,0.125,1.5"
     assert len(lines) == 3 and text.endswith("\n")
+    # the rows come from cpwl._format_rows: the bytes of one '%d,%d,%.17g,%.17g' per row
+    records += [approx.ExperimentRecord(16, 0, float("nan"), 3e-5, "ResourceError: x"),
+                approx.ExperimentRecord(2 ** 40 + 1, 10 ** 15, 1.0 / 3.0, 0.0),
+                approx.ExperimentRecord(3, 7, 5e-324, 1e15)]
+    assert approx.records_to_csv(records) == approx.CSV_HEADER + "\n" + "".join(
+        "%d,%d,%.17g,%.17g\n" % (r.m, r.params, r.sup_error, r.wall_ms) for r in records)
+    assert approx.records_to_csv([]) == approx.CSV_HEADER + "\n"
 
 
 def test_ar_seminorm():
@@ -425,14 +546,33 @@ def test_ar_seminorm():
     assert math.isnan(approx.ar_seminorm([], 1.0))
 
 
+def test_union_of_many_grids_is_the_fold():
+    """cpwl._union of three or more grids, with repeats and both zeros, holds
+    the values of np.union1d folded over them, and of equal values keeps the
+    first in the order given (the fold's choice), sign bit included."""
+    rng = np.random.default_rng(75)
+    for _ in range(300):
+        grids = [rng.integers(0, 12, rng.integers(0, 15)) / 11.0
+                 for _ in range(rng.integers(3, 7))]
+        for g in grids:
+            g[(g == 0.0) & (rng.random(g.size) < 0.5)] = -0.0
+        got = cpwl._union(*grids)
+        assert np.array_equal(got, functools.reduce(np.union1d, grids))
+        assert np.array_equal(got, functools.reduce(cpwl._union, grids))
+        zeros = np.concatenate(grids)
+        zeros = zeros[zeros == 0.0]
+        if zeros.size:
+            assert np.signbit(got[got == 0.0]).tolist() == [np.signbit(zeros[0])]
+
+
 def test_union_of_sorted_grids_is_union1d(monkeypatch):
     """cpwl._union, the one union of grids (`measure_sigma`'s point sets,
-    `_merge`'s folds), gives the values of np.union1d with one stable sort:
+    `_merge`'s one call), gives the values of np.union1d with one stable sort:
     sorted, distinct sets that overlap or repeat, the unsorted cut lists with
     repeats that `compose` hands `_merge`, single nodes and an empty array
     (-0.0 and 0.0 count as one point, as in np.union1d).  `compose`,
     `combine` over 20 parts and the riesz Gram matrix read the same arrays
-    as under np.union1d."""
+    as under np.union1d folded over the grids."""
     rng = np.random.default_rng(73)
     grid = np.linspace(0.0, 1.0, 4099)
     nodes = extract_cpwl(takagi_network([2.0 ** -(i + 1) for i in range(12)])).breakpoints
@@ -459,6 +599,6 @@ def test_union_of_sorted_grids_is_union1d(monkeypatch):
                 combined.values, riesz.gram_matrix(32))
 
     got = outputs()
-    monkeypatch.setattr(cpwl, "_union", np.union1d)
+    monkeypatch.setattr(cpwl, "_union", lambda *grids: functools.reduce(np.union1d, grids))
     for a, b in zip(got, outputs()):
         assert np.array_equal(a, b)

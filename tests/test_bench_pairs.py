@@ -88,10 +88,11 @@ def test_fold_statuses_and_claims_not_met():
     s = bench_pairs.fold(_series(parent, [9.0, 9.1, 9.2, 9.3]),
                          END_TO_END)["workloads"]["sweeps"]["summary"]["compile_ms.p50"]
     assert not s["within_bound"] and s["parent_wins"] == 4 and s["status"] == "worse"
-    # worse inside the bound is still worse
+    # worse outside the parent's quartiles but inside the bound: not a regression
     s = bench_pairs.fold(_series(parent, [7.5, 7.6, 7.5, 7.7]),
                          END_TO_END)["workloads"]["sweeps"]["summary"]["compile_ms.p50"]
-    assert s["within_bound"] and 0 < s["worse_by"] < 0.25 and s["status"] == "worse"
+    assert s["within_bound"] and 0 < s["worse_by"] < 0.25 and s["status"] == "within bound"
+    assert s["change_median"] > s["parent_q3"] and s["parent_wins"] == 4
     assert "verdict" not in bench_pairs.fold(_series(parent, parent), END_TO_END)
 
 

@@ -1,5 +1,6 @@
 """Function-algebra tests: canonical form, operations, closed forms, file IO."""
 
+import functools
 import math
 import tracemalloc
 
@@ -624,6 +625,25 @@ def test_format_rows_matches_percent_on_edges():
 def test_format_rows_matches_percent(values):
     column = np.array(values)[:, None]
     assert cpwl._format_rows(column, ",") == _percent_rows(column, ",")
+
+
+def test_format_rows_fills_rare_values_in_one_percent():
+    """Values the fast path cannot spell (nonzero below 1e-4, from 1e15 up,
+    not finite) are written '%.17g' in their rows and filled in by one '%'
+    per block: a block of nothing else, and rare values on either side of a
+    block's edge, match one '%' per number under both separators."""
+    rare = np.array([1e-5, -1e-5, 9.99e-5, -3e-300, 5e-324, -5e-324, np.inf, -np.inf,
+                     np.nan, 1e15, -1e15, 1e300, np.nextafter(1e-4, 0.0)])
+    block = cpwl._FORMAT_BLOCK
+    rng = np.random.default_rng(33)
+    every = np.resize(rare, block)
+    edge = rng.uniform(-1.0, 1.0, 2 * block + 3)
+    for at in (block - 1, block, block + 1):
+        edge[at] = rare[at % rare.size]
+    for sep in (",", " "):
+        for values in (every[:, None], every.reshape(-1, 2), every[:-1].reshape(-1, 3),
+                       edge[:, None], edge[:-1].reshape(-1, 2)):
+            assert cpwl._format_rows(values, sep) == _percent_rows(values, sep)
 
 
 def test_format_rows_memory_is_blocked():
