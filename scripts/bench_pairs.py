@@ -48,7 +48,8 @@ METHOD = ("pairs alternate which side runs first (pair 0 parent first); each sid
           "side, 'worse' when it is worse than the parent median by more than the metric's "
           "bound, and 'within bound' otherwise; a claim is met when the change wins at "
           "least 9 of 10 pairs, its median gain exceeds the parent's IQR and its runs on "
-          "the claim's workload fail no more operations in total than the parent's")
+          "the claim's workload fail no larger a share of their operations (failed over "
+          "attempted, each summed over pairs) than the parent's")
 
 
 def _benchmark() -> dict:
@@ -158,13 +159,20 @@ def fold(runs: list[dict], end_to_end: list[dict], claim: tuple[str, str] | None
         w = out["workloads"][workload]
         s = w["summary"][metric]
         gain = (s["parent_median"] - s["change_median"]) * (1 if s["better"] == "lower" else -1)
-        failed = {side: sum(p[f"{side}_failed"] for p in w["pairs"]) for side in SIDES}
+        # a faster side fits more rounds, so it is judged by its share of failures
+        failed, share = {}, {}
+        for side in SIDES:
+            failed[side] = sum(p[f"{side}_failed"] for p in w["pairs"])
+            attempted = sum(p[f"{side}_attempted"] for p in w["pairs"])
+            share[side] = failed[side] / attempted if attempted else 0.0
         out["verdict"] = {"metric": metric, "workload": workload,
                           "change_wins": s["change_wins"], "pairs": s["pairs"],
                           "median_gain": gain, "parent_iqr": s["parent_iqr"],
                           "parent_failed": failed["parent"], "change_failed": failed["change"],
+                          "parent_failed_share": share["parent"],
+                          "change_failed_share": share["change"],
                           "met": (s["change_wins"] >= 0.9 * s["pairs"] and gain > s["parent_iqr"]
-                                  and failed["change"] <= failed["parent"])}
+                                  and share["change"] <= share["parent"])}
     return out
 
 

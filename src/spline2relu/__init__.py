@@ -70,6 +70,7 @@ from .approx import (
     rate_experiment,
     records_to_csv,
     sobolev_split,
+    takagi_family,
 )
 from .riesz import (
     frame_bounds,

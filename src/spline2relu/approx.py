@@ -12,7 +12,7 @@ import numpy as np
 
 from . import cpwl
 from .combinators import concat_sum
-from .compiler import compile_self_similar, compile_spline
+from .compiler import compile_self_similar, compile_spline, takagi_network
 from .errors import ContractError, DomainError, ResourceError, StructureError
 from .network import extract_cpwl, values_at
 
@@ -134,8 +134,8 @@ def _quantize_values(vals, k, alpha):
     finite = np.isfinite(vals).all(axis=1)
     ends = (np.abs(vals[:, 0]) > ENDPOINT_TOL) | (np.abs(vals[:, -1]) > ENDPOINT_TOL)
     vals = np.where(finite[:, None], vals, 0.0)  # a row that is not finite reads 0 from here
-    steep = np.abs(np.diff(vals)).max(axis=1) > h_alpha * (1.0 + NODE_SLACK) + 1e-15
     with np.errstate(over="ignore", invalid="ignore"):  # a steep row may overflow
+        steep = np.abs(np.diff(vals)).max(axis=1) > h_alpha * (1.0 + NODE_SLACK) + 1e-15
         t = vals / h_alpha
         base = np.floor(t)
         tie = np.abs(t - base - 0.5) <= TIE_TOL
@@ -337,6 +337,60 @@ def rate_experiment(f, builder, ms, grid_n=4097):
         return ExperimentRecord(m, params, error, wall_ms, reason)
 
     return [one(m) for m in ms]
+
+
+def takagi_family(m):
+    """(target, builder) of the Takagi rate family up to size m >= 1.
+
+    builder(k) is `takagi_network` with coefficients 2^-(i+1), i < k, whose
+    output is the order-k sawtooth partial sum.  target is the dyadic
+    sawtooth sum of order m + 20, sum_{i < m+20} 2^-(i+1) H^(i+1)(x), read
+    pointwise, so at depths where the explicit node list would not fit.
+
+    Term i reads t, the fractional part of 2^i x, as min(t, 1 - t) 2^-i; t is
+    carried by the doubling map (double, then subtract 1 where it reached 1).
+    For x >= 0, so on [0, 1] where the target is defined, np.mod, doubling
+    and t - 1 for t in [1, 2) are exact, so t and every term equal those of
+    `cpwl.hat_iterate_value` to the bit.  For negative x np.mod rounds the
+    fractional part and doubling carries that rounding into later terms, so
+    the result can differ from that closed form in its last bits.  Every
+    step runs in place on t and one term buffer.
+
+    After the first m + 1 terms the points whose t reached 0 (every dyadic
+    point with denominator up to 2^(m+1), so every breakpoint j/2^k, k <= m,
+    of the networks builder makes) are set aside: their t stays 0, so each
+    later term adds exactly +0.0 there.  The remaining terms run on the
+    other points only, and their totals are put back.  The points are read
+    cpwl._SWEEP_BLOCK at a time, every term on one block before the next.
+    """
+    def run(t, total, term, terms):
+        for i in terms:
+            np.subtract(1.0, t, out=term)
+            np.minimum(t, term, out=term)
+            term *= 2.0 ** -i
+            total += term
+            t += t
+            np.subtract(t, 1.0, out=t, where=t >= 1.0)
+
+    def evaluate(x):
+        xs = np.asarray(x, dtype=float)
+        t = np.mod(xs.ravel(), 1.0)
+        total = np.zeros(t.size)
+        term = np.empty(min(t.size, cpwl._SWEEP_BLOCK))
+        for start in range(0, t.size, cpwl._SWEEP_BLOCK):
+            part = slice(start, start + cpwl._SWEEP_BLOCK)
+            tb, sb = t[part], total[part]
+            run(tb, sb, term[:tb.size], range(m + 1))
+            live = np.flatnonzero(tb)
+            rest = sb.take(live)
+            run(tb.take(live), rest, term[:live.size], range(m + 1, m + 20))
+            np.put(sb, live, rest)
+        return total.reshape(xs.shape)
+
+    def builder(k):
+        return takagi_network([2.0 ** -(i + 1) for i in range(k)])
+
+    return TargetFunction(evaluate), builder
 
 
 def ar_seminorm(records, r):

@@ -9,8 +9,7 @@ import sys
 import numpy as np
 
 from . import approx, cpwl, riesz
-from .compiler import (compile_fourier_sum, compile_spline, fourier_atom,
-                       fourier_oracle, takagi_network)
+from .compiler import compile_fourier_sum, compile_spline, fourier_atom, fourier_oracle
 from .errors import ResourceError, Spline2ReluError
 from .network import extract_cpwl, read_network, values_at, write_network
 
@@ -121,18 +120,13 @@ def _run_eval(args):
     return 0
 
 
-def _rates_setup(args):
-    if args.family != "takagi":
-        raise Spline2ReluError(f"unknown rate family {args.family!r}")
-    coeffs, f = _takagi(max(_parse_sizes(args.ms)))
-    return f, lambda m: takagi_network(coeffs[:m])
-
-
 def _run_rates(args):
     ms = _parse_sizes(args.ms)
     if not ms:
         raise Spline2ReluError("no sizes given; use --ms")
-    f, builder = _rates_setup(args)
+    if args.family != "takagi":
+        raise Spline2ReluError(f"unknown rate family {args.family!r}")
+    f, builder = approx.takagi_family(max(ms))
     records = approx.rate_experiment(f, builder, ms, grid_n=args.grid_n)
     for r in records:
         if r.reason:
@@ -171,67 +165,9 @@ def _run_riesz(args):
     return 0
 
 
-def _dyadic_sawtooth_sum(order, settle):
-    """Pointwise evaluator of the order-m dyadic sawtooth sum
-    sum_{i < m} 2^-(i+1) H^(i+1)(x), usable at depths where the explicit node
-    list would not fit.
-
-    Term i reads t, the fractional part of 2^i x, as min(t, 1 - t) 2^-i; t is
-    carried by the doubling map (double, then subtract 1 where it reached 1).
-    For x >= 0, so on [0, 1] where the target is defined, np.mod, doubling
-    and t - 1 for t in [1, 2) are exact, so t and every term equal those of
-    `cpwl.hat_iterate_value` to the bit.  For negative x np.mod rounds the
-    fractional part and doubling carries that rounding into later terms, so
-    the result can differ from that closed form in its last bits.  Every
-    step runs in place on t and one term buffer.
-
-    After the first `settle` terms the points whose t reached 0 (every
-    dyadic point with denominator up to 2^settle) are set aside: their t
-    stays 0, so each later term adds exactly +0.0 there.  The remaining
-    terms run on the other points only, and their totals are put back.  The
-    points are read cpwl._SWEEP_BLOCK at a time, every term on one block
-    before the next.
-    """
-    def run(t, total, term, terms):
-        for i in terms:
-            np.subtract(1.0, t, out=term)
-            np.minimum(t, term, out=term)
-            term *= 2.0 ** -i
-            total += term
-            t += t
-            np.subtract(t, 1.0, out=t, where=t >= 1.0)
-
-    def evaluate(x):
-        xs = np.asarray(x, dtype=float)
-        t = np.mod(xs.ravel(), 1.0)
-        total = np.zeros(t.size)
-        term = np.empty(min(t.size, cpwl._SWEEP_BLOCK))
-        for start in range(0, t.size, cpwl._SWEEP_BLOCK):
-            part = slice(start, start + cpwl._SWEEP_BLOCK)
-            tb, sb = t[part], total[part]
-            run(tb, sb, term[:tb.size], range(min(settle, order)))
-            if settle < order:
-                live = np.flatnonzero(tb)
-                rest = sb.take(live)
-                run(tb.take(live), rest, term[:live.size], range(settle, order))
-                np.put(sb, live, rest)
-        return total.reshape(xs.shape)
-    return evaluate
-
-
-def _takagi(order):
-    """Coefficients 2^-(i+1), i < order, of the Takagi partial sum, and the
-    target it approximates: the dyadic sawtooth sum of order m + 20, with
-    m = order.  The target sets aside after m + 1 terms the points where it
-    is settled, which include every breakpoint j/2^m of the networks it
-    measures (`_dyadic_sawtooth_sum`)."""
-    coeffs = [2.0 ** -(i + 1) for i in range(order)]
-    return coeffs, approx.TargetFunction(_dyadic_sawtooth_sum(order + 20, order + 1))
-
-
 def _run_takagi(args):
-    coeffs, target = _takagi(args.order)
-    net = takagi_network(coeffs)
+    target, builder = approx.takagi_family(args.order)
+    net = builder(args.order)
     error = approx.measure_sigma(target, net, args.grid_n)
     if args.out:
         write_network(net, args.out)

@@ -226,8 +226,10 @@ def reference_unblocked_step(shared, weights, bias):
 
 
 def reference_unblocked_sawtooth_sum(order, settle):
-    """cli._dyadic_sawtooth_sum before blocking, kept as a test-only
-    reference: every term runs over all points at once."""
+    """The Takagi target of `approx.takagi_family` before blocking, kept as a
+    test-only reference: every term runs over all points at once, and the
+    points with t = 0 are set aside after `settle` terms (m + 1 in the
+    target of size m = order - 20)."""
     def run(t, total, terms):
         term = np.empty_like(t)
         for i in terms:
@@ -1007,9 +1009,9 @@ def interval_sets(rng, count):
 
 
 def reference_dyadic_sawtooth_sum(order):
-    """Term-by-term closed form kept as a test-only reference for
-    cli._dyadic_sawtooth_sum: term i is 2^-(i+1) H^(i+1)(x), each read by
-    cpwl.hat_iterate_value's np.mod of x 2^i."""
+    """Term-by-term closed form kept as a test-only reference for the Takagi
+    target of `approx.takagi_family`: term i is 2^-(i+1) H^(i+1)(x), each
+    read by cpwl.hat_iterate_value's np.mod of x 2^i."""
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
         total = np.zeros_like(xs)

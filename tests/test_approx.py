@@ -8,9 +8,11 @@ import pytest
 
 from conftest import (
     pattern_rich_target,
+    reference_dyadic_sawtooth_sum,
     reference_lip_alpha_approximant,
     reference_panel_antiderivative,
     reference_quantize_values,
+    reference_unblocked_sawtooth_sum,
     same_weights,
     sample_lip_ball,
 )
@@ -238,6 +240,13 @@ def test_quantization_refuses_non_finite_samples():
                               lip_alpha=(0.5, 1.0))
     with pytest.raises(ContractError, match="sampled values must be finite"):
         approx.lip_alpha_approximant(f, 0.5, 36, 8)
+
+
+def test_quantization_refuses_overflowing_steps_without_a_warning():
+    # each step of this finite row overflows; the Lipschitz check says so
+    r = np.array([0.0, 1.7e308, -1.7e308, 0.0])
+    with pytest.raises(ContractError, match="sampled nodes violate the Lipschitz bound"):
+        approx.quantize_pattern(lambda x: r, 3, 1.0)
 
 
 def test_lip_approximant_small_m_is_pure_interpolation():
@@ -518,6 +527,67 @@ def test_rate_experiment_takagi_errors_shrink():
     errs = [r.sup_error for r in records]
     assert all(b <= a for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 2.0 ** -6
+
+
+def test_takagi_family_builds_the_partial_sums():
+    target, builder = approx.takagi_family(6)
+    for k in (1, 4, 9):
+        assert same_weights(builder(k), takagi_network([2.0 ** -(i + 1) for i in range(k)]))
+    assert isinstance(target, approx.TargetFunction)
+    with pytest.raises(DomainError, match="need at least one coefficient"):
+        builder(0)
+
+
+def test_takagi_target_matches_the_term_by_term_closed_form():
+    """The doubling map carries the fractional part exactly on [0, 1], so the
+    target of size m, the order m + 20 sum settled after m + 1 terms, equals
+    the per-term np.mod of x 2^i to the bit: on measure_sigma's union grid at
+    m = 20, on points none of which settle, on points that all settle, and on
+    0-d inputs."""
+    rng = np.random.default_rng(43)
+    nodes = extract_cpwl(takagi_network([2.0 ** -(i + 1) for i in range(16)])).breakpoints
+    union = np.union1d(np.linspace(0.0, 1.0, 4099), extract_cpwl(
+        takagi_network([2.0 ** -(i + 1) for i in range(20)])).breakpoints)
+    # (3i + 1) / (3 * 2^14) is not dyadic: its float settles only after
+    # about 53 doublings
+    thirds = np.arange(1, 3 * 2 ** 14, 3) / (3.0 * 2 ** 14)
+    points = [np.linspace(0.0, 1.0, 4099), np.linspace(0.0, 1.0, 10001), nodes,
+              np.array([0.0, 1.0 / 3.0, 1.0]), np.random.default_rng(19).uniform(0.0, 1.0, 20000),
+              thirds]
+    for m in (1, 2, 3, 14, 16, 20, 40):
+        target = approx.takagi_family(m)[0]
+        ref = reference_dyadic_sawtooth_sum(m + 20)
+        den = 2.0 ** (m + 1)
+        dyadic = rng.integers(0, int(den) + 1, 5000) / den
+        assert np.mod(thirds * den, 1.0).all() and not np.mod(dyadic * den, 1.0).any()
+        for xs in points + [dyadic] + ([union] if m == 20 else []):
+            assert np.array_equal(target(xs), ref(xs))
+        for x in (1.0 / 3.0, np.float64(0.25), np.array(1.0 / 3.0), np.array(0.5)):
+            got = target(x)
+            assert np.shape(got) == () and got == ref(x)
+
+
+def test_blocked_takagi_target_matches_the_unblocked_reference(monkeypatch):
+    """The Takagi target runs every term on one block of points before the
+    next: block - 1, block, block + 1 and 3 block + 7 points (at the
+    library's block and at a block of 7), 2-d arrays and 0-d inputs give the
+    bits and shape of the unblocked reference, settled points included, read
+    through the target and through its evaluator."""
+    rng = np.random.default_rng(71)
+    for block in (cpwl._SWEEP_BLOCK, 7):
+        monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", block)
+        points = [np.sort(rng.uniform(0.0, 1.0, size)) for size in
+                  (block - 1, block, block + 1, 3 * block + 7)]
+        points[-1][::3] = rng.integers(0, 2 ** 12 + 1, points[-1][::3].size) / 2.0 ** 12
+        rows = np.concatenate([points[0], points[2]]).reshape(2, -1)
+        points += [rows, rows.T, np.array(0.375), np.array(1.0 / 3.0), 0.75]
+        for m in (1, 14, 20):
+            target = approx.takagi_family(m)[0]
+            want_of = reference_unblocked_sawtooth_sum(m + 20, m + 1)
+            for xs in points:
+                want = want_of(xs)
+                for got in (target(xs), target.evaluator(xs)):
+                    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 def test_records_to_csv_format():

@@ -17,19 +17,22 @@ END_TO_END = [{"name": "compile_ms.p50", "better": "lower", "bound": 0.25},
               {"name": "sup_error.max", "better": "lower", "bound": 0.05}]
 
 
-def _run(side, pair, values, workload="sweeps", seed=5, trace=0, failed=0):
+def _run(side, pair, values, workload="sweeps", seed=5, trace=0, failed=0, attempted=100):
     return {"side": side, "pair": pair, "first": "parent" if pair % 2 == 0 else "change",
             "workload": workload, "seed": seed, "trace": trace, "correct": failed == 0,
-            "attempted": 100, "failed": failed,
+            "attempted": attempted, "failed": failed,
             "metrics": {k: {"value": v, "unit": "x"} for k, v in values.items()}}
 
 
-def _series(parent_ms, change_ms, workload="sweeps", change_failed=0):
+def _series(parent_ms, change_ms, workload="sweeps", change_failed=0, parent_failed=0,
+            change_attempted=100):
     runs = []
     for pair, (p, c) in enumerate(zip(parent_ms, change_ms)):
-        for side, ms, failed in (("parent", p, 0), ("change", c, change_failed)):
+        for side, ms, failed, attempted in (("parent", p, parent_failed, 100),
+                                            ("change", c, change_failed, change_attempted)):
             runs.append(_run(side, pair, {"compile_ms.p50": ms, "breakpoints_per_s": 1e3 / ms,
-                                          "sup_error.max": 1e-11}, workload, failed=failed))
+                                          "sup_error.max": 1e-11}, workload, failed=failed,
+                             attempted=attempted))
     return runs
 
 
@@ -80,6 +83,16 @@ def test_fold_statuses_and_claims_not_met():
                            ("sweeps", "compile_ms.p50"))
     assert out["verdict"]["change_failed"] == 4 and out["verdict"]["parent_failed"] == 0
     assert out["verdict"]["change_wins"] == 4 and not out["verdict"]["met"]
+    assert (out["verdict"]["parent_failed_share"], out["verdict"]["change_failed_share"]) == (
+        0.0, 0.01)
+    # a faster change fits twice the operations and fails twice as many:
+    # the count rises, the share does not
+    out = bench_pairs.fold(_series(parent, [6.0, 6.1, 6.0, 6.2], parent_failed=1,
+                                   change_failed=2, change_attempted=200), END_TO_END,
+                           ("sweeps", "compile_ms.p50"))
+    v = out["verdict"]
+    assert (v["parent_failed"], v["change_failed"]) == (4, 8)
+    assert v["parent_failed_share"] == v["change_failed_share"] == 0.01 and v["met"]
     # wins in every pair, but a gain inside the parent's own spread
     out = bench_pairs.fold(_series([7.0, 9.0, 7.0, 9.0], [6.9, 8.9, 6.9, 8.9]), END_TO_END,
                            ("sweeps", "compile_ms.p50"))

@@ -10,8 +10,6 @@ from conftest import (
     overflowing_net,
     overflowing_reset_net,
     random_spline,
-    reference_dyadic_sawtooth_sum,
-    reference_unblocked_sawtooth_sum,
     reference_eval_csv,
     slope_overflow_nets,
     text_io_networks,
@@ -178,12 +176,23 @@ def test_rates_reports_failed_rows_on_stderr(capsys, monkeypatch):
             raise Spline2ReluError("no network for m=2")
         return takagi_network([0.0] * m)
 
-    monkeypatch.setattr(cli, "_rates_setup", lambda cfg: (target, builder))
+    monkeypatch.setattr(approx, "takagi_family", lambda m: (target, builder))
     assert cli.main(["rates", "--ms", "1:3", "--grid", "33"]) == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[0] == "m,params,sup_error,wall_ms"
     assert out.splitlines()[2].startswith("2,0,nan,")
     assert err.splitlines() == ["rates: m=2 failed: Spline2ReluError: no network for m=2"]
+
+
+def test_rates_rows_below_one_fail_with_their_own_size(capsys):
+    # each row builds its network from its own m, so m = -1 fails as m = 0
+    # does and is not the order-2 network of a shorter coefficient list
+    assert cli.main(["rates", "--ms=-1,0,3"]) == 0
+    out, err = capsys.readouterr()
+    assert _mask_wall(out) == ["m,params,sup_error", "-1,0,nan", "0,0,nan",
+                               "3,53,0.083333253860473633"]
+    assert err.splitlines() == [f"rates: m={m} failed: DomainError: need at least one coefficient"
+                                for m in (-1, 0)]
 
 
 def test_rates_default_grid_holds_the_takagi_tail_peak(capsys):
@@ -241,64 +250,6 @@ def test_takagi_past_the_node_budget_measures_on_the_grid(capsys):
     fields = dict(tok.split("=") for tok in capsys.readouterr().out.split())
     assert fields["order"] == "21" and fields["depth"] == "21"
     assert 0.0 < float(fields["sup_error"]) <= 2.0 ** -21
-
-
-def test_dyadic_sawtooth_sum_matches_the_term_by_term_closed_form():
-    """The doubling map carries the fractional part exactly on [0, 1], so the
-    Takagi target equals the per-term np.mod of x 2^i to the bit, wherever
-    the settled points are set aside.  The form `_takagi` builds (order
-    m + 20, settled after m + 1 terms) is checked on measure_sigma's union
-    grid at m = 20, on points none of which settle, on points that all
-    settle, and on 0-d inputs."""
-    nodes = extract_cpwl(takagi_network([2.0 ** -(i + 1) for i in range(16)])).breakpoints
-    points = [np.linspace(0.0, 1.0, 4099), np.linspace(0.0, 1.0, 10001), nodes,
-              np.array([0.0, 1.0 / 3.0, 1.0]),
-              np.random.default_rng(19).uniform(0.0, 1.0, 20000)]
-    for order in (1, 2, 3, 14, 16, 36, 40, 60):
-        ref = reference_dyadic_sawtooth_sum(order)
-        for xs in points:
-            want = ref(xs)
-            for settle in sorted({0, 1, order // 2, order - 1, order, order + 1}):
-                assert np.array_equal(cli._dyadic_sawtooth_sum(order, settle)(xs), want)
-        assert cli._dyadic_sawtooth_sum(order, 0)(1.0 / 3.0) == ref(1.0 / 3.0)
-
-    rng = np.random.default_rng(43)
-    union = np.union1d(np.linspace(0.0, 1.0, 4099), extract_cpwl(
-        takagi_network([2.0 ** -(i + 1) for i in range(20)])).breakpoints)
-    # (3i + 1) / (3 * 2^14) is not dyadic: its float settles only after
-    # about 53 doublings
-    thirds = np.arange(1, 3 * 2 ** 14, 3) / (3.0 * 2 ** 14)
-    for m in (1, 2, 3, 14, 16, 20):
-        target = cli._takagi(m)[1].evaluator
-        ref = reference_dyadic_sawtooth_sum(m + 20)
-        den = 2.0 ** (m + 1)
-        dyadic = rng.integers(0, int(den) + 1, 5000) / den
-        assert np.mod(thirds * den, 1.0).all() and not np.mod(dyadic * den, 1.0).any()
-        for xs in [thirds, dyadic, np.linspace(0.0, 1.0, 4099)] + ([union] if m == 20 else []):
-            assert np.array_equal(target(xs), ref(xs))
-        for x in (1.0 / 3.0, np.float64(0.25), np.array(1.0 / 3.0), np.array(0.5)):
-            got = target(x)
-            assert np.shape(got) == () and got == ref(x)
-
-
-def test_blocked_sawtooth_sum_matches_the_unblocked_reference(monkeypatch):
-    """The Takagi target runs every term on one block of points before the
-    next: block - 1, block, block + 1 and 3 block + 7 points (at the
-    library's block and at a block of 7), 2-d arrays and 0-d inputs give the
-    bits and shape of the unblocked reference, settled points included."""
-    rng = np.random.default_rng(71)
-    for block in (cpwl._SWEEP_BLOCK, 7):
-        monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", block)
-        points = [np.sort(rng.uniform(0.0, 1.0, size)) for size in
-                  (block - 1, block, block + 1, 3 * block + 7)]
-        points[-1][::3] = rng.integers(0, 2 ** 12 + 1, points[-1][::3].size) / 2.0 ** 12
-        rows = np.concatenate([points[0], points[2]]).reshape(2, -1)
-        points += [rows, rows.T, np.array(0.375), np.array(1.0 / 3.0), 0.75]
-        for order, settle in ((14, 15), (40, 21), (8, 8), (6, 0)):
-            want_of = reference_unblocked_sawtooth_sum(order, settle)
-            for xs in points:
-                got, want = cli._dyadic_sawtooth_sum(order, settle)(xs), want_of(xs)
-                assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 def test_takagi_and_rates_print_the_pinned_errors(capsys):
