@@ -362,7 +362,13 @@ def takagi_family(m):
     later term adds exactly +0.0 there.  The remaining terms run on the
     other points only, and their totals are put back.  The points are read
     cpwl._SWEEP_BLOCK at a time, every term on one block before the next.
+
+    An m below 1 raises `DomainError`: its later terms would run over
+    negative i, scaled by 2^-i > 1, so the target would be no sawtooth sum.
     """
+    if m < 1:
+        raise DomainError(f"the Takagi family needs a size m >= 1, got {m}")
+
     def run(t, total, term, terms):
         for i in terms:
             np.subtract(1.0, t, out=term)

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .network import ReluNetwork, SpecialNetwork, rail_layer
+from .network import ReluNetwork, SpecialNetwork, _rails
 
 
 def _common_width(nets) -> int:
@@ -30,11 +30,6 @@ def _plain(nets) -> None:
     if any(n.special for n in nets):
         raise StructureError("plain combinators need plain networks; "
                              "convert with special_to_standard first")
-
-
-def _rails(width: int, count: int) -> np.ndarray:
-    """`count` copies of the rail layer as one (count, W, W) tensor."""
-    return np.tile(rail_layer(width), (count, 1, 1))
 
 
 def _chain(parts, seams) -> np.ndarray:

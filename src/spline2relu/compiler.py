@@ -34,10 +34,10 @@ from .errors import (
 from .network import (
     ReluNetwork,
     SpecialNetwork,
+    _rails,
     _shallow,
     hat_net,
     param_count,
-    rail_layer,
     special_to_standard,
 )
 
@@ -250,7 +250,7 @@ def _compile_wide(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     signs = np.where(profile.any(axis=-1), np.repeat([1.0, -1.0], 3 * q), 0.0)
 
     rows = slice(1, 6 * q + 1)
-    hidden = np.tile(rail_layer(width), (2 * blocks - 1, 1, 1))
+    hidden = _rails(width, 2 * blocks - 1)
     bias = np.zeros((2 * blocks - 1, width))
     hidden[::2, rows, 0] = slopes[..., 0]
     hidden[::2, rows, 1:-1] = np.diff(slopes)
@@ -290,7 +290,7 @@ def _compile_narrow(target: cpwl.CPwL, width: int) -> SpecialNetwork:
     first[:-1] = 1.0
     seeds = np.zeros((groups, width))
     seeds[:, comp] = -full
-    hidden = np.tile(rail_layer(width), (groups - 1, 1, 1))
+    hidden = _rails(width, groups - 1)
     hidden[:, comp, 0] = 1.0
     hidden[:, -1, comp] = coeff[:-1]
     out = np.zeros(width)

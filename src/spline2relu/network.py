@@ -520,6 +520,11 @@ def rail_layer(width: int) -> np.ndarray:
     return weights
 
 
+def _rails(width: int, count: int) -> np.ndarray:
+    """`count` copies of the rail layer as one (count, W, W) tensor."""
+    return np.tile(rail_layer(width), (count, 1, 1))
+
+
 def _shallow(first, first_bias, out, out_bias) -> ReluNetwork:
     """Network with one hidden layer and no hidden-to-hidden maps."""
     width = len(first)

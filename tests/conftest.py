@@ -29,7 +29,6 @@ from spline2relu.network import (
     _depth_one,
     _depth_two,
     _SharedGrid,
-    _sum_parts,
     hat_net,
     rail_layer,
     reset_layers,
@@ -43,24 +42,6 @@ def _reference_mask(net):
     if net.special:
         mask[0] = mask[-1] = False
     return mask
-
-
-def reference_canonical(x, v):
-    """Canonical-form loop kept as a test-only reference for the CPwL
-    constructor: drop interior nodes whose adjacent slopes agree within
-    SLOPE_TOL (relative); a node to drop next to an overflowing slope raises."""
-    while x.size > 2:
-        slopes = np.diff(v) / np.diff(x)
-        gap = np.abs(np.diff(slopes))
-        scale = np.maximum(1.0, np.maximum(np.abs(slopes[1:]), np.abs(slopes[:-1])))
-        keep = gap > cpwl.SLOPE_TOL * scale
-        if keep.all():
-            break
-        if not np.isfinite(scale[~keep]).all():
-            raise DomainError(cpwl.SLOPE_OVERFLOW)
-        mask = np.concatenate(([True], keep, [True]))
-        x, v = x[mask], v[mask]
-    return x, v
 
 
 def reference_relu(f):
@@ -127,8 +108,7 @@ def reference_shared_relu(shared, layer):
     new = reference_crossings(shared.grid, pre)
     if shared.grid.size + new.size + shared.held > cpwl.DEFAULT_NODE_BUDGET:
         raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
-    shared.grid, v, _ = reference_insert(shared.grid, pre, new,
-                                         np.searchsorted(shared.grid, new))
+    shared.grid, v, _ = reference_insert(shared.grid, pre, new, np.searchsorted(shared.grid, new))
     shared.vals = np.maximum(v, 0.0, out=v)
 
 
@@ -148,46 +128,10 @@ def seam_rows(rng, size, rows):
     return g, (v if rows else v[0])
 
 
-def reference_unblocked_crossings(g, v):
-    """cpwl._crossings before the blocked layer step, kept as a test-only
-    reference: the hits found on the 2-d rows, gathered by fancy indexing."""
-    a, b = v[..., :-1], v[..., 1:]
-    hit = np.nonzero(a * b < 0.0)
-    seg = hit[-1]
-    if not seg.size:
-        return g[:0], seg
-    cross, far = cpwl._cross(g.take(seg), g.take(seg + 1), a[hit], b[hit])
-    cross, seg = cross[far], seg[far]
-    order = np.argsort(cross, kind="stable")
-    new, right = cross[order], seg[order] + 1
-    first = np.ones(new.size, dtype=bool)
-    first[1:] = new[1:] != new[:-1]
-    return new[first], right[first]
-
-
-def reference_unblocked_insert(g, v, new, right):
-    """cpwl._insert before the blocked layer step, kept as a test-only
-    reference: the old nodes placed by a 2-d boolean mask."""
-    if not new.size:
-        return g, v, np.empty(0, dtype=np.intp)
-    at = right + np.arange(new.size)
-    left = right - 1
-    gl, vl = g.take(left), np.take(v, left, axis=-1)
-    mid = (np.take(v, right, axis=-1) - vl) / (g.take(right) - gl) * (new - gl) + vl
-    old = np.ones(g.size + new.size, dtype=bool)
-    old[at] = False
-    grid = np.empty(old.size)
-    grid[old] = g
-    grid[at] = new
-    vals = np.empty(v.shape[:-1] + old.shape)
-    vals[..., old] = v
-    vals[..., at] = mid
-    return grid, vals, at
-
-
 def reference_unblocked_prune(g, v):
-    """cpwl._prune before the blocked kink test, kept as a test-only
-    reference: every interior node tested in one pass."""
+    """cpwl._prune before the blocked kink test, and with one row the CPwL
+    canonical form, kept as a test-only reference: every interior node
+    tested in one pass."""
     while g.size > 2:
         slopes = v[..., 1:] - v[..., :-1]
         slopes /= g[1:] - g[:-1]
@@ -209,49 +153,16 @@ def reference_unblocked_prune(g, v):
 
 def reference_unblocked_step(shared, weights, bias):
     """_SharedGrid.step before blocking, kept as a test-only reference: one
-    matmul over the whole grid, then the crossings, insert and prune of the
-    unblocked references above."""
-    shared.vals = weights[shared.rows, shared.rows] @ shared.vals
+    matmul over the whole grid, then reference_shared_relu and
+    reference_unblocked_prune."""
+    pre = weights[shared.rows, shared.rows] @ shared.vals
     if shared.special:
-        shared.vals += np.multiply.outer(weights[shared.rows, 0], shared.grid)
-    shared.vals += bias[shared.rows, None]
-    new, right = reference_unblocked_crossings(shared.grid, shared.vals)
-    if shared.grid.size + new.size + shared.held > cpwl.DEFAULT_NODE_BUDGET:
-        raise ResourceError(f"extraction grew past {cpwl.DEFAULT_NODE_BUDGET} nodes")
-    shared.grid, v, _ = reference_unblocked_insert(shared.grid, shared.vals, new, right)
-    shared.vals = np.maximum(v, 0.0, out=v)
+        pre += np.multiply.outer(weights[shared.rows, 0], shared.grid)
+    pre += bias[shared.rows, None]
+    reference_shared_relu(shared, lambda nodes: pre)
     size = shared.grid.size
     shared.grid, shared.vals = reference_unblocked_prune(shared.grid, shared.vals)
     return shared.grid.size < size
-
-
-def reference_unblocked_sawtooth_sum(order, settle):
-    """The Takagi target of `approx.takagi_family` before blocking, kept as a
-    test-only reference: every term runs over all points at once, and the
-    points with t = 0 are set aside after `settle` terms (m + 1 in the
-    target of size m = order - 20)."""
-    def run(t, total, terms):
-        term = np.empty_like(t)
-        for i in terms:
-            np.subtract(1.0, t, out=term)
-            np.minimum(t, term, out=term)
-            term *= 2.0 ** -i
-            total += term
-            t += t
-            np.subtract(t, 1.0, out=t, where=t >= 1.0)
-
-    def evaluate(x):
-        xs = np.asarray(x, dtype=float)
-        t = np.array(np.mod(xs, 1.0))
-        total = np.zeros_like(xs)
-        run(t, total, range(min(settle, order)))
-        if settle < order:
-            live = np.flatnonzero(t)
-            rest = total.take(live)
-            run(t.take(live), rest, range(settle, order))
-            np.put(total, live, rest)
-        return total
-    return evaluate
 
 
 def _reference_affine(states, weights, bias):
@@ -535,84 +446,6 @@ def reference_compile_wide(target, width):
     out[0] += slope
     return SpecialNetwork(net.in_weights, net.in_bias, net.hidden_weights, net.hidden_bias,
                           out, net.out_bias + offset)
-
-
-def reference_depth_two(net):
-    """`network._depth_two` before its grid grew through `cpwl._insert`, kept
-    as a test-only reference: the crossings, the rows' sums and the first
-    collation read placed by a scatter of its own."""
-    comp = slice(1, -1)
-    hidden, bias = net.hidden_weights, net.hidden_bias
-    a = np.concatenate([net.in_weights[None, comp], hidden[1::2, comp, 0]])
-    b = np.concatenate([net.in_bias[None, comp], bias[1::2, comp]])
-    read = np.concatenate([hidden[:, -1, comp], net.out_weights[None, comp]])
-    segments, size = a.shape[0], a.shape[1] + 2
-    t = -b / a
-    grid = np.zeros((segments, size))
-    grid[:, 1:-1] = np.where((t > 0.0) & (t < 1.0), t, 0.0)  # the rest repeat node 0
-    grid[:, -1] = 1.0
-    grid.sort(axis=1)
-    units = a[..., None] * grid[:, None] + b[..., None]
-    np.maximum(units, 0.0, out=units)
-    first = (read[0::2, None] @ units)[:, 0]
-    rows = hidden[0::2, comp, comp] @ units
-    del units
-    rows += hidden[0::2, comp, 0, None] * grid[:, None]
-    rows += bias[0::2, comp, None]
-
-    # every row's crossings, sorted and made distinct within each segment
-    lo, hi = rows[..., :-1], rows[..., 1:]
-    hit = np.nonzero(lo * hi < 0.0)
-    seg, k = hit[0], hit[2]
-    cross, far = cpwl._cross(grid[seg, k], grid[seg, k + 1], lo[hit], hi[hit])
-    seg, k, cross = seg[far], k[far], cross[far]
-    order = np.lexsort((cross, seg))
-    seg, k, cross = seg[order], k[order], cross[order]
-    new = np.ones(cross.size, dtype=bool)
-    new[1:] = (cross[1:] != cross[:-1]) | (seg[1:] != seg[:-1])
-    seg, k, cross = seg[new], k[new], cross[new]
-
-    # rows and first read at the crossings, on their interval, in place
-    left = grid[seg, k]
-    span = grid[seg, k + 1] - left
-    cross_off = cross - left
-    below = rows[seg, :, k]
-    mid = rows[seg, :, k + 1]
-    mid -= below
-    mid /= span[:, None]
-    mid *= cross_off[:, None]
-    mid += below
-    del below
-    np.maximum(mid, 0.0, out=mid)
-    mid *= read[1::2][seg]
-    at_cross = mid.sum(axis=1)
-    del mid
-    below = first[seg, k]
-    at_cross += (first[seg, k + 1] - below) / span * cross_off + below
-    np.maximum(rows, 0.0, out=rows)
-    at_nodes = first + (read[1::2, None] @ rows)[:, 0]
-
-    # one (grid, values) part per segment: crossings inserted, repeats dropped
-    at = seg * size + k + 1 + np.arange(seg.size)
-    old = np.ones(segments * size + seg.size, dtype=bool)
-    old[at] = False
-    x = np.empty(old.size)
-    x[old] = grid.ravel()
-    x[at] = cross
-    v = np.empty(old.size)
-    v[old] = at_nodes.ravel()
-    v[at] = at_cross
-    start = np.zeros(old.size, dtype=bool)
-    start[np.arange(segments) * size + np.searchsorted(seg, np.arange(segments))] = True
-    keep = start.copy()
-    keep[1:] |= x[1:] != x[:-1]
-    bounds = np.flatnonzero(start[keep])[1:]
-    x, v = _sum_parts(list(zip(np.split(x[keep], bounds), np.split(v[keep], bounds))))
-    slope = np.append(hidden[:, -1, 0], net.out_weights[0]).sum()
-    value = np.append(bias[:, -1], net.out_bias).sum()
-    v += slope * x
-    v += value
-    return x, v
 
 
 def same_cpwl(f, g):

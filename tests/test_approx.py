@@ -12,7 +12,6 @@ from conftest import (
     reference_lip_alpha_approximant,
     reference_panel_antiderivative,
     reference_quantize_values,
-    reference_unblocked_sawtooth_sum,
     same_weights,
     sample_lip_ball,
 )
@@ -208,6 +207,11 @@ def test_target_function_scalar_fallback():
     assert np.array_equal(out, [[0.0, 0.5], [1.0, 0.2]])
     g = approx.TargetFunction(lambda x: np.asarray(x) * 2.0)
     assert g(np.array([0.5]))[0] == 1.0
+    # an evaluator that ignores its input's shape is called once per point
+    calls = []
+    h = approx.TargetFunction(lambda x: calls.append(x) or 0.5)
+    assert np.array_equal(h(np.array([0.1, 0.2, 0.3])), [0.5, 0.5, 0.5])
+    assert len(calls) == 4 and calls[1:] == [0.1, 0.2, 0.3]
     with pytest.raises(DomainError):
         approx.TargetFunction(math.sqrt, lip_alpha=(1.5, 1.0))
     with pytest.raises(DomainError):
@@ -536,6 +540,11 @@ def test_takagi_family_builds_the_partial_sums():
     assert isinstance(target, approx.TargetFunction)
     with pytest.raises(DomainError, match="need at least one coefficient"):
         builder(0)
+    # below 1 the target's later terms would run over negative i, scaled by
+    # 2^-i > 1: at m = -5 it read 10.13 at x = 0.3, where Takagi is at most 2/3
+    for m in (0, -1, -5, -25):
+        with pytest.raises(DomainError, match=f"needs a size m >= 1, got {m}$"):
+            approx.takagi_family(m)
 
 
 def test_takagi_target_matches_the_term_by_term_closed_form():
@@ -571,8 +580,8 @@ def test_blocked_takagi_target_matches_the_unblocked_reference(monkeypatch):
     """The Takagi target runs every term on one block of points before the
     next: block - 1, block, block + 1 and 3 block + 7 points (at the
     library's block and at a block of 7), 2-d arrays and 0-d inputs give the
-    bits and shape of the unblocked reference, settled points included, read
-    through the target and through its evaluator."""
+    bits, signs and shape of the unblocked term-by-term reference, settled
+    points included, read through the target and through its evaluator."""
     rng = np.random.default_rng(71)
     for block in (cpwl._SWEEP_BLOCK, 7):
         monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", block)
@@ -583,11 +592,12 @@ def test_blocked_takagi_target_matches_the_unblocked_reference(monkeypatch):
         points += [rows, rows.T, np.array(0.375), np.array(1.0 / 3.0), 0.75]
         for m in (1, 14, 20):
             target = approx.takagi_family(m)[0]
-            want_of = reference_unblocked_sawtooth_sum(m + 20, m + 1)
+            want_of = reference_dyadic_sawtooth_sum(m + 20)
             for xs in points:
                 want = want_of(xs)
                 for got in (target(xs), target.evaluator(xs)):
                     assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_records_to_csv_format():

@@ -193,6 +193,12 @@ def test_rates_rows_below_one_fail_with_their_own_size(capsys):
                                "3,53,0.083333253860473633"]
     assert err.splitlines() == [f"rates: m={m} failed: DomainError: need at least one coefficient"
                                 for m in (-1, 0)]
+    # rates builds one target from max(ms), so it stops only when every size
+    # is below 1; takagi builds its target from its order
+    for argv, m in ((["rates", "--ms=-3,-1"], -1), (["takagi", "--order", "0"], 0)):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: the Takagi family needs a size m >= 1, got {m}\n"
 
 
 def test_rates_default_grid_holds_the_takagi_tail_peak(capsys):
@@ -374,6 +380,16 @@ def test_error_paths(tmp_path, capsys):
 
     assert cli.main(["rates", "--ms", "9:x"]) == 1
     assert "size list" in capsys.readouterr().err
+
+    assert cli.main(["rates", "--ms", "5:3"]) == 1
+    assert capsys.readouterr().err == "error: no sizes given; use --ms\n"
+
+    # on the grid {0, 1} the one row measures 0: its CSV is printed, no plot is written
+    svg = tmp_path / "empty.svg"
+    assert cli.main(["rates", "--ms", "1", "--grid", "2", "--svg", str(svg)]) == 1
+    out, err = capsys.readouterr()
+    assert _mask_wall(out) == ["m,params,sup_error", "1,13,0"]
+    assert err == "error: nothing to plot: no positive finite points\n" and not svg.exists()
 
 
 def test_unknown_family_raises_through_run():

@@ -19,7 +19,7 @@ from spline2relu.combinators import (
 )
 from spline2relu.compiler import compile_spline
 from spline2relu.errors import StructureError
-from spline2relu.network import extract_cpwl, special_to_standard
+from spline2relu.network import extract_cpwl, hat_net, special_to_standard
 
 
 def test_zero_special_is_zero():
@@ -237,6 +237,8 @@ def test_iterate_apply_sum_depth_mismatch():
     assert a.depth != b.depth
     with pytest.raises(StructureError):
         iterate_apply_sum(a, b, [1.0])
+    with pytest.raises(StructureError, match="need at least one coefficient"):
+        iterate_apply_sum(hat_net(), hat_net(), [])
 
 
 def test_pad_width():

@@ -189,6 +189,9 @@ def test_compile_spline_knot_near_one():
             net, report = compile_spline(f, width)
             assert report.params <= spline_budget(width, f.n_interior)
             assert cpwl.sup_diff(extract_cpwl(net), f) <= tol
+    # no gap holds 10^13 nodes 1e-12 apart: refused before any array of them exists
+    with pytest.raises(DomainError, match="no gap wide enough to host artificial breakpoints"):
+        compiler._pad_knots(np.array([0.5]), 10 ** 13)
 
 
 def _sparse_target():

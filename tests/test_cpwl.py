@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     random_spline,
-    reference_canonical,
     reference_crossings,
     reference_hat_iterate,
     reference_insert,
     reference_relu,
     reference_sine_cpwl,
     reference_takagi_partial,
-    reference_unblocked_crossings,
-    reference_unblocked_insert,
     reference_unblocked_prune,
     reference_write_spline,
     same_bits,
@@ -117,6 +114,8 @@ def test_combine_matches_pointwise():
         got = cpwl.combine(fs, coeffs, offset)(grid)
         want = offset + sum(c * f(grid) for c, f in zip(coeffs, fs))
         assert np.abs(got - want).max() <= 1e-12
+    with pytest.raises(DomainError, match="one coefficient per function required"):
+        cpwl.combine([cpwl.hat()], [1.0, 2.0])
 
 
 def test_combine_interpolates_one_part_at_a_time():
@@ -195,21 +194,8 @@ def _same_insert(g, v):
     bit, signs of zeros included."""
     new, right = cpwl._crossings(g, v)
     got = cpwl._insert(g, v, new, right)
-    want = reference_insert(g, v, new, np.searchsorted(g, new))
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
+    same_bits(got, reference_insert(g, v, new, np.searchsorted(g, new)))
     return got
-
-
-def test_insert_matches_the_fancy_index_reference():
-    """The gathers by take give the values fancy indexing gives (inputs of
-    `_rows_on_grids`); with nothing to insert the inputs come back."""
-    for g, v in _rows_on_grids(37):
-        _same_insert(g, v)
-    g, v = np.array([0.0, 1.0]), np.array([[1.0, 2.0], [0.0, -0.0]])
-    grid, vals, at = _same_insert(g, v)
-    assert grid is g and vals is v and at.size == 0
 
 
 def test_rows_crossing_at_one_point_insert_one_node():
@@ -281,22 +267,26 @@ def test_slope_overflow_in_a_later_block_raises(monkeypatch):
 
 
 def test_crossings_and_insert_match_the_unblocked_references():
-    """The crossings gathered through the flat rows and the rows scattered one
-    at a time (into fresh arrays, or into a slice of larger ones) match the
-    2-d references, signs of zero included."""
+    """The crossings gathered through the flat rows, placed where
+    np.searchsorted places them, and the rows scattered one at a time (into
+    fresh arrays, or into a slice of larger ones) by gathers of `take`,
+    match the whole-grid references, signs of zero included; with nothing
+    to insert the inputs come back."""
     rng = np.random.default_rng(59)
-    inputs = list(_rows_on_grids(61))
+    inputs = list(_rows_on_grids(61)) + list(_rows_on_grids(37))
     inputs += [seam_rows(rng, size, rows) for size in (2, 3, 40, 4097) for rows in (0, 1, 3)]
     for g, v in inputs:
         new, right = cpwl._crossings(g, v)
-        same_bits((new, right), reference_unblocked_crossings(g, v))
-        want = reference_unblocked_insert(g, v, new, right)
-        same_bits(cpwl._insert(g, v, new, right), want)
+        same_bits((new, right), (reference_crossings(g, v), np.searchsorted(g, new)))
+        want = _same_insert(g, v)
         size = g.size + new.size
         grid, vals = np.full(size + 5, 7.0), np.full(v.shape[:-1] + (size + 5,), 7.0)
         got = cpwl._insert(g, v, new, right, (grid[2:-3], vals[..., 2:-3]))
         same_bits(got, want)
         assert (grid[:2] == 7.0).all() and (vals[..., -3:] == 7.0).all()
+    g, v = np.array([0.0, 1.0]), np.array([[1.0, 2.0], [0.0, -0.0]])
+    grid, vals, at = _same_insert(g, v)
+    assert grid is g and vals is v and at.size == 0
 
 
 def test_relu_inserts_exact_crossings():
@@ -334,7 +324,7 @@ def _check_rules_against_references(x, v):
     in conftest on the nodal arrays (x, v)."""
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        want = _outcome(reference_canonical, x.copy(), v.copy())
+        want = _outcome(reference_unblocked_prune, x.copy(), v.copy())
         assert _same_outcome(_outcome(cpwl.CPwL, x.copy(), v.copy()), want)
         if not isinstance(want, str):
             f = cpwl.CPwL(x, v)
@@ -381,7 +371,7 @@ def test_rules_raise_on_an_overflowing_slope():
     with np.errstate(over="ignore"):
         for x, v in _OVERFLOWING_SLOPES:
             assert (_outcome(cpwl.CPwL, x, v) == cpwl.SLOPE_OVERFLOW
-                    == _outcome(reference_canonical, np.array(x), np.array(v)))
+                    == _outcome(reference_unblocked_prune, np.array(x), np.array(v)))
 
 
 @st.composite
@@ -439,6 +429,8 @@ def test_reflect_and_restrict():
     r = cpwl.restrict(f, 0.2, 0.7)
     assert np.abs(r(grid) - f(0.2 + 0.5 * grid)).max() <= 1e-12
     assert cpwl.sup_diff(cpwl.restrict(f, 0.0, 1.0), f) == 0.0
+    with pytest.raises(DomainError, match=r"need 0 <= lo < hi <= 1"):
+        cpwl.restrict(f, 0.5, 0.5)
 
 
 def test_sup_diff_attained_on_nodes():
@@ -461,6 +453,8 @@ def test_hat_iterate_against_closed_form():
 
 
 def test_hat_iterate_budget(monkeypatch):
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        cpwl.hat_iterate(0)
     with pytest.raises(ResourceError):
         cpwl.hat_iterate(25)
     monkeypatch.setattr(cpwl, "DEFAULT_NODE_BUDGET", 100)

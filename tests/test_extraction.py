@@ -14,12 +14,10 @@ from conftest import (
     plain_net,
     random_spline,
     reference_collation_rail,
-    reference_depth_two,
     reference_extract,
     reference_shared_relu,
     reference_unblocked_step,
     same_bits,
-    same_cpwl,
     same_lifts,
     seam_rows,
     two_deep_net,
@@ -337,6 +335,18 @@ def _worst_error(f, net):
     return float(max(abs(Fraction(v) - e) for v, e in zip(f.values.tolist(), exact)))
 
 
+def _clustered_canary(monkeypatch):
+    """The W = 32 clustered-knots spline of the spline-wide benchmark
+    (`bench/workloads.py`), drawn as the benchmark draws it."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import workloads
+
+    adv = np.random.default_rng(workloads.ADVERSARIAL_SEED)
+    draws = [gen(adv, workloads.ADVERSARIAL_N) for _ in (8, 13, 32)
+             for gen in workloads.ADVERSARIAL.values()]
+    return cpwl.CPwL(*draws[7])
+
+
 @pytest.mark.parametrize("width", [8, 9, 13, 20, 26, 32])
 def test_two_deep_closed_form_within_four_kappa_u_or_the_stepper(width, monkeypatch):
     """At its own nodes, the closed form (`_depth_two`) of a wide-form W >= 8
@@ -346,16 +356,18 @@ def test_two_deep_closed_form_within_four_kappa_u_or_the_stepper(width, monkeypa
     which no float extraction reads within a few kappa u; the two extractors
     sum a node's rows in different orders, which may cost one rounding of
     the largest value (u max|f|; the stepper was ahead by at most 0.003
-    kappa u over 1296 such networks)."""
+    kappa u over 1296 such networks).  At W = 32 the benchmark's
+    clustered-knots spline is one more input."""
     rng = np.random.default_rng(130 + width)
-    for n in (1, 7, 97):
-        for scale in (2.0, 1e4):
-            f = random_spline(rng, n, -scale, scale)
-            net = compiler._compile_wide(f, width)
-            assert network._closed_form(net) is network._depth_two
-            stepped = _worst_error(_stepped(net, monkeypatch), net) + U * np.abs(f.values).max()
-            bound = max(4.0 * _kappa_u(f), stepped)
-            assert _worst_error(extract_cpwl(net), net) <= bound, (n, scale)
+    targets = [random_spline(rng, n, -scale, scale) for n in (1, 7, 97) for scale in (2.0, 1e4)]
+    if width == 32:
+        targets.append(_clustered_canary(monkeypatch))
+    for f in targets:
+        net = compiler._compile_wide(f, width)
+        assert network._closed_form(net) is network._depth_two
+        stepped = _worst_error(_stepped(net, monkeypatch), net) + U * np.abs(f.values).max()
+        bound = max(4.0 * _kappa_u(f), stepped)
+        assert _worst_error(extract_cpwl(net), net) <= bound, f.n_interior
 
 
 @pytest.mark.parametrize("width, blocks", [(14, 267), (20, 119)])
@@ -385,33 +397,6 @@ def test_mixed_depth_networks_extract_as_stepped(monkeypatch):
     for net in (mixed, takagi):
         assert network._closed_form(net) is None
         _assert_identical(extract_cpwl(net), _stepped(net, monkeypatch))
-
-
-def test_depth_two_grows_its_grid_as_the_scatter_reference(monkeypatch):
-    """`_depth_two` grows the segments' grids through one `cpwl._insert`
-    call: nodes and values to the bit, signs of zero included, of the body
-    that scattered them itself (`reference_depth_two`), on wide-form splines
-    of values in [-s, s], s = 1 and 1e4, on the benchmark's W = 32
-    clustered-knots spline, and on random two-deep networks, whose first
-    collation read (zero in a compiled spline) is interpolated at the
-    crossings too."""
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
-    import workloads
-
-    rng = np.random.default_rng(137)
-    nets = [compiler._compile_wide(random_spline(rng, n, -scale, scale), width)
-            for width in (8, 9, 13, 14, 20, 26, 32) for n in (1, 7, 97, 400, 3200)
-            for scale in (1.0, 1e4)]
-    adv = np.random.default_rng(workloads.ADVERSARIAL_SEED)
-    canary = [gen(adv, workloads.ADVERSARIAL_N) for _ in (8, 13, 32)
-              for gen in workloads.ADVERSARIAL.values()][7]
-    nets.append(compile_spline(cpwl.CPwL(*canary), 32)[0])
-    nets += [two_deep_net(rng, width, segments) for width in (4, 7, 10, 16)
-             for segments in (1, 2, 5, 9) for _ in range(3)]
-    for net in nets:
-        assert network._closed_form(net) is network._depth_two
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as extract_cpwl
-            same_bits(network._depth_two(net), reference_depth_two(net))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -483,23 +468,6 @@ def test_converted_narrow_splines_stay_within_16_kappa_u():
                 f = random_spline(rng, n, -hi, hi)
                 std = special_to_standard(compile_spline(f, width)[0])
                 assert cpwl.sup_diff(extract_cpwl(std), f) <= 16.0 * _kappa_u(f), (width, n, hi)
-
-
-def test_extraction_identical_with_searched_crossings(monkeypatch):
-    """Crossings that carry their segment give the extraction that sorted
-    crossings placed by np.searchsorted give, bit for bit: Takagi orders
-    1..16 and 30 seeded trigonometric sums."""
-    rng = np.random.default_rng(29)
-    nets = [takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 17)]
-    for _ in range(30):
-        js = rng.choice(np.arange(1, 25), int(rng.integers(1, 4)), replace=False)
-        terms = [(int(j), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
-                 for j in js]
-        nets.append(compile_fourier_sum(terms, int(rng.integers(6, 12)))[0])
-    got = [extract_cpwl(net) for net in nets]
-    monkeypatch.setattr(_SharedGrid, "_relu", reference_shared_relu)
-    for net, f in zip(nets, got):
-        assert same_cpwl(f, extract_cpwl(net))
 
 
 def _padded_corpus():
@@ -587,26 +555,33 @@ def test_crossings_at_a_block_seam_are_inserted_once(monkeypatch):
 
 
 def test_extraction_identical_with_the_unblocked_step(monkeypatch):
-    """Takagi orders 1..20 and the padded corpus extract to the bits the
-    unblocked step gives, at the library's block and, for the padded corpus,
-    at a block of 7 segments and nodes; Takagi 21 outgrows the node budget
+    """Takagi orders 1..20, 30 seeded trigonometric sums and the padded
+    corpus extract to the bits of the whole-grid references (crossings
+    sorted by np.unique and placed by np.searchsorted, one matmul and one
+    prune per layer), at the library's block and, for the padded corpus, at
+    a block of 7 segments and nodes; Takagi 21 outgrows the node budget
     with the reference's error."""
-    takagi = [takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(1, 21)]
+    rng = np.random.default_rng(29)
+    # Takagi 1..16 are in the padded corpus
+    nets = [takagi_network([2.0 ** -(i + 1) for i in range(m)]) for m in range(17, 21)]
+    for _ in range(30):
+        js = rng.choice(np.arange(1, 25), int(rng.integers(1, 4)), replace=False)
+        terms = [(int(j), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
+                 for j in js]
+        nets.append(compile_fourier_sum(terms, int(rng.integers(6, 12)))[0])
     corpus = list(_padded_corpus())
-    got = [extract_cpwl(net) for net in takagi + corpus]
+    got = [extract_cpwl(net) for net in nets + corpus]
     monkeypatch.setattr(cpwl, "_SWEEP_BLOCK", 7)
     small = [extract_cpwl(net) for net in corpus]
     big = takagi_network([2.0 ** -(i + 1) for i in range(21)])
     monkeypatch.undo()
     with pytest.raises(ResourceError) as blocked:
         extract_cpwl(big)
+    monkeypatch.setattr(_SharedGrid, "_relu", reference_shared_relu)
     monkeypatch.setattr(_SharedGrid, "step", reference_unblocked_step)
-    for net, f in zip(takagi + corpus, got):
-        want = extract_cpwl(net)
-        same_bits((f.breakpoints, f.values), (want.breakpoints, want.values))
-    for net, f in zip(corpus, small):
-        want = extract_cpwl(net)
-        same_bits((f.breakpoints, f.values), (want.breakpoints, want.values))
+    want = [extract_cpwl(net) for net in nets + corpus]
+    for f, w in zip(got + small, want + want[len(nets):]):
+        same_bits((f.breakpoints, f.values), (w.breakpoints, w.values))
     with pytest.raises(ResourceError) as unblocked:
         extract_cpwl(big)
     assert str(blocked.value) == str(unblocked.value) == "extraction grew past 2097152 nodes"

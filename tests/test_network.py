@@ -85,6 +85,10 @@ def test_relu_network_shape_validation():
                     [1.0, 0.0], 0.0)
     with pytest.raises(StructureError, match="output layer must be 1 x W"):
         ReluNetwork([1.0, 1.0], [0.0, 0.0], *NO_HIDDEN, [1.0, 0.0, 0.0], 0.0)
+    with pytest.raises(StructureError, match="input layer must be W x 1"):
+        ReluNetwork([[1.0, 1.0]], [0.0, 0.0], *NO_HIDDEN, [1.0, 0.0], 0.0)
+    with pytest.raises(StructureError, match="every layer needs one bias per row"):
+        ReluNetwork([1.0, 1.0], [0.0], *NO_HIDDEN, [1.0, 0.0], 0.0)
 
 
 def test_hat_net_and_identity_net():
@@ -275,6 +279,20 @@ def test_special_structure_enforced():
         with pytest.raises(StructureError):
             SpecialNetwork(net.in_weights, net.in_bias, bad, net.hidden_bias,
                            net.out_weights, net.out_bias)
+    with pytest.raises(StructureError, match="special networks need width >= 4"):
+        SpecialNetwork([1.0, 1.0, 0.0], np.zeros(3), np.zeros((0, 3, 3)), np.zeros((0, 3)),
+                       [0.0, 0.0, 1.0], 0.0)
+    for end in (0, -1):
+        bias = net.in_bias.copy()
+        bias[end] = 0.5
+        with pytest.raises(StructureError, match="source and collation biases must start at 0"):
+            SpecialNetwork(net.in_weights, bias, net.hidden_weights, net.hidden_bias,
+                           net.out_weights, net.out_bias)
+    out = net.out_weights.copy()
+    out[-1] = 0.5
+    with pytest.raises(StructureError, match="output layer must read the collation channel"):
+        SpecialNetwork(net.in_weights, net.in_bias, net.hidden_weights, net.hidden_bias,
+                       out, net.out_bias)
 
 
 def test_special_structure_checked_in_the_last_of_many_layers():
@@ -369,6 +387,7 @@ def test_network_parse_errors(tmp_path):
     assert "line 1" in failing("2 1\n")
     assert "line 1" in failing("2 1 fancy\n")
     assert "line 1" in failing("x 1 standard\n")
+    assert failing("0 1 standard\n") == "line 1: width and depth must be positive"
     assert "line 2" in failing("2 1 standard\n3 1\n")
     assert "line 3" in failing("2 1 standard\n2 1\n1\n")
     assert "line 3" in failing("2 1 standard\n2 1\nbad\n")
