@@ -443,16 +443,6 @@ def self_similar_oracle(pattern: cpwl.CPwL,
                           np.tile(pattern.values, len(a)))
 
 
-def _similar_term(pattern: cpwl.CPwL, intervals: np.ndarray, width: int) -> ReluNetwork:
-    """Plain width-(W-2) network for (pattern o T - pattern~ o That) on the
-    given strictly separated intervals (pattern nonnegative)."""
-    tent, tent_hat = _interval_hats(intervals)
-    s_net, sh_net, t_net, th_net = [special_to_standard(compile_spline(g, width - 4)[0])
-                                    for g in (pattern, cpwl.reflect(pattern), tent, tent_hat)]
-    terms = [compose_nets(t_net, s_net), compose_nets(th_net, sh_net)]
-    return special_to_standard(stack_sum(terms, [1.0, -1.0]))
-
-
 def compile_self_similar(pattern: cpwl.CPwL,
                          intervals: Sequence[tuple[float, float]],
                          width: int) -> tuple[SpecialNetwork, CompileReport]:
@@ -460,9 +450,11 @@ def compile_self_similar(pattern: cpwl.CPwL,
 
     The pattern must vanish at 0 and 1.  The intervals are an (m, 2) array or
     a sequence of (a, b) pairs; any other shape raises DomainError.  Interval
-    interiors must be disjoint; shared endpoints are handled by splitting the list into odd and even
-    positions, and sign changes by splitting the pattern into its positive and
-    negative parts, each replicated through a rectified tent composition.
+    interiors must be disjoint; shared endpoints are handled by splitting the
+    list into odd and even positions, and sign changes by splitting the pattern
+    into its positive and negative parts.  Each (half, group) part is the
+    rectified tent composition half o tent - reflected half o second tent; each
+    half's pattern pair and each group's tent pair are compiled once.
     """
     if width < 8:
         raise DomainError("self-similar compilation needs width >= 8")
@@ -484,19 +476,24 @@ def compile_self_similar(pattern: cpwl.CPwL,
     # intervals sharing an endpoint exist only when there are two or more,
     # so both alternating groups are nonempty
     groups = [iv] if strictly_separated else [iv[0::2], iv[1::2]]
-    parts: list[tuple[cpwl.CPwL, np.ndarray, float]] = []
-    for half, sign in ((pos, 1.0), (neg, -1.0)):
-        if half.values.max() == 0.0:
-            continue
-        parts += [(half, group, sign) for group in groups]
+    halves = [(half, sign) for half, sign in ((pos, 1.0), (neg, -1.0))
+              if half.values.max() != 0.0]
 
     bound = SELF_SIMILAR_C1 * (k + m) + SELF_SIMILAR_C2 * width * width
     oracle_n = self_similar_oracle(pattern, iv).n_interior
-    if not parts:
+    if not halves:
         net = zero_special(width, 1)
         return net, _report(net, bound, oracle_n)
-    nets = [_similar_term(p, g, width) for p, g, _ in parts]
-    net = stack_relu_sum(nets, [s for _, _, s in parts])
+
+    def plain(g: cpwl.CPwL) -> ReluNetwork:
+        return special_to_standard(compile_spline(g, width - 4)[0])
+
+    pairs = [(plain(half), plain(cpwl.reflect(half))) for half, _ in halves]
+    tents = [[plain(t) for t in _interval_hats(group)] for group in groups]
+    nets = [special_to_standard(stack_sum([compose_nets(t, s), compose_nets(th, sh)],
+                                          [1.0, -1.0]))
+            for s, sh in pairs for t, th in tents]
+    net = stack_relu_sum(nets, [sign for _, sign in halves for _ in groups])
     return net, _report(net, bound, oracle_n)
 
 

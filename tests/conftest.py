@@ -26,12 +26,9 @@ from spline2relu.errors import (
 from spline2relu.network import (
     ReluNetwork,
     SpecialNetwork,
-    _depth_one,
-    _depth_two,
     _SharedGrid,
     hat_net,
     rail_layer,
-    reset_layers,
     special_to_standard,
 )
 
@@ -279,23 +276,6 @@ def reference_write_spline(f, path):
             fh.write(f"{x:.17g} {v:.17g}\n")
 
 
-def reference_eval_csv(net, grid_n):
-    """Per-row text of `spline2relu eval`, kept as a test-only reference: a
-    special network whose segments between resets are all one layer deep
-    (`_depth_one`) or all two deep (`_depth_two`) is read from its closed
-    form's nodes by np.interp, any other network by `forward`."""
-    xs = np.linspace(0.0, 1.0, grid_n)
-    depths = set(np.diff(np.append(reset_layers(net), net.depth)).tolist()) if net.special else ()
-    if depths == {1}:
-        ys = np.interp(xs, *_depth_one(net))
-    elif depths == {2}:
-        ys = np.interp(xs, *_depth_two(net))
-    else:
-        ys = net.forward(xs)
-    rows = ["x,value"] + ["%.17g,%.17g" % (x, y) for x, y in zip(xs, ys)]
-    return "\n".join(rows) + "\n"
-
-
 def exact_values(net, xs):
     """The network's own function at the points xs, as Fractions: every float
     weight and point is a dyadic rational, so stepping the layers exactly
@@ -480,10 +460,10 @@ def overflowing_net():
 
 
 def two_deep_net(rng, width, segments):
-    """Random special network whose every segment between resets (see
-    `reset_layers`) is two layers deep: the units of each reset layer read x
-    alone, the layer after it reads them and x, and every collation row reads
-    x, the units before it and a bias.  About a third of the weights are
+    """Random special network whose every segment between resets (layers
+    whose units read x and no unit) is two layers deep: the units of each
+    reset layer read x alone, the layer after it reads them and x, and every
+    collation row reads x, the units before it and a bias.  About a third of the weights are
     zero, the units' x weights included."""
     comp = slice(1, -1)
 

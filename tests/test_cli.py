@@ -10,7 +10,6 @@ from conftest import (
     overflowing_net,
     overflowing_reset_net,
     random_spline,
-    reference_eval_csv,
     slope_overflow_nets,
     text_io_networks,
 )
@@ -18,7 +17,7 @@ from spline2relu import approx, cli, compiler, cpwl, riesz
 from spline2relu.compiler import _compile_wide, compile_spline, takagi_network
 from spline2relu.errors import Spline2ReluError
 from spline2relu.network import (extract_cpwl, hat_net, read_network, reset_layers,
-                                 write_network)
+                                 values_at, write_network)
 
 
 def _mask_wall(text):
@@ -442,16 +441,20 @@ def test_argparse_rejects_unknown_subcommand():
 
 
 def test_eval_csv_matches_reference(tmp_path, capsys):
-    """`eval` writes the per-row reference text, to --out and to stdout, on
-    grids up to the benchmark's 10001 points and one row past a multiple of
-    the formatter's block."""
+    """`eval` writes `values_at` on the grid as "%.17g,%.17g" rows under an
+    "x,value" header, to --out and to stdout, on grids up to the benchmark's
+    10001 points and one row past a multiple of the formatter's block.  The
+    values themselves are checked against `exact_values` by the
+    kappa-u tests below."""
     csv = tmp_path / "out.csv"
     for i, net in enumerate(text_io_networks(np.random.default_rng(24))):
         npath = tmp_path / f"{i}.relu"
         write_network(net, npath)
         for grid in (2, 101, 1001, 10001, cpwl._FORMAT_BLOCK + 1):
+            xs = np.linspace(0.0, 1.0, grid)
             with np.errstate(over="ignore", invalid="ignore"):
-                want = reference_eval_csv(read_network(npath), grid)
+                ys = values_at(read_network(npath), xs)
+                want = "".join(["x,value\n"] + ["%.17g,%.17g\n" % row for row in zip(xs, ys)])
                 assert cli.main(["eval", str(npath), "--grid", str(grid), "--out", str(csv)]) == 0
                 assert csv.read_text() == want
                 assert cli.main(["eval", str(npath), "--grid", str(grid)]) == 0

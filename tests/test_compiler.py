@@ -361,12 +361,25 @@ def test_compile_self_similar_separated():
     assert report.params <= 816 * (pattern.n_interior + len(intervals)) + 72 * 64
 
 
-def test_compile_self_similar_touching_intervals():
-    pattern = _bump([(0.5, 1.0)])
+def test_compile_self_similar_touching_intervals(monkeypatch):
+    """Touching intervals split into two groups; each half's pattern pair and
+    each group's tent pair are compiled and lifted once, and each of the
+    (half, group) differences is lifted once more."""
     intervals = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
-    net, _ = compile_self_similar(pattern, intervals, 8)
-    want = self_similar_oracle(pattern, intervals)
-    assert cpwl.sup_diff(extract_cpwl(net), want) <= 1e-10
+    calls = {"compile_spline": 0, "special_to_standard": 0}
+    for name in calls:
+        def counted(*args, _name=name, _run=getattr(compiler, name)):
+            calls[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(compiler, name, counted)
+    # 2 splines per half and 2 tents per group, each lifted, then 1 lift per part
+    for pattern, want_calls in ((_bump([(0.5, 1.0)]), (6, 8)),
+                                (_bump([(0.3, 0.8), (0.6, -0.5)]), (8, 12))):
+        calls.update(compile_spline=0, special_to_standard=0)
+        net, _ = compile_self_similar(pattern, intervals, 8)
+        assert (calls["compile_spline"], calls["special_to_standard"]) == want_calls
+        want = self_similar_oracle(pattern, intervals)
+        assert cpwl.sup_diff(extract_cpwl(net), want) <= 1e-10
 
 
 def test_compile_self_similar_randomized():

@@ -179,15 +179,6 @@ def _rows_on_grids(seed, trials=300):
         yield g, v
 
 
-def test_crossings_carry_their_right_node():
-    """Each crossing comes with the index of its segment's right node, the
-    place np.searchsorted finds for it (inputs of `_rows_on_grids`)."""
-    for g, v in _rows_on_grids(23):
-        new, right = cpwl._crossings(g, v)
-        assert np.array_equal(new, reference_crossings(g, v))
-        assert np.array_equal(right, np.searchsorted(g, new))
-
-
 def _same_insert(g, v):
     """cpwl._insert of cpwl._crossings matches reference_insert of the same
     crossings placed by np.searchsorted: grid, values and positions to the
@@ -273,7 +264,7 @@ def test_crossings_and_insert_match_the_unblocked_references():
     match the whole-grid references, signs of zero included; with nothing
     to insert the inputs come back."""
     rng = np.random.default_rng(59)
-    inputs = list(_rows_on_grids(61)) + list(_rows_on_grids(37))
+    inputs = [*_rows_on_grids(61), *_rows_on_grids(37), *_rows_on_grids(23)]
     inputs += [seam_rows(rng, size, rows) for size in (2, 3, 40, 4097) for rows in (0, 1, 3)]
     for g, v in inputs:
         new, right = cpwl._crossings(g, v)
