@@ -26,6 +26,7 @@ DEFAULT_NODE_BUDGET = 1 << 21
 # nodes or points one pass of the layer step, the prune's kink test and the
 # Takagi target reads at a time, so that its arrays stay in L2 cache
 _SWEEP_BLOCK = 1 << 15
+_PARSE_BLOCK = 1024  # lines the file readers split at a time; bounds the tokens held
 SLOPE_OVERFLOW = "a slope overflows, so a kink cannot be told from a straight node"
 
 
@@ -361,23 +362,31 @@ def _sine_cpwl(k: int) -> CPwL:
 
 
 def _numbers(lines: list[str], linenos, counts: list[int], count_error: str) -> np.ndarray:
-    """The numbers on `lines`, line i holding counts[i] of them, converted in one
-    pass.  Only lines that fail it are walked, so the first offending one raises
-    ParseError: `count_error` (formats `want`, `found`) or 'malformed number'."""
-    if list(map(len, map(str.split, lines))) == counts:
-        tokens = itertools.chain.from_iterable(map(str.split, lines))
-        try:
-            return np.fromiter(map(float, tokens), float, sum(counts))
-        except ValueError:
-            pass
-    for text, line, want in zip(lines, linenos, counts):
-        tokens = text.split()
-        if len(tokens) != want:
-            raise ParseError(count_error.format(want=want, found=len(tokens)), line=line)
-        try:
-            list(map(float, tokens))
-        except ValueError:
-            raise ParseError("malformed number", line=line) from None
+    """The numbers on `lines`, line i holding counts[i] of them.  Each line is split
+    once, _PARSE_BLOCK lines at a time; a block whose counts match converts in one
+    pass, one that fails is walked line by line, so the first offending line
+    raises ParseError: `count_error` (formats `want`, `found`) or 'malformed number'."""
+    out, end = np.empty(sum(counts)), 0
+    for i in range(0, len(lines), _PARSE_BLOCK):
+        tokens = list(map(str.split, lines[i:i + _PARSE_BLOCK]))
+        wants = counts[i:i + _PARSE_BLOCK]
+        start, end = end, end + sum(wants)
+        if list(map(len, tokens)) == wants:
+            try:
+                out[start:end] = np.fromiter(map(float, itertools.chain.from_iterable(tokens)),
+                                             float, end - start)
+                del tokens  # before the next block's are made
+                continue
+            except ValueError:
+                pass
+        for parts, line, want in zip(tokens, linenos[i:i + _PARSE_BLOCK], wants):
+            if len(parts) != want:
+                raise ParseError(count_error.format(want=want, found=len(parts)), line=line)
+            try:
+                list(map(float, parts))
+            except ValueError:
+                raise ParseError("malformed number", line=line) from None
+    return out
 
 
 # `_format_rows` spells 1e-4 <= |v| < 1e15 and +-0 in numpy: %.17g writes

@@ -556,13 +556,14 @@ def write_network(net: ReluNetwork, path) -> None:
 
 def read_network(path) -> ReluNetwork:
     """Read the write_network format; the special flag re-runs shape validation.
-    Blank lines are skipped; the dims lines are checked per layer, the number
-    lines in one pass (see `cpwl._numbers`)."""
+    Blank lines are skipped; the dims lines are compared with the expected ones
+    at once, and checked per layer only if that fails ('04 4' reads as 4 x 4);
+    each number line is split once (see `cpwl._numbers`)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    counts = list(map(len, map(str.split, lines)))
-    linenos = list(itertools.compress(itertools.count(1), counts))
-    body = list(itertools.compress(lines, counts))
+    filled = list(map(str.strip, lines))
+    linenos = list(itertools.compress(itertools.count(1), filled))
+    body = list(itertools.compress(lines, filled))
     if not body:
         raise ParseError("unexpected end of file", line=max(1, len(lines)))
     parts, lineno = body[0].split(), linenos[0]
@@ -577,16 +578,20 @@ def read_network(path) -> ReluNetwork:
     step = width + 2  # non-blank lines per layer; the output layer has 3
     end = total = depth * step + 4
     error = None
-    for k, pos in enumerate(range(1, min(len(body), total), step)):
-        r, c = (width, 1) if k == 0 else (1, width) if k == depth else (width, width)
-        try:
-            dims = tuple(map(int, body[pos].split()))
-        except ValueError:
-            dims = ()
-        if dims != (r, c):
-            text = "expected 'rows cols'" if len(dims) != 2 else f"layer {k} must be {r} x {c}"
-            error, end = ParseError(text, line=linenos[pos]), pos
-            break
+    heads = range(1, min(len(body), total), step)  # the dims lines present
+    w = str(width)
+    if list(map(str.split, body[1:total:step])) != (
+            [[w, "1"]] + [[w, w]] * min(len(heads), depth - 1) + [["1", w]])[:len(heads)]:
+        for k, pos in enumerate(heads):  # the check per layer names the first fault
+            r, c = (width, 1) if k == 0 else (1, width) if k == depth else (width, width)
+            try:
+                dims = tuple(map(int, body[pos].split()))
+            except ValueError:
+                dims = ()
+            if dims != (r, c):
+                text = "expected 'rows cols'" if len(dims) != 2 else f"layer {k} must be {r} x {c}"
+                error, end = ParseError(text, line=linenos[pos]), pos
+                break
     rows, row_lines = body[1:end], linenos[1:end]
     del rows[::step], row_lines[::step]
     n = len(rows)

@@ -553,6 +553,35 @@ def test_spline_parse_error_lines(tmp_path):
     assert failing("2\n0.2 0\n1 1\n") == ("breakpoints must start at 0 and end at 1", None)
 
 
+def test_spline_parse_errors_past_the_first_parse_block(tmp_path):
+    """A 1502-node file spans two blocks of cpwl._PARSE_BLOCK node lines
+    (node i on line i + 2): it reads back bit for bit, and an error in the
+    second block or at the seam keeps its message and physical line."""
+    f = random_spline(np.random.default_rng(6), 1500)
+    path = tmp_path / "f.spline"
+    cpwl.write_spline(f, path)
+    good = path.read_text().splitlines()
+    assert len(good) - 1 > cpwl._PARSE_BLOCK
+    g = cpwl.read_spline(path)
+    same_bits([g.breakpoints, g.values], [f.breakpoints, f.values])
+    seam = cpwl._PARSE_BLOCK + 2  # the first node line of the second block
+
+    def failing(edits):
+        lines = list(good)
+        for lineno, text in edits.items():
+            lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            cpwl.read_spline(path)
+        return str(err.value), err.value.line
+
+    assert failing({1400: "0.9 1e"}) == ("line 1400: malformed number", 1400)
+    assert failing({1400: "0.9"}) == ("line 1400: expected 'x value'", 1400)
+    assert failing({seam: "x 1"}) == (f"line {seam}: malformed number", seam)
+    assert failing({seam - 1: "1 2 3"}) == (f"line {seam - 1}: expected 'x value'", seam - 1)
+    assert failing({1400: "0.9", 30: "0.1 z"}) == ("line 30: malformed number", 30)
+
+
 def test_write_spline_matches_reference(tmp_path):
     """Byte-identical to the per-number writer, and stable through a read."""
     odd = cpwl.CPwL([0.0, 5e-324, 1.0 / 3.0, 0.5, 0.75, 1.0],

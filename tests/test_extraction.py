@@ -432,6 +432,18 @@ def test_adversarial_narrow_splines_within_two_kappa_u(target, width):
     assert cpwl.sup_diff(extract_cpwl(net), target) <= 2.0 * _kappa_u(target)
 
 
+@pytest.mark.xfail(strict=True, reason="the prune drops a kink below SLOPE_TOL that a "
+                   "later layer amplifies")
+def test_a_kink_below_the_slope_tolerance_survives_amplification():
+    """The second channel is relu(2e-20 x - 1e-20), a kink at x = 1/2 with a
+    slope change of 2e-20; the last layer scales it by 1e20 and cuts it at
+    0.25, so the output kinks at x = 0.625 and reads 0.25 at x = 0.75."""
+    net = ReluNetwork([1.0, 2e-20], [0.0, -1e-20], [np.eye(2), [[1.0, 0.0], [0.0, 1e20]]],
+                      [[0.0, 0.0], [0.0, -0.25]], [0.0, 1.0], 0.0)
+    assert net.forward(0.75) == pytest.approx(0.25, abs=1e-15)
+    assert extract_cpwl(net)(0.75) == pytest.approx(net.forward(0.75), abs=1e-15)
+
+
 def test_knots_1e13_apart_on_ramps_within_kappa_u():
     """Three knots 1e-13 apart just below 0.95 among 20 random ones: the
     ramps of W = 8 and 13 extract within kappa u of the target (the wide

@@ -12,6 +12,7 @@ from conftest import (
     plain_net,
     random_spline,
     reference_write_network,
+    same_bits,
     slope_overflow_nets,
     text_io_networks,
 )
@@ -501,6 +502,103 @@ def test_network_parse_error_lines(tmp_path):
         "line 31: trailing content after final layer", 31)
     # a non-finite number parses but fails the network check, without a line
     assert failing({19: "nan 1"}) == ("weights and bias must be finite", None)
+
+
+def test_network_parse_errors_past_the_first_parse_block(tmp_path):
+    """A W = 2, depth-400 file has 1202 number lines, more than one block of
+    cpwl._PARSE_BLOCK: layer k < 400 has its dims on line 2 + 4k and its rows
+    and bias on the next three lines.  An error in a later block, or at the
+    seam of two, gives the same message and physical line as the unblocked
+    reader; an earlier error still wins."""
+    rng = np.random.default_rng(41)
+    net = ReluNetwork(rng.normal(size=2), rng.normal(size=2), rng.normal(size=(399, 2, 2)),
+                      rng.normal(size=(399, 2)), rng.normal(size=2), 0.5)
+    path = tmp_path / "deep.relu"
+    write_network(net, path)
+    good = path.read_text().splitlines()
+    numbered = [n for n in range(3, len(good) + 1) if (n - 2) % 4]
+    assert len(good) == 1604 and good[1601] == "1 2" and len(numbered) > cpwl._PARSE_BLOCK
+
+    def parse(edits=(), insert=()):
+        lines = list(good)
+        for lineno, text in dict(edits).items():
+            lines[lineno - 1] = text
+        for lineno, text in sorted(insert, reverse=True):
+            lines.insert(lineno - 1, text)
+        path.write_text("\n".join(lines) + "\n")
+        return read_network(path)
+
+    def failing(edits, insert=()):
+        with pytest.raises(ParseError) as err:
+            parse(edits, insert)
+        return str(err.value), err.value.line
+
+    back = parse()
+    names = ("in_weights", "in_bias", "hidden_weights", "hidden_bias", "out_weights")
+    same_bits([getattr(back, name) for name in names], [getattr(net, name) for name in names])
+    assert back.out_bias == net.out_bias
+    seam = numbered[cpwl._PARSE_BLOCK]  # the first number line of the second block
+    assert failing({1563: "0.5 1.0x"}) == ("line 1563: malformed number", 1563)
+    assert failing({1565: "1 2 3"}) == ("line 1565: expected 2 numbers, found 3", 1565)
+    assert failing({1562: "2 3"}) == ("line 1562: layer 390 must be 2 x 2", 1562)
+    assert failing({1602: "2 2"}) == ("line 1602: layer 400 must be 1 x 2", 1602)
+    assert failing({1602: "1 2 2"}) == ("line 1602: expected 'rows cols'", 1602)
+    assert failing({seam: "x 1"}) == (f"line {seam}: malformed number", seam)
+    assert failing({seam - 1: "1"}) == (f"line {seam - 1}: expected 2 numbers, found 1", seam - 1)
+    # the first offending line wins across blocks and over a later dims fault
+    assert failing({1563: "oops", 7: "1 2 3"}) == ("line 7: expected 2 numbers, found 3", 7)
+    assert failing({1562: "2 3", 1400: "1 x"}) == ("line 1400: malformed number", 1400)
+    assert failing({1563: "1 x", 1562: "3 2"}) == ("line 1562: layer 390 must be 2 x 2", 1562)
+    # blank lines shift the physical line of an error in a later block
+    assert failing({1565: "7"}, insert=[(4, ""), (900, "  ")]) == (
+        "line 1567: expected 2 numbers, found 1", 1567)
+    # a header declaring more layers than the file holds
+    assert failing({1: "2 999999999 standard"}) == ("line 1602: layer 400 must be 2 x 2", 1602)
+
+
+def test_network_dims_lines_parse_in_any_integer_spelling(tmp_path):
+    """Dims lines that differ from the written text only in spelling ('04 4',
+    '4  4', '+4\t4') read as the written ones; a later wrong dims line is
+    still named by its layer."""
+    net, _ = compile_spline(random_spline(np.random.default_rng(8), 9), 4)
+    path = tmp_path / "net.relu"
+    write_network(net, path)
+    good = path.read_text().splitlines()
+    heads = list(range(2, len(good) + 1, 6))
+    assert [good[n - 1] for n in heads[:3]] == ["4 1", "4 4", "4 4"] and len(heads) == net.depth + 1
+    lines = list(good)
+    lines[0] = "04 " + lines[0].split(" ", 1)[1]
+    for n, text in zip(heads[1:], ("04 4", "4  4", "+4\t4", "4 04")):
+        lines[n - 1] = text
+    lines[heads[-1] - 1] = "1 04"
+    path.write_text("\n".join(lines) + "\n")
+    back = read_network(path)
+    assert back.special and back.out_bias == net.out_bias
+    names = ("in_weights", "in_bias", "hidden_weights", "hidden_bias", "out_weights")
+    same_bits([getattr(back, name) for name in names], [getattr(net, name) for name in names])
+    lines[heads[-2] - 1] = "4 5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_network(path)
+    k = net.depth - 1
+    assert (str(err.value), err.value.line) == (f"line {heads[-2]}: layer {k} must be 4 x 4", heads[-2])
+
+
+def test_read_network_peak_stays_flat(tmp_path):
+    """Reading the W = 4, n = 6400 compiled spline (depth 3200, 19,204 lines)
+    holds one block of tokens at a time: its tracemalloc peak reads 4.48 MB,
+    as before the blocked split, and 7.47 MB with every line's tokens held."""
+    net, _ = compile_spline(random_spline(np.random.default_rng(5), 6400), 4)
+    path = tmp_path / "deep.relu"
+    write_network(net, path)
+    tracemalloc.start()
+    try:
+        back = read_network(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.depth == 3200
+    assert peak <= 5.0e6, peak
 
 
 def test_write_network_matches_reference(tmp_path):
